@@ -8,6 +8,7 @@ family (model), optimization (training), and metrics/splits/ranking
 from .errors import ConfigError, DataError, HypergraphWarning, NumericError
 from .hypergraph import (
     DegreeProfile,
+    FlatSets,
     Hypergraph,
     build_hypergraph,
     degrees,
@@ -59,6 +60,7 @@ from .evaluation import (
     hit_rate_at_k,
     multiclass_auc,
     ndcg_at_k,
+    rank_positions,
     recommend,
     split_hyperedges,
     split_links,
@@ -70,7 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "HypergraphWarning", "NumericError",
-    "DegreeProfile", "Hypergraph", "build_hypergraph", "degrees",
+    "DegreeProfile", "FlatSets", "Hypergraph", "build_hypergraph", "degrees",
     "hyperedge_adjacency", "incidence_matrix", "line_graph",
     "node_adjacency", "replace_edges", "transition_matrices",
     "init_hyperedge_features", "init_node_features", "randomized_svd",
@@ -83,7 +85,7 @@ __all__ = [
     "build_labeled_set", "hyperedge_bce_loss", "node_ce_loss",
     "sample_negatives", "score_maxmin", "score_mean_pairwise", "score_sets", "train",
     "EvalReport", "auc", "baseline_rankers", "hit_rate_at_k",
-    "multiclass_auc", "ndcg_at_k", "recommend", "split_hyperedges",
+    "multiclass_auc", "ndcg_at_k", "rank_positions", "recommend", "split_hyperedges",
     "split_links",
     "Dataset", "load_dataset", "write_dataset",
     "convert_hypergcn", "generate_node_splits",

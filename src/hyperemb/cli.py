@@ -30,9 +30,8 @@ from .evaluation import (
     RANKING_KS,
     auc,
     baseline_rankers,
-    hit_rate_at_k,
     multiclass_auc,
-    ndcg_at_k,
+    rank_positions,
     recommend,
     split_hyperedges,
     split_links,
@@ -260,7 +259,7 @@ def run_trials(
                 train_g, cfg_t, task, data=train_set, eval_data=eval_set, z0=z0_shared
             )
             scores = score_sets(
-                state.final.z_final, eval_set.examples, cfg_t, state.params, cfg.variant
+                state.final.z_final, eval_set.pack, cfg_t, state.params, cfg.variant
             )
             values.append(auc(scores, eval_set.labels))
         else:
@@ -436,15 +435,13 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _ranking_metrics(ranked: list[int], pairs, ks) -> dict[str, float]:
+def _ranking_metrics(ranks: np.ndarray, ks) -> dict[str, float]:
+    """Mean HR@k and nDCG@k over queries, from each query's 1-based truth rank."""
     out = {}
     for k in ks:
-        hrs, gains = [], []
-        for _, truth in pairs:
-            hrs.append(hit_rate_at_k(ranked, truth, k))
-            gains.append(ndcg_at_k(ranked, truth, k))
-        out[f"hr@{k}"] = float(np.mean(hrs))
-        out[f"ndcg@{k}"] = float(np.mean(gains))
+        hit = ranks <= k
+        out[f"hr@{k}"] = float(hit.mean())
+        out[f"ndcg@{k}"] = float(np.where(hit, 1.0 / np.log2(ranks + 1.0), 0.0).mean())
     return out
 
 
@@ -483,22 +480,19 @@ def cmd_recommend(args) -> int:
             ops = build_operators(train_g, variant)
             final = forward(ops, checkpoint_params, z0, y0, variant, training=False)
 
-        candidates = train_g.nodes_of_type(args.candidate_type)
-        model_metrics = {f"{m}@{k}": [] for m in ("hr", "ndcg") for k in ks}
+        n_candidates = len(train_g.nodes_of_type(args.candidate_type))
+        model_ranks = []
         for query, truth in pairs:
-            ranked = [c for c, _ in recommend(train_g, final, query, args.candidate_type, len(candidates))]
-            for k in ks:
-                model_metrics[f"hr@{k}"].append(hit_rate_at_k(ranked, truth, k))
-                model_metrics[f"ndcg@{k}"].append(ndcg_at_k(ranked, truth, k))
-        per_ranker.setdefault("model", {})
-        for name, vals in model_metrics.items():
-            per_ranker["model"].setdefault(name, []).append(float(np.mean(vals)))
-
+            ranked = [c for c, _ in recommend(train_g, final, query, args.candidate_type, n_candidates)]
+            model_ranks.append(rank_positions(ranked, [truth])[0])
+        ranks = {"model": np.array(model_ranks)}
+        # each baseline ranking serves every query through one rank-position map
+        truths = [truth for _, truth in pairs]
         for ranker, ranked in baseline_rankers(train_g, args.candidate_type, rng).items():
-            metrics = _ranking_metrics(ranked, pairs, ks)
-            per_ranker.setdefault(ranker, {})
-            for name, value in metrics.items():
-                per_ranker[ranker].setdefault(name, []).append(value)
+            ranks[ranker] = rank_positions(ranked, truths)
+        for ranker, ranker_ranks in ranks.items():
+            for name, value in _ranking_metrics(ranker_ranks, ks).items():
+                per_ranker.setdefault(ranker, {}).setdefault(name, []).append(value)
 
     reports = {
         ranker: EvalReport(task="recommendation", seeds=seeds, per_trial=metrics)
@@ -523,7 +517,7 @@ def cmd_eval(args) -> int:
     params, meta, variant, state = _eval_state_from_checkpoint(ds, args.checkpoint)
     if args.task == "hyperedge-pred":
         labeled = build_labeled_set(ds.graph, cfg.alpha, np.random.default_rng(cfg.seed))
-        scores = score_sets(state.z_final, labeled.examples, cfg, params, variant)
+        scores = score_sets(state.z_final, labeled.pack, cfg, params, variant)
         value = auc(scores, labeled.labels)
     else:
         if ds.labels is None or params.head is None:

@@ -73,25 +73,31 @@ def multiclass_auc(probabilities, labels, mask) -> float:
     return float(np.mean(per_class))
 
 
-def _rank_of(ranked: Sequence[int], truth: int) -> int:
-    ranked = list(ranked)
-    if truth not in ranked:
-        raise DataError(f"truth item {truth} not among the {len(ranked)} candidates")
-    return ranked.index(truth) + 1
+def rank_positions(ranked: Sequence[int], truths: Sequence[int]) -> np.ndarray:
+    """1-based rank of every truth item in one ranking (its first occurrence),
+    looked up in one sorted rank-position map instead of a scan per truth."""
+    ranked = np.asarray(ranked, dtype=np.int64)
+    truths = np.asarray(truths, dtype=np.int64)
+    ids, first = np.unique(ranked, return_index=True)
+    at = np.minimum(np.searchsorted(ids, truths), max(ids.size - 1, 0))
+    found = ids[at] == truths if ids.size else np.zeros(truths.shape, dtype=bool)
+    if not found.all():
+        raise DataError(f"truth item {int(truths[~found][0])} not among the {ranked.size} candidates")
+    return first[at] + 1
 
 
 def hit_rate_at_k(ranked: Sequence[int], truth: int, k: int) -> int:
     """1 iff the true item sits within the top k of the ranking (1-based)."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    return int(_rank_of(ranked, truth) <= k)
+    return int(rank_positions(ranked, [truth])[0] <= k)
 
 
 def ndcg_at_k(ranked: Sequence[int], truth: int, k: int) -> float:
     """Single-relevant-item nDCG: 1/log2(rank+1) inside the top k, else 0."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    rank = _rank_of(ranked, truth)
+    rank = int(rank_positions(ranked, [truth])[0])
     if rank > k:
         return 0.0
     return float(1.0 / np.log2(rank + 1.0))
@@ -187,13 +193,6 @@ def split_links(
     return replace_edges(g, train_edges), pairs
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def recommend(
     g: Hypergraph,
     state: EmbeddingState,
@@ -203,7 +202,7 @@ def recommend(
 ) -> list[tuple[int, float]]:
     """Top-k candidates of the given type by cosine similarity to the fragment node.
 
-    Descending score, ascending candidate index on ties.
+    Descending score, ascending candidate index on ties; zero vectors score 0.
     """
     if not 0 <= fragment < g.num_nodes:
         raise DataError(f"fragment {fragment} outside [0, {g.num_nodes})")
@@ -218,7 +217,9 @@ def recommend(
         )
         return []
     z = state.z_final
-    scores = np.array([_cosine(z[fragment], z[c]) for c in candidates])
+    rows = z[candidates]
+    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(z[fragment])
+    scores = np.divide(rows @ z[fragment], norms, out=np.zeros(len(candidates)), where=norms > 0)
     order = np.lexsort((np.asarray(candidates), -scores))
     return [(int(candidates[i]), float(scores[i])) for i in order[:k]]
 

@@ -9,6 +9,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -45,6 +46,56 @@ class Hypergraph:
         if self.node_type is None:
             return []
         return [i for i, t in enumerate(self.node_type) if t == tag]
+
+
+@dataclass(frozen=True, eq=False)
+class FlatSets:
+    """Vertex sets stored flat: set ``t`` is ``idx[indptr[t]:indptr[t + 1]]``.
+
+    ``len()`` is the number of sets.  Hyperedge lists and labeled example
+    batches are packed once into this form, so per-set work runs as
+    whole-array numpy/scipy operations instead of a Python loop.
+    """
+
+    idx: np.ndarray  # int64 member ids, set after set
+    indptr: np.ndarray  # int64 offsets, len(self) + 1 of them
+
+    @classmethod
+    def of(cls, sets) -> "FlatSets":
+        """Pack an iterable of vertex sets; a FlatSets passes through unchanged."""
+        if isinstance(sets, cls):
+            return sets
+        sets = list(sets)
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
+        idx = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64, count=int(indptr[-1]))
+        return cls(idx=idx, indptr=indptr)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Set number of every flat entry."""
+        return np.repeat(np.arange(len(self)), self.sizes)
+
+    def check_members(self, num_nodes: int) -> None:
+        if self.idx.size and (self.idx.min() < 0 or self.idx.max() >= num_nodes):
+            raise DataError(f"vertex set member outside [0, {num_nodes})")
+
+    def set_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-set sums of per-entry rows, as one SpMM."""
+        n = self.idx.size
+        return sparse.csr_array((np.ones(n), np.arange(n), self.indptr), shape=(len(self), n)) @ values
+
+    def node_sums(self, values: np.ndarray, num_nodes: int) -> np.ndarray:
+        """Per-node sums of per-entry rows, keyed by member id, as one SpMM."""
+        n = self.idx.size
+        return sparse.csc_array((np.ones(n), self.idx, np.arange(n + 1)), shape=(num_nodes, n)) @ values
 
 
 @dataclass(frozen=True)
@@ -114,14 +165,9 @@ def canonical(m: sparse.sparray) -> sparse.csr_array:
 
 def incidence_matrix(g: Hypergraph) -> sparse.csr_array:
     """N x M binary matrix: entry (i, k) is 1 iff node i belongs to hyperedge k."""
-    rows, cols = [], []
-    for j, members in enumerate(g.edge_members):
-        rows.extend(members)
-        cols.extend([j] * len(members))
-    data = np.ones(len(rows), dtype=np.float64)
+    edges = FlatSets.of(g.edge_members)
     h = sparse.csr_array(
-        (data, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(g.num_nodes, g.num_hyperedges),
+        (np.ones(edges.idx.size), (edges.idx, edges.owner)), shape=(g.num_nodes, g.num_hyperedges)
     )
     return canonical(h)
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit, logsumexp, softmax
 
 from .errors import ConfigError, DataError, HypergraphWarning, NumericError
 from .evaluation import auc, multiclass_auc
 from .features import RngLike, as_rng, init_hyperedge_features, init_node_features
-from .hypergraph import Hypergraph
+from .hypergraph import FlatSets, Hypergraph
 from .model import (
     EmbeddingState,
     ModelParams,
@@ -76,17 +77,83 @@ class TrainConfig:
             raise ConfigError(f"feature_rank must be >= 1, got {self.feature_rank}")
 
 
-def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows plus the original norms; zero rows pass through with a warning."""
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        warnings.warn(
-            "zero embedding vector left unnormalized in pairwise score",
-            HypergraphWarning,
-            stacklevel=3,
-        )
-    safe = np.where(norms > 0, norms, 1.0)
-    return x / safe[:, np.newaxis], norms
+def _mean_pairwise_rows(src, col, pack, normalize):
+    """Mean pairwise similarity of every set of rows ``src[col[set]]``: with W the sets x
+    len(src) matrix of member weights w_i = 1/|x_i| (1 for zero rows or dot products),
+    S = W @ src and the score is (|S|^2 - sum |w_i x_i|^2) / (k (k - 1))."""
+    k = pack.sizes
+    if k.size and k.min() < 2:
+        raise DataError(f"mean-pairwise score needs at least 2 vectors, got {int(k.min())}")
+    sq = np.einsum("ij,ij->i", src, src)
+    if normalize:
+        zero = sq == 0
+        n_zero = int(np.count_nonzero(zero[col]))
+        if n_zero:
+            warnings.warn(f"{n_zero} zero embedding vector(s) left unnormalized "
+                          "in pairwise score", HypergraphWarning, stacklevel=4)
+        w = 1.0 / np.sqrt(np.where(zero, 1.0, sq))
+        self_sq = (~zero).astype(np.float64)
+    else:
+        w, self_sq = np.ones(src.shape[0]), sq
+    weights = sparse.csr_array((w[col], col, pack.indptr), shape=(len(pack), src.shape[0]))
+    s = weights @ src
+    pairs = (k * (k - 1)).astype(np.float64)
+    scores = (np.einsum("ij,ij->i", s, s) - pack.set_sums(self_sq[col])) / pairs
+
+    def backprop(d_scores):
+        # d score_e / d x^_i = c_e (S_e - x^_i) with c = d_scores / (k (k - 1) / 2). The chain
+        # through x/|x| removes the radial -x^_i and keeps the tangential part of W^T (c S)
+        # (zero rows pass it unchanged); raw dot products keep -x_i sum_e c_e instead.
+        c = 2.0 * d_scores / pairs
+        g = weights.T @ (c[:, np.newaxis] * s)
+        if normalize:
+            return g - src * (w * w * np.einsum("ij,ij->i", src, g))[:, np.newaxis]
+        return g - src * (weights.T @ c)[:, np.newaxis]
+
+    return scores, backprop
+
+
+def _maxmin_rows(src, col, pack):
+    """Negated mean per-dimension range of every set of rows ``src[col[set]]``;
+    the subgradient goes to the first member attaining each max and min."""
+    if pack.sizes.size and pack.sizes.min() < 1:
+        raise DataError("max-min score needs at least one vector")
+    rows = src[col]
+    starts = pack.indptr[:-1]
+    hi = np.maximum.reduceat(rows, starts)
+    lo = np.minimum.reduceat(rows, starts)
+    scores = -(hi - lo).mean(axis=1)
+    n, d = src.shape
+    owner, at = pack.owner, np.arange(col.size)[:, np.newaxis]
+
+    def first_at(ext):  # flat (source row, dimension) slot of the first member attaining ext
+        first = np.minimum.reduceat(np.where(rows == ext[owner], at, col.size), starts)
+        return (col[first] * d + np.arange(d)).ravel()
+
+    lo_at, hi_at = first_at(lo), first_at(hi)
+
+    def backprop(d_scores):
+        g = np.repeat(d_scores / d, d)
+        return (np.bincount(lo_at, g, minlength=n * d) - np.bincount(hi_at, g, minlength=n * d)).reshape(n, d)
+
+    return scores, backprop
+
+
+def _score_rows(src, col, pack, score_fn, normalize):
+    """Scores of every set of rows plus ``backprop``: d(loss)/d(scores) -> d(loss)/d(src)."""
+    if score_fn == "mean-pairwise":
+        return _mean_pairwise_rows(src, col, pack, normalize)
+    if score_fn == "max-min":
+        return _maxmin_rows(src, col, pack)
+    raise ConfigError(f"unknown score_fn {score_fn!r}")
+
+
+def _score_one(embs, score_fn: str, normalize: bool = True, grad: bool = False):
+    """One set through the batched scorers: the score, or (score, d score / d embs)."""
+    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
+    pack = FlatSets(idx=np.arange(x.shape[0]), indptr=np.array([0, x.shape[0]]))
+    scores, backprop = _score_rows(x, pack.idx, pack, score_fn, normalize)
+    return (float(scores[0]), backprop(np.ones(1))) if grad else float(scores[0])
 
 
 def score_mean_pairwise(embs, normalize: bool = True) -> float:
@@ -95,92 +162,33 @@ def score_mean_pairwise(embs, normalize: bool = True) -> float:
     With ``normalize`` (default) each vector is scaled to unit length
     first, so this is the mean pairwise cosine.
     """
-    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
-    k = x.shape[0]
-    if k < 2:
-        raise DataError(f"mean-pairwise score needs at least 2 vectors, got {k}")
-    xh = _normalize_rows(x)[0] if normalize else x
-    s = xh.sum(axis=0)
-    t = k * (k - 1) / 2.0
-    return float((s @ s - np.einsum("ij,ij->", xh, xh)) / (2.0 * t))
+    return _score_one(embs, "mean-pairwise", normalize)
 
 
 def score_mean_pairwise_grad(embs, normalize: bool = True) -> tuple[float, np.ndarray]:
     """Score plus its gradient with respect to every input vector."""
-    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
-    k = x.shape[0]
-    if k < 2:
-        raise DataError(f"mean-pairwise score needs at least 2 vectors, got {k}")
-    if normalize:
-        xh, norms = _normalize_rows(x)
-    else:
-        xh, norms = x, None
-    s = xh.sum(axis=0)
-    t = k * (k - 1) / 2.0
-    score = float((s @ s - np.einsum("ij,ij->", xh, xh)) / (2.0 * t))
-    d_xh = (s[np.newaxis, :] - xh) / t
-    if not normalize:
-        return score, d_xh
-    # chain through x -> x/|x|: (I - xh xh^T)/|x|, identity on zero rows
-    grad = np.empty_like(d_xh)
-    for i in range(k):
-        if norms[i] > 0:
-            g = d_xh[i]
-            grad[i] = (g - xh[i] * (xh[i] @ g)) / norms[i]
-        else:
-            grad[i] = d_xh[i]
-    return score, grad
+    return _score_one(embs, "mean-pairwise", normalize, grad=True)
 
 
 def score_maxmin(embs) -> float:
     """Negated mean per-dimension range: tighter clusters score higher."""
-    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
-    if x.shape[0] < 1:
-        raise DataError("max-min score needs at least one vector")
-    return float(-(x.max(axis=0) - x.min(axis=0)).mean())
+    return _score_one(embs, "max-min")
 
 
 def score_maxmin_grad(embs) -> tuple[float, np.ndarray]:
     """Score plus a subgradient routed to the per-dimension argmax/argmin rows."""
-    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
-    if x.shape[0] < 1:
-        raise DataError("max-min score needs at least one vector")
-    d = x.shape[1]
-    hi = x.argmax(axis=0)
-    lo = x.argmin(axis=0)
-    score = float(-(x[hi, np.arange(d)] - x[lo, np.arange(d)]).mean())
-    grad = np.zeros_like(x)
-    np.subtract.at(grad, (hi, np.arange(d)), 1.0 / d)
-    np.add.at(grad, (lo, np.arange(d)), 1.0 / d)
-    return score, grad
-
-
-def score_vertex_set(embs, score_fn: str, normalize: bool = True) -> float:
-    if score_fn == "mean-pairwise":
-        return score_mean_pairwise(embs, normalize=normalize)
-    if score_fn == "max-min":
-        return score_maxmin(embs)
-    raise ConfigError(f"unknown score_fn {score_fn!r}")
-
-
-def _score_vertex_set_grad(embs, score_fn: str, normalize: bool) -> tuple[float, np.ndarray]:
-    if score_fn == "mean-pairwise":
-        return score_mean_pairwise_grad(embs, normalize=normalize)
-    if score_fn == "max-min":
-        return score_maxmin_grad(embs)
-    raise ConfigError(f"unknown score_fn {score_fn!r}")
+    return _score_one(embs, "max-min", grad=True)
 
 
 def score_sets(
     z_final: np.ndarray,
-    examples: Sequence[Sequence[int]],
+    examples: Sequence[Sequence[int]] | FlatSets,
     cfg: TrainConfig,
     params: ModelParams,
     variant: VariantKind,
 ) -> np.ndarray:
     """Eval-mode scores for a batch of vertex sets under the config's scorer."""
-    members = [tuple(e) for e in examples]
-    scores, _ = _score_examples(z_final, members, cfg, params, variant, None, training=False)
+    scores, _ = _score_examples(z_final, examples, cfg, params, variant, None, training=False)
     return scores
 
 
@@ -198,7 +206,9 @@ def sample_negatives(
     source hyperedge (capped at |e|-1 so at least one node is replaced)
     and fills the rest uniformly from outside e.  A candidate equal to
     any observed hyperedge (or any set in ``forbid``) is resampled; 100
-    consecutive failures abort.
+    consecutive failures abort.  The fill is drawn as positions in the
+    sorted complement of e, mapped to node ids by a binary search over e's
+    sorted members, so a draw costs O(|e| log |e|) rather than O(N).
     """
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
@@ -216,7 +226,6 @@ def sample_negatives(
     forbidden = set(g.edge_sets())
     if forbid is not None:
         forbidden |= {frozenset(e) for e in forbid}
-    all_nodes = np.arange(g.num_nodes)
     out: list[tuple[int, ...]] = []
     failures = 0
     while len(out) < count:
@@ -224,16 +233,16 @@ def sample_negatives(
         members = np.asarray(e)
         keep = min(math.ceil(alpha * len(e)), len(e) - 1)
         kept = rng.choice(members, size=keep, replace=False) if keep else np.empty(0, dtype=np.int64)
-        pool = np.setdiff1d(all_nodes, members, assume_unique=False)
+        unique = np.unique(members)
+        pool_size = g.num_nodes - unique.size
         fill = len(e) - keep
-        if fill > pool.size:
-            failures += 1
-            if failures >= 100:
-                raise DataError("negative sampling failed 100 times in a row")
-            continue
-        filled = rng.choice(pool, size=fill, replace=False)
-        candidate = tuple(sorted(int(v) for v in np.concatenate([kept, filled])))
-        if frozenset(candidate) in forbidden:
+        candidate = None
+        if fill <= pool_size:
+            # position p of the complement is node p + #{j : unique[j] - j <= p}
+            pos = rng.choice(pool_size, size=fill, replace=False)
+            filled = pos + np.searchsorted(unique - np.arange(unique.size), pos, side="right")
+            candidate = tuple(np.sort(np.concatenate([kept, filled])).tolist())
+        if candidate is None or frozenset(candidate) in forbidden:
             failures += 1
             if failures >= 100:
                 raise DataError("negative sampling failed 100 times in a row")
@@ -245,16 +254,18 @@ def sample_negatives(
 
 @dataclass
 class LabeledHyperedgeSet:
-    """Positive hyperedges plus forged negatives, labeled 1/0."""
+    """Positive hyperedges plus forged negatives, labeled 1/0; ``pack`` holds them flat."""
 
     positives: list[tuple[int, ...]]
     negatives: list[tuple[int, ...]]
+    pack: FlatSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos_sets = {frozenset(e) for e in self.positives}
         for e in self.negatives:
             if frozenset(e) in pos_sets:
                 raise DataError(f"negative {tuple(e)} duplicates a positive")
+        self.pack = FlatSets.of(self.examples)
 
     @property
     def examples(self) -> list[tuple[int, ...]]:
@@ -465,58 +476,49 @@ def optimizer_step(
 
 def _score_examples(
     z_final: np.ndarray,
-    examples: Sequence[tuple[int, ...]],
+    examples: Sequence[tuple[int, ...]] | FlatSets,
     cfg: TrainConfig,
     params: ModelParams,
     variant: VariantKind,
     rng: Optional[np.random.Generator],
     training: bool,
-) -> tuple[np.ndarray, list[dict]]:
-    """Score every vertex set; caches carry what gradient distribution needs."""
-    scores = np.empty(len(examples))
-    caches: list[dict] = []
-    for t, members in enumerate(examples):
-        idx = list(members)
-        rows = z_final[idx]
-        cache: dict = {"idx": idx}
-        if cfg.score_mode == "dependent":
-            y_c = rows.mean(axis=0)
-            cat = np.concatenate([rows, np.repeat(y_c[np.newaxis, :], len(idx), axis=0)], axis=1)
-            x, deriv = activate(
-                variant.sigma_v, cat @ params.psi, rng, training, variant.rrelu_range
-            )
-            cache.update(cat=cat, deriv=deriv, rows=x)
-        else:
-            cache.update(rows=rows)
-        scores[t] = score_vertex_set(cache["rows"], cfg.score_fn, normalize=cfg.normalize)
-        caches.append(cache)
-    return scores, caches
+) -> tuple[np.ndarray, dict]:
+    """Score every vertex set; the cache carries what gradient distribution needs.
+
+    Plain mode scores rows of Z(final) in place; dependent mode scores
+    act([z_i, set mean] @ psi) of all members with one GEMM.
+    """
+    pack = FlatSets.of(examples)
+    pack.check_members(z_final.shape[0])
+    if cfg.score_mode != "dependent":
+        scores, backprop = _score_rows(z_final, pack.idx, pack, cfg.score_fn, cfg.normalize)
+        return scores, {"backprop": backprop}
+    rows = z_final[pack.idx]
+    means = pack.set_sums(rows) / pack.sizes[:, np.newaxis]
+    cat = np.concatenate([rows, means[pack.owner]], axis=1)
+    x, deriv = activate(variant.sigma_v, cat @ params.psi, rng, training, variant.rrelu_range)
+    scores, backprop = _score_rows(x, np.arange(len(x)), pack, cfg.score_fn, cfg.normalize)
+    return scores, {"backprop": backprop, "pack": pack, "cat": cat, "deriv": deriv}
 
 
 def _distribute_score_grads(
-    caches: list[dict],
+    caches: dict,
     d_scores: np.ndarray,
     z_shape: tuple[int, int],
     cfg: TrainConfig,
     params: ModelParams,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Turn per-example score gradients into gradients on Z(final) and psi."""
-    d_z = np.zeros(z_shape)
-    d_psi = np.zeros_like(params.psi) if cfg.score_mode == "dependent" else None
-    d = z_shape[1]
-    for cache, ds in zip(caches, d_scores):
-        _, g_rows = _score_vertex_set_grad(cache["rows"], cfg.score_fn, cfg.normalize)
-        g_rows = g_rows * ds
-        idx = cache["idx"]
-        if cfg.score_mode == "dependent":
-            g_pre = g_rows * cache["deriv"]
-            d_psi += cache["cat"].T @ g_pre
-            g_cat = g_pre @ params.psi.T
-            np.add.at(d_z, idx, g_cat[:, :d])
-            g_yc = g_cat[:, d:].sum(axis=0) / len(idx)  # mean over members
-            np.add.at(d_z, idx, np.broadcast_to(g_yc, (len(idx), d)))
-        else:
-            np.add.at(d_z, idx, g_rows)
+    d_src = caches["backprop"](np.asarray(d_scores, dtype=np.float64))
+    if cfg.score_mode != "dependent":
+        return d_src, None
+    pack, d = caches["pack"], z_shape[1]
+    g_pre = d_src * caches["deriv"]
+    d_psi = caches["cat"].T @ g_pre
+    g_cat = g_pre @ params.psi.T
+    # each member feeds its own slot and, through the set mean, every member's
+    g_mean = pack.set_sums(g_cat[:, d:]) / pack.sizes[:, np.newaxis]
+    d_z = pack.node_sums(g_cat[:, :d] + g_mean[pack.owner], z_shape[0])
     return d_z, d_psi
 
 
@@ -573,7 +575,6 @@ def train(
 
     n_classes = None
     labels = mask = metric_mask = None
-    labeled = None
     if task == "node-class":
         if data is None:
             raise DataError("node classification needs (labels, mask) data")
@@ -588,9 +589,7 @@ def train(
     else:
         if data is None:
             data = build_labeled_set(g, cfg.alpha, rng)
-        labeled = data
-        examples = labeled.examples
-        ex_labels = labeled.labels
+        examples, ex_labels = data.pack, data.labels
 
     dims_z, dims_y = default_dims(z0.shape[1], y0.shape[1], cfg.layers, cfg.width)
     params = init_params(dims_z, dims_y, variant, rng=rng, n_classes=n_classes)
@@ -626,7 +625,7 @@ def train(
                 metric = auc(scores, ex_labels)
             else:
                 eval_scores, _ = _score_examples(
-                    st.z_final, eval_data.examples, cfg, params, variant, None, training=False
+                    st.z_final, eval_data.pack, cfg, params, variant, None, training=False
                 )
                 metric = auc(eval_scores, eval_data.labels)
         else:

@@ -6,6 +6,8 @@ sparse/cached implementations have something honest to be checked
 against.
 """
 
+import math
+
 import numpy as np
 from scipy.stats import norm
 
@@ -145,6 +147,62 @@ def brute_mean_pairwise(vectors, normalize=True):
 def brute_maxmin(vectors):
     x = np.asarray(vectors, dtype=float)
     return -float(np.mean([x[:, t].max() - x[:, t].min() for t in range(x.shape[1])]))
+
+
+def brute_score_grad(vectors, score_fn, normalize=True):
+    """Gradient of one set's score wrt each vector, one vector at a time.
+
+    mean-pairwise chains through x -> x/|x| (identity on zero rows);
+    max-min routes -1/d and +1/d to the first argmax and argmin row.
+    """
+    x = np.asarray(vectors, dtype=float)
+    k, d = x.shape
+    grad = np.zeros_like(x)
+    if score_fn == "max-min":
+        for t in range(d):
+            grad[int(np.argmax(x[:, t])), t] -= 1.0 / d
+            grad[int(np.argmin(x[:, t])), t] += 1.0 / d
+        return grad
+    norms = [float(np.linalg.norm(v)) for v in x]
+    xh = [v / nv if normalize and nv > 0 else v for v, nv in zip(x, norms)]
+    pairs = k * (k - 1) / 2.0
+    for i in range(k):
+        g = sum(xh[j] for j in range(k) if j != i) / pairs
+        if normalize and norms[i] > 0:
+            g = (g - xh[i] * (xh[i] @ g)) / norms[i]
+        grad[i] = g
+    return grad
+
+
+def brute_sample_negatives(edges, n, count, alpha, rng, source_edges=None, forbid=None):
+    """Sized negative sampling with the fill drawn from np.setdiff1d(all nodes, e).
+
+    O(N) per draw; every random call matches the package's sampler, so the
+    two must return the same list for the same generator state.
+    """
+    sources = [tuple(e) for e in (source_edges if source_edges is not None else edges)]
+    forbidden = {frozenset(e) for e in edges} | {frozenset(e) for e in (forbid or [])}
+    all_nodes = np.arange(n)
+    out, failures = [], 0
+    while len(out) < count:
+        e = sources[int(rng.integers(len(sources)))]
+        members = np.asarray(e)
+        keep = min(math.ceil(alpha * len(e)), len(e) - 1)
+        kept = rng.choice(members, size=keep, replace=False) if keep else np.empty(0, dtype=np.int64)
+        pool = np.setdiff1d(all_nodes, members, assume_unique=False)
+        fill = len(e) - keep
+        candidate = None
+        if fill <= pool.size:
+            filled = rng.choice(pool, size=fill, replace=False)
+            candidate = tuple(sorted(int(v) for v in np.concatenate([kept, filled])))
+        if candidate is None or frozenset(candidate) in forbidden:
+            failures += 1
+            if failures >= 100:
+                raise RuntimeError("negative sampling failed 100 times in a row")
+            continue
+        failures = 0
+        out.append(candidate)
+    return out
 
 
 def brute_auc(scores, labels):

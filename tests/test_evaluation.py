@@ -19,6 +19,7 @@ from hyperemb import (
     hit_rate_at_k,
     multiclass_auc,
     ndcg_at_k,
+    rank_positions,
     recommend,
     split_hyperedges,
     split_links,
@@ -145,6 +146,19 @@ class TestRankingMetrics:
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigError, match="k must be"):
             ndcg_at_k([1], 1, 0)
+
+    def test_rank_positions_match_list_index(self, rng):
+        for _ in range(20):
+            ranked = rng.permutation(int(rng.integers(1, 40))).tolist()
+            truths = rng.choice(ranked, size=int(rng.integers(1, 10))).tolist()
+            assert rank_positions(ranked, truths).tolist() == [ranked.index(t) + 1 for t in truths]
+
+    def test_rank_positions_first_occurrence_and_missing(self):
+        assert rank_positions([4, 9, 4, -2], [4, -2]).tolist() == [1, 4]
+        with pytest.raises(DataError, match="truth item 5 not among the 2"):
+            rank_positions([1, 2], [2, 5])
+        with pytest.raises(DataError, match="not among the 0"):
+            rank_positions([], [3])
 
 
 class TestSplitHyperedges:

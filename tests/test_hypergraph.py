@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from hyperemb import (
     DataError,
+    FlatSets,
     HypergraphWarning,
     build_hypergraph,
     degrees,
@@ -112,6 +113,35 @@ class TestMatrices:
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
             assert_allclose(incidence_matrix(g).todense(), dense_incidence(edges, n))
+
+
+class TestFlatSets:
+    def test_layout(self):
+        pack = FlatSets.of([(2, 0), (5,), (1, 1, 3)])
+        assert len(pack) == 3
+        assert pack.idx.tolist() == [2, 0, 5, 1, 1, 3] and pack.idx.dtype == np.int64
+        assert pack.indptr.tolist() == [0, 2, 3, 6]
+        assert pack.sizes.tolist() == [2, 1, 3]
+        assert pack.owner.tolist() == [0, 0, 1, 2, 2, 2]
+        assert FlatSets.of(pack) is pack
+        assert len(FlatSets.of([])) == 0 and FlatSets.of([]).idx.size == 0
+
+    def test_sums_match_loops(self, rng):
+        sets = [tuple(rng.choice(9, size=int(rng.integers(1, 5)))) for _ in range(12)]
+        pack = FlatSets.of(sets)
+        values = rng.standard_normal((pack.idx.size, 3))
+        set_sums = [values[pack.indptr[t]:pack.indptr[t + 1]].sum(axis=0) for t in range(len(sets))]
+        assert_allclose(pack.set_sums(values), set_sums, atol=1e-12)
+        node_sums = np.zeros((9, 3))
+        for i, v in zip(pack.idx, values):
+            node_sums[i] += v
+        assert_allclose(pack.node_sums(values, 9), node_sums, atol=1e-12)
+
+    def test_member_range_checked(self):
+        FlatSets.of([(0, 3)]).check_members(4)
+        for bad in ([(0, 4)], [(-1, 2)]):
+            with pytest.raises(DataError, match="outside"):
+                FlatSets.of(bad).check_members(4)
 
 
 class TestTransitions:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,14 @@ from hyperemb.training import (
     score_maxmin_grad,
     score_mean_pairwise_grad,
 )
-from oracles import brute_maxmin, brute_mean_pairwise, finite_diff, rel_err
+from oracles import (
+    brute_maxmin,
+    brute_mean_pairwise,
+    brute_sample_negatives,
+    brute_score_grad,
+    finite_diff,
+    rel_err,
+)
 
 
 class TestTrainConfig:
@@ -197,6 +205,146 @@ class TestNegativeSampling:
     def test_zero_count_empty(self):
         g = build_hypergraph([(0, 1)], 4)
         assert sample_negatives(g, 0, 0.5, rng=0) == []
+
+
+def _random_sets(rng, num_nodes, count, sizes=(2, 9)):
+    return [
+        tuple(rng.choice(num_nodes, size=int(rng.integers(sizes[0], sizes[1] + 1)), replace=False).tolist())
+        for _ in range(count)
+    ]
+
+
+class TestSamplerMatchesSetdiffOracle:
+    """The binary-search sampler must consume the stream exactly as the O(N) one."""
+
+    def _assert_same(self, g, count, alpha, seed, **kw):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_negatives(g, count, alpha, a, **kw)
+        want = brute_sample_negatives(g.edge_members, g.num_nodes, count, alpha, b, **kw)
+        assert got == want
+        assert a.random() == b.random()  # same number of draws consumed
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("with_forbid", [False, True])
+    def test_identical_lists(self, alpha, with_forbid):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            g = build_hypergraph(set(_random_sets(rng, 40, 30)), 40)
+            forbid = _random_sets(rng, 40, 200, sizes=(2, 3)) if with_forbid else None
+            self._assert_same(g, 60, alpha, 1000 + seed, forbid=forbid)
+
+    def test_source_edges_with_repeated_id(self):
+        g = build_hypergraph([(0, 1, 2), (3, 4, 5)], 12)
+        sources = [(1, 1, 4), (0, 2, 7, 7, 9), (5, 6)]
+        for seed in range(5):
+            for alpha in (0.0, 0.5, 1.0):
+                self._assert_same(g, 40, alpha, seed, source_edges=sources)
+
+    def test_identical_on_a_large_graph(self):
+        rng = np.random.default_rng(8)
+        g = build_hypergraph(set(_random_sets(rng, 20_000, 300)), 20_000)
+        self._assert_same(g, 50, 0.5, 3)
+
+
+SCORE_CASES = [
+    (fn, mode, norm)
+    for fn in ("mean-pairwise", "max-min")
+    for mode in ("plain", "dependent")
+    for norm in (True, False)
+]
+
+
+@pytest.mark.filterwarnings("ignore::hyperemb.errors.HypergraphWarning")
+class TestBatchedScoringAgainstOracles:
+    """Whole-batch scores and gradients vs one-set brute force and finite differences,
+    on 200 sets of sizes 2-9 over 30 nodes, three of them zero rows."""
+
+    ZERO_ROWS = [3, 17, 22]
+
+    def _setup(self, score_fn, score_mode, normalize):
+        rng = np.random.default_rng(99)
+        z = rng.standard_normal((30, 4))
+        z[self.ZERO_ROWS] = 0.0
+        sets = _random_sets(rng, 30, 200)
+        variant = VariantKind(sigma_v="tanh", sigma_e="tanh")
+        cfg = TrainConfig(variant=variant, score_fn=score_fn, score_mode=score_mode, normalize=normalize)
+        params = init_params(*default_dims(4, 4, 1), variant, rng=np.random.default_rng(5))
+        return z, sets, cfg, params, variant
+
+    @staticmethod
+    def _rows(z, members, cfg, params):
+        rows = z[list(members)]
+        if cfg.score_mode == "dependent":
+            mean = np.tile(rows.mean(axis=0), (len(members), 1))
+            rows = np.tanh(np.concatenate([rows, mean], axis=1) @ params.psi)
+        return rows
+
+    @pytest.mark.parametrize("score_fn,score_mode,normalize", SCORE_CASES)
+    def test_scores_match_brute_force(self, score_fn, score_mode, normalize):
+        z, sets, cfg, params, variant = self._setup(score_fn, score_mode, normalize)
+        scores = score_sets(z, sets, cfg, params, variant)
+        assert scores.shape == (len(sets),)
+        for t, members in enumerate(sets):
+            rows = self._rows(z, members, cfg, params)
+            if score_fn == "mean-pairwise":
+                assert_allclose(scores[t], brute_mean_pairwise(rows, normalize), atol=1e-10)
+            else:
+                assert_allclose(scores[t], brute_maxmin(rows), atol=1e-12)
+
+    @pytest.mark.parametrize("score_fn,score_mode,normalize", SCORE_CASES)
+    def test_grads_match_oracles(self, score_fn, score_mode, normalize):
+        z, sets, cfg, params, variant = self._setup(score_fn, score_mode, normalize)
+        weights = np.random.default_rng(4).standard_normal(len(sets))
+
+        def loss_value():
+            scores, _ = _score_examples(z, sets, cfg, params, variant, None, training=True)
+            return float(weights @ scores)
+
+        _, cache = _score_examples(z, sets, cfg, params, variant, None, training=True)
+        d_z, d_psi = _distribute_score_grads(cache, weights, z.shape, cfg, params)
+        numeric = finite_diff(loss_value, z)
+        # zero rows sit on kinks: of x/|x|, and of max-min where two zero members
+        # of one set tie; there only the one-set loop gradient below checks them
+        live = np.ones(len(z), dtype=bool)
+        if score_fn == "max-min" or (score_mode == "plain" and normalize):
+            live[self.ZERO_ROWS] = False
+        if score_mode == "dependent":
+            assert rel_err(d_z[live], numeric[live]) < 1e-4
+            assert rel_err(d_psi, finite_diff(loss_value, params.psi)) < 1e-4
+            return
+        assert d_psi is None
+        assert rel_err(d_z[live], numeric[live]) < 1e-6
+        expected = np.zeros_like(z)
+        for t, members in enumerate(sets):
+            expected[list(members)] += weights[t] * brute_score_grad(z[list(members)], score_fn, normalize)
+        assert_allclose(d_z, expected, atol=1e-10)
+
+    def test_rrelu_slopes_drawn_in_example_order(self):
+        z, sets, _, params, _ = self._setup("mean-pairwise", "dependent", True)
+        variant = VariantKind(sigma_v="rrelu", sigma_e="rrelu")
+        cfg = TrainConfig(variant=variant, score_mode="dependent")
+        scores, _ = _score_examples(z, sets, cfg, params, variant, np.random.default_rng(6), training=True)
+        draws = np.random.default_rng(6)
+        lo, hi = variant.rrelu_range
+        for t, members in enumerate(sets):
+            rows = z[list(members)]
+            pre = np.concatenate([rows, np.tile(rows.mean(axis=0), (len(members), 1))], axis=1) @ params.psi
+            slope = draws.uniform(lo, hi, size=pre.shape)
+            assert_allclose(scores[t], brute_mean_pairwise(np.where(pre >= 0, pre, slope * pre)), atol=1e-10)
+
+    def test_one_zero_norm_warning_per_call_with_count(self):
+        z, sets, cfg, params, variant = self._setup("mean-pairwise", "plain", True)
+        zero_members = sum(m in self.ZERO_ROWS for e in sets for m in e)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            score_sets(z, sets, cfg, params, variant)
+        messages = [str(w.message) for w in caught if issubclass(w.category, HypergraphWarning)]
+        assert messages == [f"{zero_members} zero embedding vector(s) left unnormalized in pairwise score"]
+
+    def test_member_outside_graph_rejected(self):
+        z, _, cfg, params, variant = self._setup("mean-pairwise", "plain", True)
+        with pytest.raises(DataError, match="outside"):
+            score_sets(z, [(0, 30)], cfg, params, variant)
 
 
 class TestLabeledSets:
