@@ -7,14 +7,12 @@ family (model), optimization (training), and metrics/splits/ranking
 
 from .errors import ConfigError, DataError, HypergraphWarning, NumericError
 from .hypergraph import (
-    DegreeProfile,
     FlatSets,
+    GraphPack,
     Hypergraph,
     build_hypergraph,
-    degrees,
     hyperedge_adjacency,
     incidence_matrix,
-    line_graph,
     node_adjacency,
     replace_edges,
     transition_matrices,
@@ -34,7 +32,6 @@ from .model import (
     default_dims,
     export_embedding_set,
     forward,
-    hyperedge_dependent_embedding,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -57,9 +54,7 @@ from .evaluation import (
     EvalReport,
     auc,
     baseline_rankers,
-    hit_rate_at_k,
     multiclass_auc,
-    ndcg_at_k,
     rank_positions,
     recommend,
     split_hyperedges,
@@ -72,21 +67,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "HypergraphWarning", "NumericError",
-    "DegreeProfile", "FlatSets", "Hypergraph", "build_hypergraph", "degrees",
-    "hyperedge_adjacency", "incidence_matrix", "line_graph",
-    "node_adjacency", "replace_edges", "transition_matrices",
+    "FlatSets", "GraphPack", "Hypergraph", "build_hypergraph",
+    "hyperedge_adjacency", "incidence_matrix", "node_adjacency",
+    "replace_edges", "transition_matrices",
     "init_hyperedge_features", "init_node_features", "randomized_svd",
     "svd_features",
     "EmbeddingState", "ModelParams", "PropagationOperators", "VariantKind",
     "build_operators", "default_dims", "export_embedding_set", "forward",
-    "hyperedge_dependent_embedding", "init_params", "load_checkpoint",
-    "save_checkpoint",
+    "init_params", "load_checkpoint", "save_checkpoint",
     "LabeledHyperedgeSet", "TrainConfig", "TrainState", "backward",
     "build_labeled_set", "hyperedge_bce_loss", "node_ce_loss",
     "sample_negatives", "score_maxmin", "score_mean_pairwise", "score_sets", "train",
-    "EvalReport", "auc", "baseline_rankers", "hit_rate_at_k",
-    "multiclass_auc", "ndcg_at_k", "rank_positions", "recommend", "split_hyperedges",
-    "split_links",
+    "EvalReport", "auc", "baseline_rankers", "multiclass_auc",
+    "rank_positions", "recommend", "split_hyperedges", "split_links",
     "Dataset", "load_dataset", "write_dataset",
     "convert_hypergcn", "generate_node_splits",
 ]

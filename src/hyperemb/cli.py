@@ -36,7 +36,7 @@ from .evaluation import (
     split_hyperedges,
     split_links,
 )
-from .features import init_hyperedge_features, init_node_features, randomized_svd
+from .features import randomized_svd
 from .model import (
     VariantKind,
     build_operators,
@@ -48,6 +48,7 @@ from .model import (
 from .training import (
     TrainConfig,
     build_labeled_set,
+    input_features,
     score_sets,
     train,
 )
@@ -200,17 +201,20 @@ def _variant_from_meta(meta: dict) -> VariantKind:
     )
 
 
-def _features_from_meta(ds: Dataset, meta: dict) -> Optional[np.ndarray]:
+def _checkpoint_state(g, features, params, meta: dict, seed: int):
+    """Eval-mode (variant, embeddings) of ``g`` under checkpoint weights, with Z(0)
+    from the checkpoint's feature source and ``seed`` seeding the SVD bootstrap."""
+    variant = _variant_from_meta(meta)
+    z0 = None
     source = meta.get("feature_source", "svd")
-    if source == "file":
-        if ds.features is None:
+    if source in ("file", "file-compressed"):
+        if features is None:
             raise DataError("checkpoint expects dataset features but none are present")
-        return ds.features
-    if source == "file-compressed":
-        if ds.features is None:
-            raise DataError("checkpoint expects dataset features but none are present")
-        return _compress_features(ds.features, meta["width"], meta["feature_seed"])
-    return None  # bootstrapped inside train()/forward path
+        z0 = features
+        if source == "file-compressed":
+            z0 = _compress_features(features, meta["width"], meta["feature_seed"])
+    z0, y0 = input_features(g, int(meta.get("feature_rank", 32)), np.random.default_rng(seed), z0)
+    return variant, forward(build_operators(g, variant), params, z0, y0, variant, training=False)
 
 
 def run_trials(
@@ -393,27 +397,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _eval_state_from_checkpoint(ds: Dataset, checkpoint):
-    params, meta = load_checkpoint(checkpoint)
-    variant = _variant_from_meta(meta)
-    z0 = _features_from_meta(ds, meta)
-    if z0 is None:
-        rank = max(1, min(int(meta.get("feature_rank", 32)), ds.graph.num_nodes))
-        z0 = init_node_features(ds.graph, rank, rng=np.random.default_rng(meta["seed"]))
-    y0 = init_hyperedge_features(ds.graph, z0, z0.shape[1])
-    if z0.shape[1] != params.w[0].shape[0]:
-        raise DataError(
-            f"checkpoint weights expect width {params.w[0].shape[0]} but features have "
-            f"{z0.shape[1]} (dataset {z0.shape}, W(0) {params.w[0].shape})"
-        )
-    ops = build_operators(ds.graph, variant)
-    state = forward(ops, params, z0, y0, variant, training=False)
-    return params, meta, variant, state
-
-
 def cmd_embed(args) -> int:
     ds = load_dataset(args.data)
-    params, meta, variant, state = _eval_state_from_checkpoint(ds, args.checkpoint)
+    params, meta = load_checkpoint(args.checkpoint)
+    variant, state = _checkpoint_state(ds.graph, ds.features, params, meta, meta["seed"])
     g = ds.graph
     if args.nodes.strip().lower() == "all":
         nodes = list(range(g.num_nodes))
@@ -467,18 +454,9 @@ def cmd_recommend(args) -> int:
             g, args.holdout, args.candidate_type, rng, query_type=args.query_type
         )
         if checkpoint_params is None:
-            cfg_t = replace(cfg, seed=seed)
-            state = train(train_g, cfg_t, "hyperedge-pred")
-            final = state.final
+            final = train(train_g, replace(cfg, seed=seed), "hyperedge-pred").final
         else:
-            variant = _variant_from_meta(checkpoint_meta)
-            z0 = _features_from_meta(ds, checkpoint_meta)
-            if z0 is None:
-                rank = max(1, min(int(checkpoint_meta.get("feature_rank", 32)), train_g.num_nodes))
-                z0 = init_node_features(train_g, rank, rng=np.random.default_rng(seed))
-            y0 = init_hyperedge_features(train_g, z0, z0.shape[1])
-            ops = build_operators(train_g, variant)
-            final = forward(ops, checkpoint_params, z0, y0, variant, training=False)
+            _, final = _checkpoint_state(train_g, ds.features, checkpoint_params, checkpoint_meta, seed)
 
         n_candidates = len(train_g.nodes_of_type(args.candidate_type))
         model_ranks = []
@@ -514,7 +492,8 @@ def cmd_recommend(args) -> int:
 def cmd_eval(args) -> int:
     cfg = build_train_config(args)
     ds = load_dataset(args.data)
-    params, meta, variant, state = _eval_state_from_checkpoint(ds, args.checkpoint)
+    params, meta = load_checkpoint(args.checkpoint)
+    variant, state = _checkpoint_state(ds.graph, ds.features, params, meta, meta["seed"])
     if args.task == "hyperedge-pred":
         labeled = build_labeled_set(ds.graph, cfg.alpha, np.random.default_rng(cfg.seed))
         scores = score_sets(state.z_final, labeled.pack, cfg, params, variant)

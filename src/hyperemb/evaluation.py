@@ -86,23 +86,6 @@ def rank_positions(ranked: Sequence[int], truths: Sequence[int]) -> np.ndarray:
     return first[at] + 1
 
 
-def hit_rate_at_k(ranked: Sequence[int], truth: int, k: int) -> int:
-    """1 iff the true item sits within the top k of the ranking (1-based)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return int(rank_positions(ranked, [truth])[0] <= k)
-
-
-def ndcg_at_k(ranked: Sequence[int], truth: int, k: int) -> float:
-    """Single-relevant-item nDCG: 1/log2(rank+1) inside the top k, else 0."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    rank = int(rank_positions(ranked, [truth])[0])
-    if rank > k:
-        return 0.0
-    return float(1.0 / np.log2(rank + 1.0))
-
-
 def split_hyperedges(
     g: Hypergraph, p: float, rng: RngLike = 0
 ) -> tuple[Hypergraph, list[tuple[int, ...]]]:

@@ -14,12 +14,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DataError, HypergraphWarning
-from .hypergraph import (
-    Hypergraph,
-    hyperedge_adjacency,
-    incidence_matrix,
-    node_adjacency,
-)
+from .hypergraph import Hypergraph, hyperedge_adjacency, node_adjacency
 
 RngLike = Union[np.random.Generator, int, None]
 
@@ -134,10 +129,7 @@ def init_hyperedge_features(
             f"node features must be 2-d with {g.num_nodes} rows, got shape {z1.shape}"
         )
     if mode == "aggregate":
-        h = incidence_matrix(g)
-        d = np.asarray(h.sum(axis=1)).reshape(-1)
-        d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-        return h.T @ (d_inv[:, np.newaxis] * z1)
+        return g.pack.h.T @ (g.pack.d_inv[:, np.newaxis] * z1)
     if mode == "svd":
         return svd_features(hyperedge_adjacency(g), f, rng=rng)
     raise ConfigError(f"unknown hyperedge feature mode {mode!r}")

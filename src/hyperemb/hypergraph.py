@@ -4,14 +4,16 @@ A hypergraph is stored as the two directions of one incidence relation:
 ``edge_members[j]`` lists the nodes of hyperedge ``j`` and ``node_edges[i]``
 lists the hyperedges of node ``i``.  Both are sorted tuples, so every
 derived matrix is deterministic.  Instances are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads; each keeps the incidence
+pack it derives on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +48,41 @@ class Hypergraph:
         if self.node_type is None:
             return []
         return [i for i, t in enumerate(self.node_type) if t == tag]
+
+    @cached_property
+    def pack(self) -> "GraphPack":
+        """H and its degree diagonals, derived on first use and kept with the graph."""
+        h = incidence_matrix(self)
+        d = np.asarray(h.sum(axis=1)).reshape(-1)
+        d_e = np.asarray(h.sum(axis=0)).reshape(-1)
+        isolated = int(np.count_nonzero(d == 0))
+        if isolated:
+            warnings.warn(
+                f"{isolated} isolated node(s): inverse degree taken as 0",
+                HypergraphWarning,
+                stacklevel=3,
+            )
+        d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+        return GraphPack(h, *(_readonly(a) for a in (d, d_e, d_inv, 1.0 / d_e)))
+
+
+@dataclass(frozen=True, eq=False)
+class GraphPack:
+    """Incidence matrix H (CSR, N x M), node degrees ``d`` = H 1, hyperedge sizes
+    ``d_e`` = H^T 1, and their inverses.  Every adjacency, walk operator, variant
+    operator and hyperedge feature map reads these instead of rebuilding H.
+
+    A node in no hyperedge gets ``d_inv`` 0 (its rows and columns of the walk
+    operators stay zero) and one warning per graph; hyperedges are nonempty by
+    construction, so ``de_inv`` needs no guard.  The pack is shared by every
+    reader of the graph, so H must not be modified in place.
+    """
+
+    h: sparse.csr_array
+    d: np.ndarray
+    d_e: np.ndarray
+    d_inv: np.ndarray
+    de_inv: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +133,6 @@ class FlatSets:
         """Per-node sums of per-entry rows, keyed by member id, as one SpMM."""
         n = self.idx.size
         return sparse.csc_array((np.ones(n), self.idx, np.arange(n + 1)), shape=(num_nodes, n)) @ values
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-node hyperedge counts ``d``, hyperedge sizes ``d_e`` and neighbor-weighted node degrees ``d_v``."""
-
-    d: np.ndarray
-    d_e: np.ndarray
-    d_v: np.ndarray
 
 
 def build_hypergraph(
@@ -172,76 +200,24 @@ def incidence_matrix(g: Hypergraph) -> sparse.csr_array:
     return canonical(h)
 
 
-def degrees(g: Hypergraph) -> DegreeProfile:
-    """Degree vectors: d (hyperedges per node), d_e (hyperedge sizes), d_v (row sums of the node adjacency)."""
-    d = np.array([len(js) for js in g.node_edges], dtype=np.int64)
-    d_e = np.array([len(e) for e in g.edge_members], dtype=np.int64)
-    a = node_adjacency(g)
-    d_v = np.asarray(a.sum(axis=1)).reshape(-1).astype(np.int64)
-    return DegreeProfile(_readonly(d), _readonly(d_e), _readonly(d_v))
-
-
 def node_adjacency(g: Hypergraph) -> sparse.csr_array:
     """N x N co-membership counts: H H^T minus its diagonal (which equals d)."""
-    h = incidence_matrix(g)
-    d = np.asarray(h.sum(axis=1)).reshape(-1)
-    a = h @ h.T - sparse.diags_array(d)
-    return canonical(a)
+    pack = g.pack
+    return canonical(pack.h @ pack.h.T - sparse.diags_array(pack.d))
 
 
 def hyperedge_adjacency(g: Hypergraph) -> sparse.csr_array:
     """M x M pairwise intersection sizes: H^T H minus its diagonal (which equals d_e)."""
-    h = incidence_matrix(g)
-    d_e = np.asarray(h.sum(axis=0)).reshape(-1)
-    a = h.T @ h - sparse.diags_array(d_e)
-    return canonical(a)
-
-
-def line_graph(
-    g: Hypergraph, delta: float | Sequence[float]
-) -> set[tuple[int, int]]:
-    """Edge set over hyperedge-vertices: {j, k} present iff the intersection
-    size exceeds the threshold of either endpoint.
-
-    ``delta`` is a single positive threshold or one per hyperedge.
-    """
-    m = g.num_hyperedges
-    if np.isscalar(delta):
-        thresholds = np.full(m, float(delta))
-    else:
-        thresholds = np.asarray(delta, dtype=np.float64)
-        if thresholds.shape != (m,):
-            raise DataError(
-                f"expected {m} thresholds, got shape {thresholds.shape}"
-            )
-    if np.any(thresholds <= 0):
-        raise DataError("all intersection thresholds must be > 0")
-    inter = hyperedge_adjacency(g).tocoo()
-    edges = set()
-    for j, k, v in zip(inter.row, inter.col, inter.data):
-        if j < k and (v > thresholds[j] or v > thresholds[k]):
-            edges.add((int(j), int(k)))
-    return edges
+    pack = g.pack
+    return canonical(pack.h.T @ pack.h - sparse.diags_array(pack.d_e))
 
 
 def transition_matrices(g: Hypergraph) -> tuple[sparse.csr_array, sparse.csr_array]:
     """Column-stochastic random-walk operators over nodes (N x N) and hyperedges (M x M).
 
-    Nodes with zero hyperedges get a zero inverse-degree entry (their P
-    rows/columns stay zero) and a diagnostic warning is emitted.
+    Nodes with zero hyperedges keep zero P rows/columns (see GraphPack).
     """
-    h = incidence_matrix(g)
-    d = np.asarray(h.sum(axis=1)).reshape(-1)
-    d_e = np.asarray(h.sum(axis=0)).reshape(-1)
-    isolated = int(np.count_nonzero(d == 0))
-    if isolated:
-        warnings.warn(
-            f"{isolated} isolated node(s): inverse degree taken as 0",
-            HypergraphWarning,
-            stacklevel=2,
-        )
-    d_inv = np.divide(1.0, d, out=np.zeros_like(d, dtype=np.float64), where=d > 0)
-    de_inv = 1.0 / d_e  # hyperedges are nonempty by construction
+    h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
     h_de = canonical(h.multiply(de_inv[np.newaxis, :]))  # H De^-1
     ht_d = canonical(h.T.multiply(d_inv[np.newaxis, :]))  # (D^-1 H)^T
     p = canonical(h_de @ ht_d)

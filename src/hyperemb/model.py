@@ -24,7 +24,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, DataError
 from .features import RngLike, as_rng
-from .hypergraph import Hypergraph, canonical, incidence_matrix, transition_matrices
+from .hypergraph import Hypergraph, canonical, transition_matrices
 
 VARIANT_TAGS = ("base", "p2", "plusplus", "wt", "h2")
 ACTIVATION_TAGS = ("tanh", "leaky-relu", "gelu", "selu", "rrelu")
@@ -132,11 +132,7 @@ def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOpe
     """Assemble the sparse propagation operators for the given variant."""
     if isinstance(variant, str):
         variant = VariantKind(tag=variant)
-    h = incidence_matrix(g)
-    d = np.asarray(h.sum(axis=1)).reshape(-1)
-    d_e = np.asarray(h.sum(axis=0)).reshape(-1)
-    d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    de_inv = 1.0 / d_e
+    h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
     p, p_e = transition_matrices(g)
 
     hd = canonical(h.multiply(d_inv[:, np.newaxis]))  # D^-1 H
@@ -358,19 +354,6 @@ def dependent_embeddings(
         )
     value, _ = activate(variant.sigma_v, cat @ params.psi, rrelu_range=variant.rrelu_range)
     return value
-
-
-def hyperedge_dependent_embedding(
-    z_i: np.ndarray, y_e: np.ndarray, params: ModelParams, variant: VariantKind
-) -> np.ndarray:
-    """psi over the concatenation of one node and one hyperedge embedding.
-
-    The node need not belong to the hyperedge; any (z_i, y_e) pair is a
-    valid query.
-    """
-    z_i = np.asarray(z_i, dtype=np.float64).reshape(1, -1)
-    y_e = np.asarray(y_e, dtype=np.float64).reshape(1, -1)
-    return dependent_embeddings(z_i, y_e, params, variant)[0]
 
 
 def export_embedding_set(

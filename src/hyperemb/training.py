@@ -209,12 +209,16 @@ def sample_negatives(
     consecutive failures abort.  The fill is drawn as positions in the
     sorted complement of e, mapped to node ids by a binary search over e's
     sorted members, so a draw costs O(|e| log |e|) rather than O(N).
+    A source set that lists a node twice is rejected.
     """
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     sources = [tuple(e) for e in (source_edges if source_edges is not None else g.edge_members)]
+    for e in sources:
+        if len(set(e)) < len(e):
+            raise DataError(f"vertex set {e} lists a node more than once")
     if not sources:
         raise DataError("no source hyperedges to derive negatives from")
     max_size = max(len(e) for e in sources)
@@ -289,7 +293,8 @@ def build_labeled_set(
     """Label the (filtered) positives 1 and an equal count of forged negatives 0.
 
     Positives smaller than ``min_size`` are dropped with a warning —
-    pairwise scores are undefined on singletons.
+    pairwise scores are undefined on singletons.  A kept positive that
+    lists a node twice is rejected by the sampler.
     """
     rng = as_rng(rng)
     pos = [tuple(sorted(e)) for e in (positives if positives is not None else g.edge_members)]
@@ -539,6 +544,17 @@ class TrainState:
     final: Optional[EmbeddingState] = None
 
 
+def input_features(
+    g: Hypergraph, rank: int, rng: RngLike, z0=None, y0=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Given inputs as float64, else the rank-clamped SVD bootstrap for Z(0) and the
+    degree-normalized aggregate of Z(0) for Y(0)."""
+    rank = max(1, min(rank, g.num_nodes))
+    z0 = init_node_features(g, rank, rng=rng) if z0 is None else np.asarray(z0, dtype=np.float64)
+    y0 = init_hyperedge_features(g, z0, rank, rng=rng) if y0 is None else np.asarray(y0, dtype=np.float64)
+    return z0, y0
+
+
 def train(
     g: Hypergraph,
     cfg: TrainConfig,
@@ -563,15 +579,7 @@ def train(
     variant = cfg.variant
     rng = np.random.default_rng(cfg.seed)
 
-    rank = max(1, min(cfg.feature_rank, g.num_nodes))
-    if z0 is None:
-        z0 = init_node_features(g, rank, rng=rng)
-    else:
-        z0 = np.asarray(z0, dtype=np.float64)
-    if y0 is None:
-        y0 = init_hyperedge_features(g, z0, rank, rng=rng)
-    else:
-        y0 = np.asarray(y0, dtype=np.float64)
+    z0, y0 = input_features(g, cfg.feature_rank, rng, z0, y0)
 
     n_classes = None
     labels = mask = metric_mask = None

@@ -42,18 +42,6 @@ def brute_hyperedge_adjacency(edges, n):
     return a
 
 
-def brute_line_graph(edges, thresholds):
-    """{j, k} connected iff the intersection exceeds either endpoint's threshold."""
-    sets = [set(e) for e in edges]
-    out = set()
-    for j in range(len(edges)):
-        for k in range(j + 1, len(edges)):
-            inter = len(sets[j] & sets[k])
-            if inter > thresholds[j] or inter > thresholds[k]:
-                out.add((j, k))
-    return out
-
-
 def dense_transitions(edges, n):
     h = dense_incidence(edges, n)
     d = h.sum(axis=1)

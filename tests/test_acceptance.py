@@ -27,18 +27,17 @@ from hyperemb import (
     hyperedge_adjacency,
     hyperedge_bce_loss,
     init_params,
-    line_graph,
     load_dataset,
-    ndcg_at_k,
     node_adjacency,
     node_ce_loss,
+    rank_positions,
     sample_negatives,
     split_hyperedges,
     train,
     transition_matrices,
     write_dataset,
 )
-from hyperemb.cli import main, run_trials
+from hyperemb.cli import _ranking_metrics, main, run_trials
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
 from hyperemb.training import _distribute_score_grads, _score_examples, backward
 from conftest import dataset_root, require_dataset
@@ -265,21 +264,6 @@ def test_c5_property_battery():
                 assert_allclose(ops.b_v.toarray(), b_v, atol=1e-10, err_msg=tag)
                 assert_allclose(ops.b_e.toarray(), b_e, atol=1e-10, err_msg=tag)
 
-        # 8. sub-unit thresholds reproduce the hyperedge adjacency support,
-        #    and raising the threshold only ever removes line-graph edges
-        support = {
-            (int(j), int(k))
-            for j, k in zip(*np.nonzero(brute_hyperedge_adjacency(edges, n)))
-            if j < k
-        }
-        for delta in (0.25, 0.5, 0.99):
-            assert line_graph(g, delta) == support, f"delta={delta}"
-        previous = support
-        for delta in (0.5, 1.0, 1.5, 2.5, 3.5):
-            current = line_graph(g, delta)
-            assert current <= previous, f"not monotone at delta={delta}"
-            previous = current
-
     # 4. rank-based AUC equals exhaustive pair counting, ties included
     for case in range(50):
         size = int(rng.integers(2, 51))
@@ -289,10 +273,10 @@ def test_c5_property_battery():
         assert auc(scores, labels) == brute_auc(scores, labels), f"case {case}"
 
     # 5. an item ranked third scores exactly 1/log2(4) = 0.5 once k reaches it
-    ranked = [7, 4, 9, 2, 0]
+    ranks = rank_positions([7, 4, 9, 2, 0], [9])
     for k in (3, 4, 10):
-        assert ndcg_at_k(ranked, 9, k) == 0.5
-    assert ndcg_at_k(ranked, 9, 2) == 0.0
+        assert _ranking_metrics(ranks, [k])[f"ndcg@{k}"] == 0.5
+    assert _ranking_metrics(ranks, [2])["ndcg@2"] == 0.0
 
     # 6. corruption keeps exactly ceil(alpha * |e|) source members
     sampler_rng = np.random.default_rng(99)

@@ -4,7 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperemb import build_hypergraph, write_dataset
+from hyperemb import (
+    VariantKind,
+    build_hypergraph,
+    build_operators,
+    forward,
+    init_hyperedge_features,
+    init_node_features,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+    split_links,
+    write_dataset,
+)
 from hyperemb.cli import build_parser, build_train_config, main
 from test_data import write_pickle_dataset
 
@@ -21,16 +33,22 @@ def make_dataset(root, with_labels=True):
     return root
 
 
-def make_typed_dataset(root):
-    # four fragment/style pairs plus a cross-membership noise edge each
-    types = ["frag"] * 4 + ["style"] * 4
+def make_typed_dataset(root, pairs=4):
+    # fragment/style pairs plus a cross-membership noise edge each
+    types = ["frag"] * pairs + ["style"] * pairs
     edges = []
-    for i in range(4):
-        edges.append((i, 4 + i))
-        edges.append(tuple(sorted((i, (i + 1) % 4, 4 + i))))
-    g = build_hypergraph(edges, 8, node_type=types)
+    for i in range(pairs):
+        edges.append((i, pairs + i))
+        edges.append(tuple(sorted((i, (i + 1) % pairs, pairs + i))))
+    g = build_hypergraph(edges, 2 * pairs, node_type=types)
     write_dataset(root, g)
     return root
+
+
+def shrink_feature_rank(ckpt):
+    """Rewrite a checkpoint so its svd features are one column narrower than W(0)."""
+    params, meta = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, params, {**meta, "feature_rank": meta["feature_rank"] - 1})
 
 
 FAST = ["--epochs", "5", "--feature-rank", "4", "--lr", "0.05"]
@@ -255,6 +273,48 @@ class TestRecommendCommand:
         stdout = capsys.readouterr().out
         assert "model:" in stdout and "popularity:" in stdout
 
+    def test_checkpoint_ranks_match_forward_on_train_graph(self, tmp_path):
+        data = make_typed_dataset(tmp_path / "ds", pairs=12)
+        run = tmp_path / "run"
+        assert main(["--seed", "0", "train", "--data", str(data), "--out", str(run), *FAST]) == 0
+        out = tmp_path / "rec.json"
+        assert main(["--seed", "3", "recommend", "--data", str(data), "--candidate-type", "style",
+                     "--holdout", "0.25", "--checkpoint", str(run / "model.npz"),
+                     "--out", str(out)]) == 0
+        model = json.loads(out.read_text())["model"]["metrics"]
+
+        # the trial's own split and seed, features and operators of its train graph
+        params, meta = load_checkpoint(run / "model.npz")
+        variant = VariantKind(meta["variant"], meta["sigma_v"], meta["sigma_e"])
+        train_g, pairs = split_links(load_dataset(data).graph, 0.25, "style", np.random.default_rng(3))
+        z0 = init_node_features(train_g, 4, rng=np.random.default_rng(3))
+        y0 = init_hyperedge_features(train_g, z0, 4)
+        z = forward(build_operators(train_g, variant), params, z0, y0, variant).z_final
+        styles = np.array(train_g.nodes_of_type("style"))
+        ranks = []
+        for query, truth in pairs:
+            norms = np.linalg.norm(z[styles], axis=1) * np.linalg.norm(z[query])
+            cos = np.where(norms > 0, z[styles] @ z[query] / np.where(norms > 0, norms, 1), 0.0)
+            mine = cos[styles == truth][0]
+            ranks.append(1 + np.sum(cos > mine) + np.sum((cos == mine) & (styles < truth)))
+        ranks = np.array(ranks)
+        assert set(model) == {"hr@1", "hr@10", "ndcg@1", "ndcg@10"}
+        for k in (1, 10):
+            assert model[f"hr@{k}"]["values"] == [pytest.approx(np.mean(ranks <= k), abs=1e-12)]
+            ndcg = np.where(ranks <= k, 1 / np.log2(ranks + 1.0), 0.0).mean()
+            assert model[f"ndcg@{k}"]["values"] == [pytest.approx(ndcg, abs=1e-12)]
+
+    def test_checkpoint_width_mismatch_exits_two(self, tmp_path, capsys):
+        data = make_typed_dataset(tmp_path / "ds")
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), *FAST]) == 0
+        shrink_feature_rank(run / "model.npz")
+        capsys.readouterr()
+        code = main(["recommend", "--data", str(data), "--candidate-type", "style",
+                     "--checkpoint", str(run / "model.npz"), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "z0 width 3 does not match W(0) input dim 4" in capsys.readouterr().err
+
     def test_unknown_candidate_type_exits_two(self, tmp_path, capsys):
         data = make_typed_dataset(tmp_path / "ds")
         code = main(["recommend", "--data", str(data), "--candidate-type", "button",
@@ -281,6 +341,16 @@ class TestEvalCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["task"] == "hyperedge-pred"
         assert 0.0 <= payload["auc"] <= 1.0
+
+    def test_width_mismatch_exits_two(self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "ds")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), *FAST]) == 0
+        shrink_feature_rank(out / "model.npz")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "model.npz"), "--data", str(data)])
+        assert code == 2
+        assert "z0 width 3 does not match W(0) input dim 4" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
         data = make_dataset(tmp_path / "ds")

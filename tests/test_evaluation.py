@@ -16,15 +16,19 @@ from hyperemb import (
     build_hypergraph,
     build_operators,
     forward,
-    hit_rate_at_k,
     multiclass_auc,
-    ndcg_at_k,
     rank_positions,
     recommend,
     split_hyperedges,
     split_links,
 )
+from hyperemb.cli import _ranking_metrics
 from oracles import brute_auc
+
+
+def _metric(name, ranked, truth, k):
+    """One query's HR@k or nDCG@k: the truth's rank in the ranking, then the CLI's metric."""
+    return _ranking_metrics(rank_positions(ranked, [truth]), [k])[f"{name}@{k}"]
 
 
 class TestAuc:
@@ -111,41 +115,47 @@ class TestMulticlassAuc:
 class TestRankingMetrics:
     def test_hit_rate_basics(self):
         ranked = [7, 3, 9, 1]
-        assert hit_rate_at_k(ranked, 7, 1) == 1
-        assert hit_rate_at_k(ranked, 9, 2) == 0
-        assert hit_rate_at_k(ranked, 9, 3) == 1
+        assert _metric("hr", ranked, 7, 1) == 1
+        assert _metric("hr", ranked, 9, 2) == 0
+        assert _metric("hr", ranked, 9, 3) == 1
 
     def test_hit_rate_monotone_in_k(self):
         ranked = list(range(20))
         truth = 11
-        hits = [hit_rate_at_k(ranked, truth, k) for k in range(1, 21)]
+        hits = [_metric("hr", ranked, truth, k) for k in range(1, 21)]
         assert hits == sorted(hits)
         assert hits[-1] == 1
 
     def test_ndcg_rank_three_closed_form(self):
         ranked = [5, 6, 7, 8]
         for k in (3, 4, 10):
-            assert ndcg_at_k(ranked, 7, k) == 0.5  # 1/log2(4)
+            assert _metric("ndcg", ranked, 7, k) == 0.5  # 1/log2(4)
 
     def test_ndcg_rank_one_is_unity(self):
-        assert ndcg_at_k([4, 2], 4, 1) == 1.0
+        assert _metric("ndcg", [4, 2], 4, 1) == 1.0
 
     def test_ndcg_outside_k_is_zero(self):
-        assert ndcg_at_k([4, 2, 9], 9, 2) == 0.0
+        assert _metric("ndcg", [4, 2, 9], 9, 2) == 0.0
 
     def test_ndcg_decreases_with_rank(self):
         ranked = list(range(10))
-        values = [ndcg_at_k(ranked, t, 10) for t in range(10)]
+        values = [_metric("ndcg", ranked, t, 10) for t in range(10)]
         assert values == sorted(values, reverse=True)
         assert all(0 < v <= 1 for v in values)
 
     def test_missing_truth_rejected(self):
         with pytest.raises(DataError, match="not among"):
-            hit_rate_at_k([1, 2], 5, 1)
+            rank_positions([1, 2], [5])
 
     def test_bad_k_rejected(self):
+        g, state, _ = TestRecommend().embedded_graph()
         with pytest.raises(ConfigError, match="k must be"):
-            ndcg_at_k([1], 1, 0)
+            recommend(g, state, 0, "style", 0)
+
+    def test_metrics_average_over_queries(self):
+        got = _ranking_metrics(np.array([1, 3, 12]), [1, 10])
+        assert got["hr@1"] == pytest.approx(1 / 3) and got["hr@10"] == pytest.approx(2 / 3)
+        assert got["ndcg@10"] == pytest.approx((1.0 + 0.5) / 3)
 
     def test_rank_positions_match_list_index(self, rng):
         for _ in range(20):

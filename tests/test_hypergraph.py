@@ -2,23 +2,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import warnings
+
 from hyperemb import (
     DataError,
     FlatSets,
     HypergraphWarning,
+    TrainConfig,
     build_hypergraph,
-    degrees,
+    build_operators,
     hyperedge_adjacency,
     incidence_matrix,
-    line_graph,
+    init_hyperedge_features,
+    init_node_features,
     node_adjacency,
     replace_edges,
+    train,
     transition_matrices,
 )
+from hyperemb import hypergraph
 from conftest import TRIANGLE_EDGES
 from oracles import (
     brute_hyperedge_adjacency,
-    brute_line_graph,
     brute_node_adjacency,
     dense_incidence,
     dense_transitions,
@@ -74,26 +79,28 @@ class TestMatrices:
     def test_triangle_values(self, triangle):
         h = incidence_matrix(triangle).todense()
         assert_allclose(h, [[1, 0, 1], [1, 1, 1], [0, 1, 1]])
-        prof = degrees(triangle)
-        assert prof.d.tolist() == [2, 3, 2]
-        assert prof.d_e.tolist() == [2, 2, 3]
-        assert prof.d_v.tolist() == [3, 4, 3]
+        assert triangle.pack.d.tolist() == [2, 3, 2]
+        assert triangle.pack.d_e.tolist() == [2, 2, 3]
+        assert_allclose(triangle.pack.d_inv, [1 / 2, 1 / 3, 1 / 2])
+        assert_allclose(triangle.pack.de_inv, [1 / 2, 1 / 2, 1 / 3])
+        assert node_adjacency(triangle).sum(axis=1).tolist() == [3, 4, 3]
         assert_allclose(node_adjacency(triangle).todense(), [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
         assert_allclose(
             hyperedge_adjacency(triangle).todense(), [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
         )
 
     def test_degree_vectors_read_only(self, triangle):
-        prof = degrees(triangle)
-        with pytest.raises(ValueError):
-            prof.d[0] = 7
+        pack = triangle.pack
+        for vec in (pack.d, pack.d_e, pack.d_inv, pack.de_inv):
+            with pytest.raises(ValueError):
+                vec[0] = 7
 
     def test_degree_sum_identity(self, rng):
         for _ in range(20):
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
-            prof = degrees(g)
-            assert prof.d.sum() == prof.d_e.sum() == g.num_incidences
+            pack = g.pack
+            assert pack.d.sum() == pack.d_e.sum() == pack.h.nnz == g.num_incidences
 
     def test_adjacency_matches_brute_force(self, rng):
         for _ in range(25):
@@ -177,52 +184,50 @@ class TestTransitions:
         assert_allclose(np.asarray(p_e.todense()), 1.0)  # single hyperedge
 
 
-class TestLineGraph:
-    def test_triangle_thresholds(self, triangle):
-        # intersections: |e0^e1|=1, |e0^e2|=2, |e1^e2|=2
-        assert line_graph(triangle, 0.5) == {(0, 1), (0, 2), (1, 2)}
-        assert line_graph(triangle, 1) == {(0, 2), (1, 2)}
-        assert line_graph(triangle, 2) == set()
+class TestGraphPack:
+    """H and its degrees are derived once per graph and shared by every consumer."""
 
-    def test_small_delta_pattern_equals_adjacency_support(self, rng):
-        for _ in range(20):
-            edges, n = random_hypergraph(rng)
-            g = build_hypergraph(edges, n)
-            support = {
-                (j, k)
-                for j in range(len(edges))
-                for k in range(j + 1, len(edges))
-                if hyperedge_adjacency(g).todense()[j, k] > 0
-            }
-            assert line_graph(g, 0.5) == support
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = hypergraph.incidence_matrix
 
-    def test_monotone_shrinkage(self, rng):
-        for _ in range(10):
-            edges, n = random_hypergraph(rng)
-            g = build_hypergraph(edges, n)
-            previous = None
-            for delta in (0.5, 1.0, 1.5, 2.0, 3.0):
-                current = line_graph(g, delta)
-                if previous is not None:
-                    assert current <= previous
-                previous = current
+        def counted(g):
+            seen.append(g)
+            return original(g)
 
-    def test_per_edge_thresholds_or_semantics(self):
-        g = build_hypergraph([(0, 1, 2), (1, 2, 3), (3, 4)], 5)
-        # |e0 ^ e1| = 2: edge present if either endpoint threshold is below 2
-        assert (0, 1) in line_graph(g, [1.9, 5.0, 5.0])
-        assert (0, 1) in line_graph(g, [5.0, 1.9, 5.0])
-        assert (0, 1) not in line_graph(g, [2.0, 2.0, 5.0])
+        monkeypatch.setattr(hypergraph, "incidence_matrix", counted)
+        return seen
 
-    def test_matches_brute_force(self, rng):
-        for _ in range(15):
-            edges, n = random_hypergraph(rng)
-            g = build_hypergraph(edges, n)
-            thresholds = rng.uniform(0.5, 3.0, size=len(edges))
-            assert line_graph(g, thresholds) == brute_line_graph(edges, thresholds)
+    def test_pack_kept_with_the_graph(self, triangle, calls):
+        assert triangle.pack is triangle.pack
+        node_adjacency(triangle)
+        hyperedge_adjacency(triangle)
+        transition_matrices(triangle)
+        assert calls == [triangle]
+        assert_allclose(triangle.pack.h.todense(), incidence_matrix(triangle).todense())
 
-    def test_validation(self, triangle):
-        with pytest.raises(DataError, match="> 0"):
-            line_graph(triangle, 0.0)
-        with pytest.raises(DataError, match="thresholds"):
-            line_graph(triangle, [1.0, 1.0])
+    def test_train_derives_h_once(self, calls):
+        g = build_hypergraph([(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)], 6)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        cfg = TrainConfig(epochs=2, feature_rank=3)
+        train(g, cfg, "node-class", data=(labels, np.ones(6, dtype=bool)))
+        assert calls == [g]
+        for tag in ("base", "p2", "plusplus", "wt", "h2"):
+            build_operators(g, tag)
+        assert calls == [g]
+
+    def test_isolated_node_warns_once_per_graph(self):
+        g = build_hypergraph([(0, 1, 2), (1, 3)], 5)  # node 4 isolated
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            z1 = init_node_features(g, 2, rng=0)
+            init_hyperedge_features(g, z1, 2)
+            for tag in ("base", "p2"):
+                build_operators(g, tag)
+            transition_matrices(g)
+        isolated = [w for w in caught if issubclass(w.category, HypergraphWarning)
+                    and "isolated" in str(w.message)]
+        assert [str(w.message) for w in isolated] == [
+            "1 isolated node(s): inverse degree taken as 0"
+        ]

@@ -12,7 +12,6 @@ from hyperemb import (
     default_dims,
     export_embedding_set,
     forward,
-    hyperedge_dependent_embedding,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -232,16 +231,16 @@ class TestDependentEmbedding:
         params = ModelParams(w=[], w_e=[], psi=np.eye(5))
         z_i = np.array([0.5, 1.0, 0.0])
         y_e = np.array([2.0, 3.0])
-        out = hyperedge_dependent_embedding(z_i, y_e, params, v)
-        assert_allclose(out, [0.5, 1.0, 0.0, 2.0, 3.0])
+        out = dependent_embeddings(z_i, y_e, params, v)
+        assert_allclose(out, [[0.5, 1.0, 0.0, 2.0, 3.0]])
 
     def test_distinct_hyperedges_give_distinct_embeddings(self, rng):
         v = VariantKind(sigma_v="tanh")
         params = ModelParams(w=[], w_e=[], psi=rng.standard_normal((4, 3)))
         z_i = rng.standard_normal(2)
         y1, y2 = rng.standard_normal(2), rng.standard_normal(2)
-        e1 = hyperedge_dependent_embedding(z_i, y1, params, v)
-        e2 = hyperedge_dependent_embedding(z_i, y2, params, v)
+        e1 = dependent_embeddings(z_i, y1, params, v)
+        e2 = dependent_embeddings(z_i, y2, params, v)
         assert not np.allclose(e1, e2)
 
     def test_matches_dense_oracle(self, rng):
@@ -251,13 +250,13 @@ class TestDependentEmbedding:
         z_i = rng.standard_normal(4)
         y_e = rng.standard_normal(2)
         expected = oracle_activation("gelu", np.concatenate([z_i, y_e]) @ psi)
-        got = hyperedge_dependent_embedding(z_i, y_e, params, v)
-        assert_allclose(got, expected, atol=1e-12)
+        got = dependent_embeddings(z_i, y_e, params, v)
+        assert_allclose(got, expected[np.newaxis, :], atol=1e-12)
 
     def test_dim_mismatch_rejected(self, rng):
         params = ModelParams(w=[], w_e=[], psi=rng.standard_normal((5, 2)))
         with pytest.raises(DataError, match="psi"):
-            hyperedge_dependent_embedding(np.zeros(2), np.zeros(2), params, VariantKind())
+            dependent_embeddings(np.zeros(2), np.zeros(2), params, VariantKind())
 
 
 class TestExportEmbeddingSet:
@@ -292,10 +291,10 @@ class TestExportEmbeddingSet:
         mat = export_embedding_set(g, state, params, 1, v)  # node 1 in all 3 edges
         assert mat.shape[0] == 3
         for row, edge in zip(mat, g.node_edges[1]):
-            single = hyperedge_dependent_embedding(
+            single = dependent_embeddings(
                 state.z_final[1], state.y_final[edge], params, v
             )
-            assert_allclose(row, single, atol=1e-12)
+            assert_allclose(row, single[0], atol=1e-12)
 
     def test_zero_edge_node_empty(self):
         g = build_hypergraph([(0, 1)], 3)

@@ -235,10 +235,14 @@ class TestSamplerMatchesSetdiffOracle:
 
     def test_source_edges_with_repeated_id(self):
         g = build_hypergraph([(0, 1, 2), (3, 4, 5)], 12)
-        sources = [(1, 1, 4), (0, 2, 7, 7, 9), (5, 6)]
+        sources = [(1, 4), (0, 2, 7, 9), (5, 6)]
         for seed in range(5):
             for alpha in (0.0, 0.5, 1.0):
                 self._assert_same(g, 40, alpha, seed, source_edges=sources)
+        with pytest.raises(DataError, match=r"vertex set \(1, 1, 4\) lists a node more than once"):
+            sample_negatives(g, 40, 0.5, 0, source_edges=[(1, 4), (1, 1, 4), (0, 2, 7, 7, 9)])
+        with pytest.raises(DataError, match=r"vertex set \(0, 2, 7, 7, 9\)"):
+            build_labeled_set(g, 0.5, 0, positives=[(5, 6), (9, 7, 2, 7, 0)])
 
     def test_identical_on_a_large_graph(self):
         rng = np.random.default_rng(8)
