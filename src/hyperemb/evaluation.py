@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError, HypergraphWarning
 from .features import RngLike, as_rng
@@ -31,13 +30,27 @@ def auc(scores, labels) -> float:
         raise DataError(f"scores/labels must be matching 1-d arrays, got {scores.shape} and {labels.shape}")
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be 0/1")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos = labels == 1
+    if pos.all() or not pos.any():
         raise DataError("need at least one positive and one negative")
-    ranks = rankdata(scores)  # average rank on ties = half credit
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if np.isnan(scores).any():
+        return float("nan")  # a NaN score has no rank
+    return _mask_auc(scores, pos)
+
+
+def _mask_auc(scores: np.ndarray, pos: np.ndarray) -> float:
+    """AUC of the ``pos`` entries against the rest from the positives' average ranks.
+
+    A value's average 1-based rank is (left + right + 1) / 2 with left/right its
+    searchsorted bounds in the sorted scores (ties share it: half credit).  Ranks
+    are half-integers, so their sum is exact and equals a rankdata-based sum.
+    """
+    ordered = np.sort(scores)
+    x = np.sort(scores[pos])  # sorted needles keep the binary searches cache-local
+    n_pos, n_neg = x.size, scores.size - x.size
+    left, right = np.searchsorted(ordered, x, "left"), np.searchsorted(ordered, x, "right")
+    rank_sum = float(left.sum() + right.sum() + n_pos) / 2.0
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def multiclass_auc(probabilities, labels, mask) -> float:
@@ -51,23 +64,21 @@ def multiclass_auc(probabilities, labels, mask) -> float:
         raise DataError("labels/mask must be 1-d with one entry per row")
     if not mask.any():
         raise DataError("mask selects no nodes")
-    row_sums = probs[mask].sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
-        raise DataError("probability rows must sum to 1")
     sub_probs = probs[mask]
+    if not np.allclose(sub_probs.sum(axis=1), 1.0, atol=1e-6):
+        raise DataError("probability rows must sum to 1")
     sub_labels = labels[mask]
     per_class = []
     for c in range(probs.shape[1]):
-        binary = (sub_labels == c).astype(np.int64)
-        n_pos = int(binary.sum())
-        if n_pos == 0 or n_pos == binary.size:
+        pos = sub_labels == c
+        if pos.all() or not pos.any():
             warnings.warn(
                 f"class {c} lacks both positives and negatives in the mask; skipped",
                 HypergraphWarning,
                 stacklevel=2,
             )
             continue
-        per_class.append(auc(sub_probs[:, c], binary))
+        per_class.append(_mask_auc(sub_probs[:, c], pos))
     if not per_class:
         raise DataError("no class had both positives and negatives under the mask")
     return float(np.mean(per_class))

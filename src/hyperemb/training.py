@@ -31,6 +31,7 @@ from .model import (
     default_dims,
     forward,
     init_params,
+    spmm,
 )
 
 SCORE_FNS = ("mean-pairwise", "max-min")
@@ -420,15 +421,15 @@ def backward(
         gy = dy * state.deriv_y[k]
         grads.w_e[k] = state.agg_y[k].T @ gy
         dv = gy @ params.w_e[k].T
-        dy_prev = ops.s_e.T @ dv
+        dy_prev = spmm(ops.s_e.T, dv)
         if ops.b_e is not None:
-            dz = dz + ops.b_e.T @ dv
+            dz = dz + spmm(ops.b_e.T, dv)
         gz = dz * state.deriv_z[k]
         grads.w[k] = state.agg_z[k].T @ gz
         du = gz @ params.w[k].T
-        dz_prev = ops.s_v.T @ du
+        dz_prev = spmm(ops.s_v.T, du)
         if ops.b_v is not None:
-            dy_prev = dy_prev + ops.b_v.T @ du
+            dy_prev = dy_prev + spmm(ops.b_v.T, du)
         dz, dy = dz_prev, dy_prev
     return grads
 
@@ -645,6 +646,8 @@ def train(
             grads = backward(st, ops, params, variant, d_z, d_head=d_head)
             metric = multiclass_auc(softmax(logits, axis=1), labels, metric_mask)
         optimizer_step(opt, params, grads, cfg.lr)
+        # free this epoch's caches before the next forward allocates its own
+        del st, grads
         state.epoch = epoch + 1
         state.log.append((float(loss), float(metric)))
         state.wall_ms.append((time.perf_counter() - t_start) * 1000.0)

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from hyperemb import build_hypergraph
+from hyperemb import build_hypergraph, model
 
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 1, 2)]
 
@@ -21,6 +21,15 @@ def triangle():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """One entry per column block ``model.spmm`` hands to its pool."""
+    calls = []
+    submit = model._POOL.submit
+    monkeypatch.setattr(model._POOL, "submit", lambda *a, **kw: calls.append(1) or submit(*a, **kw))
+    return calls
 
 
 def dataset_root() -> Path | None:

@@ -9,7 +9,7 @@ against.
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.stats import norm, rankdata
 
 
 def dense_incidence(edges, n):
@@ -207,6 +207,19 @@ def brute_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def per_class_auc(probs, labels, mask):
+    """Macro one-vs-rest AUC as one rankdata call per class present under the mask."""
+    sub, sub_labels = probs[mask], labels[mask]
+    per_class = []
+    for c in range(probs.shape[1]):
+        pos = sub_labels == c
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        if n_pos and n_neg:
+            rank_sum = float(rankdata(sub[:, c])[pos].sum())
+            per_class.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(np.mean(per_class))
 
 
 def finite_diff(loss_fn, arr, eps=1e-5):

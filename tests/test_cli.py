@@ -17,6 +17,7 @@ from hyperemb import (
     split_links,
     write_dataset,
 )
+from hyperemb import model
 from hyperemb.cli import build_parser, build_train_config, main
 from test_data import write_pickle_dataset
 
@@ -212,6 +213,19 @@ class TestSweepCommand:
                 (out / "sweep.csv").read_text().strip().splitlines()[1:]]
         assert rows[0][2] == "ok"
         assert rows[1][2] == "failed" and "layers" in rows[1][5]
+
+    def test_two_threads_write_the_one_thread_table(self, tmp_path, monkeypatch):
+        # every product split over the shared pool, so both cells use it at once
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        data = make_dataset(tmp_path / "ds")
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sweep{threads}"
+            assert main(["--threads", threads, "sweep", "--data", str(data), "--out", str(out),
+                         "--vary", "variant=base,p2,h2", "--vary", "lr=0.05,0.01", *FAST]) == 0
+            tables.append((out / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_missing_vary_exits_one(self, tmp_path, capsys):
         data = make_dataset(tmp_path / "ds")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hyperemb import (
     split_links,
 )
 from hyperemb.cli import _ranking_metrics
-from oracles import brute_auc
+from oracles import brute_auc, per_class_auc
 
 
 def _metric(name, ranked, truth, k):
@@ -56,6 +57,12 @@ class TestAuc:
         labels = (rng.random(30) < 0.4).astype(int)
         labels[:2] = [0, 1]
         assert_allclose(auc(scores, labels), auc(np.exp(scores), labels), atol=1e-12)
+
+    def test_nan_score_gives_nan(self):
+        # a NaN has no rank, whichever side it is on; infinities still rank
+        assert math.isnan(auc([np.nan, 1.0, 0.5, 0.0], [1, 0, 1, 0]))
+        assert math.isnan(auc([np.nan, 1.0, 0.5, 0.0], [0, 1, 1, 0]))
+        assert auc([np.inf, 1.0, -np.inf, 0.0], [1, 0, 1, 0]) == brute_auc([np.inf, 1.0, -np.inf, 0.0], [1, 0, 1, 0])
 
     def test_validation(self):
         with pytest.raises(DataError, match="0/1"):
@@ -100,6 +107,20 @@ class TestMulticlassAuc:
         with pytest.warns(HypergraphWarning, match="class 2"):
             value = multiclass_auc(probs, labels, np.ones(3, dtype=bool))
         assert value == 1.0
+
+    def test_equals_per_class_rankdata_loop(self, rng):
+        for trial in range(40):
+            n, c = int(rng.integers(3, 200)), int(rng.integers(2, 7))
+            # coarse probabilities force ties within and across classes
+            probs = rng.integers(0, 4, size=(n, c)).astype(float) + 1.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            labels = rng.integers(0, c + 1, size=n)  # class c never appears: skipped
+            mask = rng.random(n) < 0.7
+            mask[:2] = True
+            labels[:2] = [0, 1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HypergraphWarning)
+                assert multiclass_auc(probs, labels, mask) == per_class_auc(probs, labels, mask)
 
     def test_unnormalized_rows_rejected(self):
         with pytest.raises(DataError, match="sum to 1"):

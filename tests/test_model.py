@@ -1,6 +1,13 @@
+import os
+import signal
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from hyperemb import (
     ConfigError,
@@ -16,7 +23,8 @@ from hyperemb import (
     load_checkpoint,
     save_checkpoint,
 )
-from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, dependent_embeddings
+from hyperemb import model
+from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, dependent_embeddings, spmm
 from conftest import TRIANGLE_EDGES
 from oracles import (
     dense_forward,
@@ -119,6 +127,99 @@ class TestBuildOperators:
         ops = build_operators(g, "p2")
         assert_allclose(ops.s_v.todense(), [[3.0]])
         assert_allclose(ops.s_e.todense(), [[3.0]])
+
+
+def _csr(rng, rows, cols, nnz):
+    a = sparse.random_array((rows, cols), density=nnz / (rows * cols), format="csr", rng=rng)
+    a.data = rng.standard_normal(a.nnz)  # rows and columns of mixed sign
+    return a
+
+
+class TestSpmm:
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_equals_plain_product_for_csr_and_csc(self, rng, monkeypatch, pool_calls, width, above):
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        nnz = model.SPMM_SPLIT_MIN // width + 1000 if above else 2000
+        a = _csr(rng, 3000, 2000, nnz)
+        assert (a.nnz * width >= model.SPMM_SPLIT_MIN) == above
+        for op in (a, a.T):
+            x = rng.standard_normal((op.shape[1], width))
+            got = spmm(op, x)
+            assert got.shape == (op.shape[0], width) and got.dtype == np.float64
+            assert np.array_equal(got, op @ x)
+        # two products of two blocks each; a single column cannot be split
+        assert len(pool_calls) == (4 if above and width > 1 else 0)
+
+    @pytest.mark.parametrize("parts", [3, 5])
+    def test_uneven_column_blocks(self, rng, monkeypatch, pool_calls, parts):
+        monkeypatch.setattr(model, "SPMM_PARTS", parts)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        a = _csr(rng, 300, 200, 4000)
+        for width in (2, 7, 32):
+            for op in (a, a.T):
+                x = rng.standard_normal((op.shape[1], width))
+                assert np.array_equal(spmm(op, x), op @ x)
+        assert len(pool_calls) == sum(2 * min(parts, width) for width in (2, 7, 32))
+
+    def test_one_cpu_never_uses_the_pool(self, rng, monkeypatch, pool_calls):
+        monkeypatch.setattr(model, "SPMM_PARTS", 1)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        a = _csr(rng, 300, 200, 4000)
+        x = rng.standard_normal((200, 32))
+        assert np.array_equal(spmm(a, x), a @ x) and not pool_calls
+
+    def test_concurrent_callers_share_the_pool(self, rng, monkeypatch):
+        # more callers and parts than cores, with frequent thread switches
+        monkeypatch.setattr(model, "SPMM_PARTS", 4)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        a = _csr(rng, 500, 400, 20000)
+        xs = [rng.standard_normal((400, 16)) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                futures = [callers.submit(lambda x: [spmm(a, x) for _ in range(20)], x) for x in xs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for x, outs in zip(xs, results):
+            want = a @ x
+            assert all(np.array_equal(out, want) for out in outs)
+
+
+    def test_parts_follow_a_one_thread_blas(self):
+        assert model._spmm_parts(2, {}) == 1
+        assert model._spmm_parts(2, {"OMP_NUM_THREADS": "1"}) == 2
+        assert model._spmm_parts(2, {"OPENBLAS_NUM_THREADS": " ", "OMP_NUM_THREADS": "1"}) == 2
+        # OpenBLAS reads its own variable first
+        assert model._spmm_parts(2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}) == 1
+        assert model._spmm_parts(4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}) == 4
+        assert model._spmm_parts(1, {"OPENBLAS_NUM_THREADS": "1"}) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_splits_after_the_parent_did(self, rng, monkeypatch):
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        a = _csr(rng, 300, 200, 4000)
+        x = rng.standard_normal((200, 8))
+        want = a @ x
+        assert np.array_equal(spmm(a, x), want)  # the parent's pool now has threads
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(spmm(a, x), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("spmm in a forked child hung")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def seeded_params(dims_z, dims_y, variant, seed=0, **kw):

@@ -26,6 +26,7 @@ from hyperemb import (
     score_sets,
     train,
 )
+from hyperemb import model
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
 from hyperemb.training import (
     LabeledHyperedgeSet,
@@ -785,3 +786,24 @@ class TestTrain:
     def test_node_class_requires_labels(self):
         with pytest.raises(DataError, match="labels"):
             train(toy_clustered_graph(), TrainConfig(epochs=1), task="node-class")
+
+    @pytest.mark.parametrize("task", ["hyperedge-pred", "node-class"])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_split_products_change_no_float(self, monkeypatch, pool_calls, tag, task):
+        rng = np.random.default_rng(11)
+        edges = [tuple(rng.choice(40, size=int(rng.integers(2, 6)), replace=False)) for _ in range(60)]
+        g = build_hypergraph(edges, 40)
+        data = (np.arange(40) % 3, np.arange(40) % 2 == 0) if task == "node-class" else None
+        cfg = TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e="gelu"),
+                          epochs=6, feature_rank=7, seed=4)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        runs, splits = [], []
+        for parts in (1, 2):
+            monkeypatch.setattr(model, "SPMM_PARTS", parts)
+            runs.append(train(g, cfg, task=task, data=data))
+            splits.append(len(pool_calls))
+        assert splits[0] == 0 and splits[1] > 0
+        one, two = runs
+        assert one.log == two.log
+        for got, want in zip(two.final.z + two.final.y, one.final.z + one.final.y):
+            assert np.array_equal(got, want)
