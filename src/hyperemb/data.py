@@ -48,7 +48,7 @@ def unique_path(path) -> Path:
 def write_hyperedges(path, g: Hypergraph) -> None:
     path = Path(path)
     lines = [f"#nodes {g.num_nodes}"]
-    lines += [" ".join(str(i) for i in e) for e in g.edge_members]
+    lines += [" ".join(map(str, e)) for e in g.edges.tuples()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, HypergraphWarning
 from .features import RngLike, as_rng
-from .hypergraph import Hypergraph, replace_edges
+from .hypergraph import FlatSets, Hypergraph, replace_edges
 from .model import EmbeddingState
 
 RANKING_KS = (1, 10, 25, 50)
@@ -116,11 +116,9 @@ def split_hyperedges(
             f"split fraction {p} leaves an empty side for {m} hyperedges"
         )
     perm = as_rng(rng).permutation(m)
-    train_ids = np.sort(perm[:n_train])
-    held_ids = np.sort(perm[n_train:])
-    train_g = replace_edges(g, [g.edge_members[j] for j in train_ids])
-    held = [g.edge_members[j] for j in held_ids]
-    return train_g, held
+    rows = g.edges.tuples()
+    held = [rows[j] for j in np.sort(perm[n_train:])]
+    return replace_edges(g, [rows[j] for j in np.sort(perm[:n_train])]), held
 
 
 def split_links(
@@ -142,48 +140,35 @@ def split_links(
         raise ConfigError(f"holdout fraction must be in (0, 1), got {fraction}")
     if g.node_type is None:
         raise DataError("link holdout needs node types")
-    links = [
-        (j, i)
-        for j, members in enumerate(g.edge_members)
-        for i in members
-        if g.node_type[i] == candidate_type
-    ]
-    if not links:
+    edges = g.edges
+    types = np.asarray(g.node_type)[edges.idx]  # the type of every incidence, row after row
+    links = np.flatnonzero(types == candidate_type)
+    if not links.size:
         raise DataError(f"no incidences with candidate type {candidate_type!r}")
-    n_held = int(np.floor(fraction * len(links) + 0.5))
+    n_held = int(np.floor(fraction * links.size + 0.5))
     if n_held == 0:
         raise DataError(
-            f"holdout fraction {fraction} selects no links out of {len(links)}"
+            f"holdout fraction {fraction} selects no links out of {links.size}"
         )
-    chosen = as_rng(rng).choice(len(links), size=n_held, replace=False)
-    removals: dict[int, set[int]] = {}
-    for idx in sorted(chosen):
-        j, i = links[idx]
-        removals.setdefault(j, set()).add(i)
+    gone = np.zeros(edges.idx.size, dtype=bool)
+    gone[links[as_rng(rng).choice(links.size, size=n_held, replace=False)]] = True
+    can_ask = (types != candidate_type if query_type is None else types == query_type) & ~gone
 
     pairs = []
-    train_edges = []
-    for j, members in enumerate(g.edge_members):
-        gone = removals.get(j, set())
-        kept = [i for i in members if i not in gone]
-        if kept:
-            train_edges.append(kept)
-        for i in sorted(gone):
-            if query_type is None:
-                queries = [q for q in members if g.node_type[q] != candidate_type]
-            else:
-                queries = [q for q in members if g.node_type[q] == query_type]
-            queries = [q for q in queries if q not in gone]
-            if not queries:
-                warnings.warn(
-                    f"held-out link ({j}, {i}) has no query node; skipped",
-                    HypergraphWarning,
-                    stacklevel=2,
-                )
-                continue
-            pairs.append((min(queries), i))
+    for j, i in zip(edges.owner[gone].tolist(), edges.idx[gone].tolist()):
+        queries = edges[j][can_ask[edges.indptr[j]:edges.indptr[j + 1]]]
+        if not queries.size:
+            warnings.warn(
+                f"held-out link ({j}, {i}) has no query node; skipped",
+                HypergraphWarning,
+                stacklevel=2,
+            )
+            continue
+        pairs.append((int(queries[0]), i))
     if not pairs:
         raise DataError("no usable query pairs after link holdout")
+    kept = np.bincount(edges.owner[~gone], minlength=len(edges))
+    train_edges = FlatSets(idx=edges.idx[~gone], indptr=np.concatenate([[0], np.cumsum(kept[kept > 0])]))
     return replace_edges(g, train_edges), pairs
 
 
@@ -227,7 +212,7 @@ def baseline_rankers(
         raise DataError(f"no candidates of type {candidate_type!r}")
     shuffled = list(candidates)
     as_rng(rng).shuffle(shuffled)
-    degree = {i: len(g.node_edges[i]) for i in candidates}
+    degree = g.node_edges.sizes
     popular = sorted(candidates, key=lambda i: (-degree[i], i))
     return {"random": shuffled, "popularity": popular}
 

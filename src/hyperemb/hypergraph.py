@@ -1,11 +1,11 @@
 """Sparse hypergraph structure and the matrix constructions derived from it.
 
-A hypergraph is stored as the two directions of one incidence relation:
-``edge_members[j]`` lists the nodes of hyperedge ``j`` and ``node_edges[i]``
-lists the hyperedges of node ``i``.  Both are sorted tuples, so every
-derived matrix is deterministic.  Instances are immutable after
-construction and safe to share across threads; each keeps the incidence
-pack it derives on first use.
+A hypergraph stores its incidence relation once, as the flat rows ``edges``:
+row ``j`` lists the nodes of hyperedge ``j`` in ascending order.  Row ``i``
+of ``node_edges`` lists the hyperedges of node ``i`` in ascending order; it
+is a read-only view of the incidence pack H, which each graph derives on
+first use.  Instances are immutable, safe to share across threads, and
+compare by identity.
 """
 
 from __future__ import annotations
@@ -27,22 +27,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Immutable incidence structure over ``num_nodes`` nodes and ``num_hyperedges`` hyperedges."""
+    """Immutable incidence structure over ``num_nodes`` nodes, one ``edges`` row per hyperedge."""
 
     num_nodes: int
-    num_hyperedges: int
-    edge_members: tuple[tuple[int, ...], ...]
-    node_edges: tuple[tuple[int, ...], ...]
+    edges: "FlatSets"
     node_type: Optional[tuple[str, ...]] = None
 
     @property
-    def num_incidences(self) -> int:
-        return sum(len(e) for e in self.edge_members)
+    def num_hyperedges(self) -> int:
+        return len(self.edges)
 
-    def edge_sets(self) -> list[frozenset[int]]:
-        return [frozenset(e) for e in self.edge_members]
+    @property
+    def num_incidences(self) -> int:
+        return self.edges.idx.size
+
+    @cached_property
+    def node_edges(self) -> "FlatSets":
+        """Hyperedges of each node, ascending: a read-only view of H's CSR arrays."""
+        h = self.pack.h
+        return FlatSets(idx=_readonly(h.indices.view()), indptr=_readonly(h.indptr.view()))
 
     def nodes_of_type(self, tag: str) -> list[int]:
         if self.node_type is None:
@@ -111,6 +116,19 @@ class FlatSets:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    def __getitem__(self, t: int) -> np.ndarray:
+        """Members of set ``t``, as a read-only view of ``idx``."""
+        t = range(len(self))[t]
+        return _readonly(self.idx[self.indptr[t]:self.indptr[t + 1]])
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        """Every set as a tuple of Python ints."""
+        ids, ptr = self.idx.tolist(), self.indptr.tolist()
+        return [tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:])]
+
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -142,39 +160,37 @@ def build_hypergraph(
 ) -> Hypergraph:
     """Build a Hypergraph from per-hyperedge node collections.
 
-    Duplicate node ids within one hyperedge are rejected; empty hyperedges
-    and out-of-range indices are rejected with the offending position.
+    Members are stored sorted.  An empty hyperedge, a node index outside
+    [0, num_nodes) and a node listed twice in one hyperedge are rejected;
+    the error names the lowest offending hyperedge, and within it a bad
+    index is reported before a repeat.
     """
     if num_nodes < 0:
         raise DataError(f"num_nodes must be >= 0, got {num_nodes}")
-    edges = []
-    incidence: list[list[int]] = [[] for _ in range(num_nodes)]
-    for j, raw in enumerate(hyperedge_list):
-        members = sorted(raw)
+    raw = FlatSets.of(hyperedge_list)
+    owner = raw.owner
+    idx = raw.idx[np.lexsort((raw.idx, owner))]  # members ascending within each row
+    bad = raw.sizes == 0
+    bad[owner[(idx < 0) | (idx >= num_nodes)]] = True
+    bad[owner[1:][(np.diff(idx) == 0) & (np.diff(owner) == 0)]] = True
+    if bad.any():
+        j = int(np.argmax(bad))
+        members = idx[raw.indptr[j]:raw.indptr[j + 1]].tolist()
         if not members:
             raise DataError(f"hyperedge {j} is empty")
         if members[0] < 0 or members[-1] >= num_nodes:
-            bad = members[0] if members[0] < 0 else members[-1]
-            raise DataError(f"hyperedge {j} has node index {bad} outside [0, {num_nodes})")
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise DataError(f"hyperedge {j} lists node {a} more than once")
-        edges.append(tuple(members))
-        for i in members:
-            incidence[i].append(j)
+            out = members[0] if members[0] < 0 else members[-1]
+            raise DataError(f"hyperedge {j} has node index {out} outside [0, {num_nodes})")
+        repeat = next(a for a, b in zip(members, members[1:]) if a == b)
+        raise DataError(f"hyperedge {j} lists node {repeat} more than once")
     if node_type is not None:
         if len(node_type) != num_nodes:
             raise DataError(
                 f"node_type has {len(node_type)} entries for {num_nodes} nodes"
             )
         node_type = tuple(str(t) for t in node_type)
-    return Hypergraph(
-        num_nodes=num_nodes,
-        num_hyperedges=len(edges),
-        edge_members=tuple(edges),
-        node_edges=tuple(tuple(js) for js in incidence),
-        node_type=node_type,
-    )
+    edges = FlatSets(_readonly(idx), _readonly(raw.indptr.copy()))  # a caller's FlatSets stays writable
+    return Hypergraph(num_nodes=num_nodes, edges=edges, node_type=node_type)
 
 
 def replace_edges(g: Hypergraph, new_edges: Sequence[Iterable[int]]) -> Hypergraph:
@@ -193,9 +209,8 @@ def canonical(m: sparse.sparray) -> sparse.csr_array:
 
 def incidence_matrix(g: Hypergraph) -> sparse.csr_array:
     """N x M binary matrix: entry (i, k) is 1 iff node i belongs to hyperedge k."""
-    edges = FlatSets.of(g.edge_members)
     h = sparse.csr_array(
-        (np.ones(edges.idx.size), (edges.idx, edges.owner)), shape=(g.num_nodes, g.num_hyperedges)
+        (np.ones(g.num_incidences), (g.edges.idx, g.edges.owner)), shape=(g.num_nodes, g.num_hyperedges)
     )
     return canonical(h)
 

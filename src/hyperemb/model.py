@@ -448,10 +448,8 @@ def export_embedding_set(
     if not 0 <= node < g.num_nodes:
         raise DataError(f"node {node} outside [0, {g.num_nodes})")
     edges = g.node_edges[node]
-    if not edges:
-        return np.zeros((0, params.psi.shape[1]))
-    z_rows = np.repeat(state.z_final[node][np.newaxis, :], len(edges), axis=0)
-    y_rows = state.y_final[list(edges), :]
+    z_rows = np.repeat(state.z_final[node][np.newaxis, :], edges.size, axis=0)
+    y_rows = state.y_final[edges, :]
     return dependent_embeddings(z_rows, y_rows, params, variant)
 
 

@@ -216,7 +216,7 @@ def sample_negatives(
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
-    sources = [tuple(e) for e in (source_edges if source_edges is not None else g.edge_members)]
+    sources = [tuple(e) for e in source_edges] if source_edges is not None else g.edges.tuples()
     for e in sources:
         if len(set(e)) < len(e):
             raise DataError(f"vertex set {e} lists a node more than once")
@@ -228,9 +228,10 @@ def sample_negatives(
             f"cannot sample negatives: largest source hyperedge has {max_size} of {g.num_nodes} nodes"
         )
     rng = as_rng(rng)
-    forbidden = set(g.edge_sets())
+    # candidates are sorted and repeat-free, so they compare as canonical rows
+    forbidden = set(g.edges.tuples())
     if forbid is not None:
-        forbidden |= {frozenset(e) for e in forbid}
+        forbidden.update(tuple(sorted(set(e))) for e in forbid)
     out: list[tuple[int, ...]] = []
     failures = 0
     while len(out) < count:
@@ -247,7 +248,7 @@ def sample_negatives(
             pos = rng.choice(pool_size, size=fill, replace=False)
             filled = pos + np.searchsorted(unique - np.arange(unique.size), pos, side="right")
             candidate = tuple(np.sort(np.concatenate([kept, filled])).tolist())
-        if candidate is None or frozenset(candidate) in forbidden:
+        if candidate is None or candidate in forbidden:
             failures += 1
             if failures >= 100:
                 raise DataError("negative sampling failed 100 times in a row")
@@ -298,7 +299,7 @@ def build_labeled_set(
     lists a node twice is rejected by the sampler.
     """
     rng = as_rng(rng)
-    pos = [tuple(sorted(e)) for e in (positives if positives is not None else g.edge_members)]
+    pos = [tuple(sorted(e)) for e in positives] if positives is not None else g.edges.tuples()
     kept = [e for e in pos if len(e) >= min_size]
     if len(kept) < len(pos):
         warnings.warn(

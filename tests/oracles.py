@@ -12,6 +12,27 @@ import numpy as np
 from scipy.stats import norm, rankdata
 
 
+def brute_build_hypergraph(edges, n):
+    """Sorted member tuples per hyperedge and hyperedge tuples per node, validated
+    one hyperedge at a time; raises ValueError with the package's DataError text."""
+    members_of = []
+    incidence = [[] for _ in range(n)]
+    for j, raw in enumerate(edges):
+        members = sorted(raw)
+        if not members:
+            raise ValueError(f"hyperedge {j} is empty")
+        if members[0] < 0 or members[-1] >= n:
+            bad = members[0] if members[0] < 0 else members[-1]
+            raise ValueError(f"hyperedge {j} has node index {bad} outside [0, {n})")
+        for a, b in zip(members, members[1:]):
+            if a == b:
+                raise ValueError(f"hyperedge {j} lists node {a} more than once")
+        members_of.append(tuple(members))
+        for i in members:
+            incidence[i].append(j)
+    return tuple(members_of), tuple(tuple(js) for js in incidence)
+
+
 def dense_incidence(edges, n):
     h = np.zeros((n, len(edges)))
     for j, members in enumerate(edges):

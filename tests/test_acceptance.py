@@ -153,7 +153,7 @@ def _usable_instance(seed):
             negatives = sample_negatives(g, len(edges), 0.5, rng)
         except DataError:
             continue
-        examples = list(g.edge_members) + negatives
+        examples = g.edges.tuples() + negatives
         labels = [1] * len(edges) + [0] * len(negatives)
         return g, examples, labels
     raise AssertionError(f"no usable random instance from seed {seed}")

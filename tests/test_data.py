@@ -133,7 +133,7 @@ class TestDatasetRoundTrip:
         assert manifest["node_types"] == ["a", "b"]
 
         ds = load_dataset(tmp_path / "ds")
-        assert ds.graph.edge_members == g.edge_members
+        assert ds.graph.edges.tuples() == g.edges.tuples()
         assert ds.graph.node_type == g.node_type
         assert ds.features.tobytes() == features.tobytes()
         assert ds.labels.tolist() == labels.tolist()
@@ -146,7 +146,7 @@ class TestDatasetRoundTrip:
         g = build_hypergraph([(0, 2), (1, 2)], 3)
         write_dataset(tmp_path / "ds", g)
         ds = load_dataset(tmp_path / "ds")
-        assert ds.graph.edge_members == g.edge_members
+        assert ds.graph.edges.tuples() == g.edges.tuples()
         assert ds.features is None and ds.labels is None and ds.splits == []
 
     def test_manifest_mismatch_rejected(self, tmp_path):
@@ -210,7 +210,7 @@ class TestConvert:
         assert manifest["num_classes"] == 3
         assert manifest["num_splits"] == 10  # generated fallback
         ds = load_dataset(tmp_path / "out")
-        assert ds.graph.edge_members == ((0, 1, 2), (2, 3), (3, 4, 5))
+        assert ds.graph.edges.tuples() == [(0, 1, 2), (2, 3), (3, 4, 5)]
         assert ds.labels.tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_generated_splits_are_stratified(self, tmp_path):
@@ -243,7 +243,7 @@ class TestConvert:
         with pytest.warns(HypergraphWarning, match="duplicate"):
             manifest = convert_hypergcn(src, tmp_path / "out")
         ds = load_dataset(tmp_path / "out")
-        assert ds.graph.edge_members[0] == (0, 1, 2)
+        assert ds.graph.edges[0].tolist() == [0, 1, 2]
         assert manifest["num_nodes"] == 4  # max id + 1 without features
 
     def test_sparse_features_densified(self, tmp_path):

@@ -119,7 +119,8 @@ def collect():
 
 def _write_reference(path):
     exact, floats = collect()
-    entries = {**{f"exact:{k}": v for k, v in exact.items()}, **{f"float:{k}": v for k, v in floats.items()}}
+    entries = {f"exact:{k}": v for k, v in exact.items()}
+    entries.update((f"float:{k}", v) for k, v in floats.items())
     lines = [f"{json.dumps(k)}: {json.dumps(entries[k], allow_nan=False)}" for k in sorted(entries)]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
@@ -149,7 +150,9 @@ def test_structural_outputs_exact(digests):
 def test_float_outputs_within_rtol(digests):
     reference, _, floats = digests
     for k, v in floats.items():
-        assert_allclose(np.asarray(v), np.asarray(reference[f"float:{k}"]), rtol=RTOL, atol=0, err_msg=k)
+        assert_allclose(
+            np.asarray(v), np.asarray(reference[f"float:{k}"]), rtol=RTOL, atol=0, err_msg=k
+        )
 
 
 if __name__ == "__main__":

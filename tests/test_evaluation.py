@@ -209,10 +209,10 @@ class TestSplitHyperedges:
 
     def test_partition_is_exact(self, rng):
         g = self.ten_edge_graph()
-        original = sorted(g.edge_members)
+        original = sorted(g.edges.tuples())
         for seed in range(5):
             train_g, held = split_hyperedges(g, 0.7, rng=seed)
-            recombined = sorted(list(train_g.edge_members) + list(held))
+            recombined = sorted(train_g.edges.tuples() + list(held))
             assert recombined == original
 
     def test_node_universe_preserved(self):
@@ -226,13 +226,13 @@ class TestSplitHyperedges:
         g = self.ten_edge_graph()
         a = split_hyperedges(g, 0.8, rng=7)
         b = split_hyperedges(g, 0.8, rng=7)
-        assert a[0].edge_members == b[0].edge_members and a[1] == b[1]
+        assert a[0].edges.tuples() == b[0].edges.tuples() and a[1] == b[1]
 
     def test_every_edge_held_out_sometimes(self):
         # over many seeds each hyperedge should land on both sides
         g = self.ten_edge_graph()
         held_counts = np.zeros(10)
-        originals = [frozenset(e) for e in g.edge_members]
+        originals = [frozenset(e) for e in g.edges.tuples()]
         for seed in range(200):
             _, held = split_hyperedges(g, 0.8, rng=seed)
             for e in held:
@@ -288,13 +288,13 @@ class TestSplitLinks:
         with pytest.warns(HypergraphWarning, match="no query"):
             train_g, pairs = split_links(g, 0.9, "style", rng=0)
         assert pairs == [(0, 1)]
-        assert list(train_g.edge_members) == [(0,)]
+        assert train_g.edges.tuples() == [(0,)]
 
     def test_deterministic_per_seed(self):
         g = self.typed_graph()
         a = split_links(g, 0.4, "style", rng=11)
         b = split_links(g, 0.4, "style", rng=11)
-        assert a[1] == b[1] and a[0].edge_members == b[0].edge_members
+        assert a[1] == b[1] and a[0].edges.tuples() == b[0].edges.tuples()
 
     def test_needs_types_and_candidates(self):
         untyped = build_hypergraph([(0, 1)], 2)

@@ -143,7 +143,7 @@ class TestInitHyperedgeFeatures:
             z = rng.standard_normal((n, 3))
             d = np.array([len(js) for js in g.node_edges], dtype=float)
             h = np.zeros((n, len(edges)))
-            for j, members in enumerate(g.edge_members):
+            for j, members in enumerate(g.edges):
                 h[list(members), j] = 1.0
             expected = (np.diag(1.0 / d) @ h).T @ z
             assert_allclose(init_hyperedge_features(g, z, 3), expected, atol=1e-12)

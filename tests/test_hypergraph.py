@@ -23,6 +23,7 @@ from hyperemb import (
 from hyperemb import hypergraph
 from conftest import TRIANGLE_EDGES
 from oracles import (
+    brute_build_hypergraph,
     brute_hyperedge_adjacency,
     brute_node_adjacency,
     dense_incidence,
@@ -35,13 +36,13 @@ class TestBuild:
     def test_triangle_structure(self, triangle):
         assert triangle.num_nodes == 3
         assert triangle.num_hyperedges == 3
-        assert triangle.edge_members == ((0, 1), (1, 2), (0, 1, 2))
-        assert triangle.node_edges == ((0, 2), (0, 1, 2), (1, 2))
+        assert triangle.edges.tuples() == [(0, 1), (1, 2), (0, 1, 2)]
+        assert triangle.node_edges.tuples() == [(0, 2), (0, 1, 2), (1, 2)]
         assert triangle.num_incidences == 7
 
     def test_members_sorted(self):
         g = build_hypergraph([(2, 0), (3, 1, 2)], 4)
-        assert g.edge_members == ((0, 2), (1, 2, 3))
+        assert g.edges.tuples() == [(0, 2), (1, 2, 3)]
 
     def test_empty_hyperedge_rejected(self):
         with pytest.raises(DataError, match="hyperedge 1 is empty"):
@@ -71,8 +72,47 @@ class TestBuild:
         g2 = replace_edges(g, [(2, 3)])
         assert g2.num_nodes == 4
         assert g2.node_type == g.node_type
-        assert g2.edge_members == ((2, 3),)
-        assert g2.node_edges[0] == ()
+        assert g2.edges.tuples() == [(2, 3)]
+        with pytest.warns(HypergraphWarning, match="2 isolated"):
+            assert g2.node_edges[0].tolist() == []
+
+    def test_structure_matches_loop_oracle(self, rng):
+        for _ in range(30):
+            edges, n = random_hypergraph(rng)
+            shuffled = [rng.permutation(e).tolist() for e in edges]
+            g = build_hypergraph(shuffled, n)
+            members, node_edges = brute_build_hypergraph(shuffled, n)
+            assert g.edges.tuples() == list(members)
+            assert g.node_edges.tuples() == list(node_edges)
+            assert g.num_hyperedges == len(members)
+            assert g.num_incidences == sum(map(len, members))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (), (2,)],  # empty row
+            [(1, 0), (2, -3, 1)],  # below range
+            [(0, 1), (3, 1, 5)],  # above range
+            [(0, 1), (2, 1, 2, 1)],  # repeat: the smallest repeated node is named
+            [(0, 1), (2, 2, 7)],  # bound and repeat in one row: the bound wins
+            [(0, 1), (1, 1), (9,), ()],  # faults in several rows: the lowest wins
+            [(0, 1), (2, 5), (), (-1,)],
+        ],
+    )
+    def test_errors_match_loop_oracle(self, edges):
+        with pytest.raises(ValueError) as want:
+            brute_build_hypergraph(edges, 5)
+        with pytest.raises(DataError) as got:
+            build_hypergraph(edges, 5)
+        assert str(got.value) == str(want.value)
+
+    def test_rows_are_read_only(self, triangle):
+        node_row, edge_row = triangle.node_edges[1], triangle.edges[2]
+        for row in (node_row, edge_row, triangle.edges.idx, triangle.node_edges.idx):
+            with pytest.raises(ValueError):
+                row[0] = 2
+        # node_edges shares H's CSR arrays: a write would corrupt every operator
+        assert np.shares_memory(triangle.node_edges.idx, triangle.pack.h.indices)
 
 
 class TestMatrices:
@@ -132,6 +172,19 @@ class TestFlatSets:
         assert pack.owner.tolist() == [0, 0, 1, 2, 2, 2]
         assert FlatSets.of(pack) is pack
         assert len(FlatSets.of([])) == 0 and FlatSets.of([]).idx.size == 0
+
+    def test_rows_match_slices(self, rng):
+        sets = [tuple(rng.choice(9, size=int(rng.integers(0, 5)))) for _ in range(12)]
+        pack = FlatSets.of(sets)
+        slices = [pack.idx[pack.indptr[t]:pack.indptr[t + 1]].tolist() for t in range(len(sets))]
+        assert [pack[t].tolist() for t in range(len(sets))] == slices
+        assert [row.tolist() for row in pack] == slices
+        assert pack[-1].tolist() == slices[-1]
+        assert pack.tuples() == [tuple(s) for s in slices] == [tuple(map(int, s)) for s in sets]
+        with pytest.raises(IndexError):
+            pack[len(sets)]
+        with pytest.raises(ValueError):
+            pack[int(np.argmax(pack.sizes))][0] = 1  # rows are read-only even where idx is not
 
     def test_sums_match_loops(self, rng):
         sets = [tuple(rng.choice(9, size=int(rng.integers(1, 5)))) for _ in range(12)]

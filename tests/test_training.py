@@ -174,7 +174,7 @@ class TestNegativeSampling:
 
     def test_observed_hyperedges_forbidden(self, rng):
         g = build_hypergraph([(0, 1), (1, 2), (2, 3)], 5)
-        observed = set(g.edge_sets())
+        observed = {frozenset(e) for e in g.edges.tuples()}
         for neg in sample_negatives(g, 80, 0.5, rng):
             assert frozenset(neg) not in observed
 
@@ -221,7 +221,7 @@ class TestSamplerMatchesSetdiffOracle:
     def _assert_same(self, g, count, alpha, seed, **kw):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_negatives(g, count, alpha, a, **kw)
-        want = brute_sample_negatives(g.edge_members, g.num_nodes, count, alpha, b, **kw)
+        want = brute_sample_negatives(g.edges.tuples(), g.num_nodes, count, alpha, b, **kw)
         assert got == want
         assert a.random() == b.random()  # same number of draws consumed
 
