@@ -3,10 +3,11 @@ refactor must keep.
 
 Structural outputs are compared exactly: H, the hyperedge and link splits, the
 forged negatives with the generator state after them, and each variant's
-operator sparsity patterns.  Float outputs are compared at rtol 1e-12: operator
-values, the SVD features and a 3-epoch log plus final Z/Y for both tasks.  The
-tolerance is there because OpenBLAS picks its GEMM kernels per CPU, so the last
-bits of a product can differ between machines.
+operator sparsity patterns, on a covered graph and on one with isolated nodes.
+Float outputs are compared at rtol 1e-12: operator values, the SVD features, a
+3-epoch log plus final Z/Y for both tasks, and the same for ``base`` on the
+isolated-node graph.  The tolerance is there because OpenBLAS picks its GEMM
+kernels per CPU, so the last bits of a product can differ between machines.
 
 A change that alters seeded output on purpose regenerates the reference file
 with the command below and lists every changed entry in CHANGES.md:
@@ -106,6 +107,20 @@ def collect():
     floats["hyperedge_pred.log"] = [list(row) for row in state.log]
     floats["hyperedge_pred.z_final"] = state.final.z_final.tolist()
     floats["hyperedge_pred.y_final"] = state.final.y_final.tolist()
+
+    # nodes 12-15 are in no hyperedge: zero d_inv rows, zero walk-operator rows and columns
+    isolated = build_hypergraph(_graph_edges(13, 12, 9), 16)
+    for tag in VARIANTS:
+        ops = build_operators(isolated, tag)
+        for name in ("s_v", "s_e", "b_v", "b_e"):
+            if getattr(ops, name) is not None:
+                _csr(f"isolated.operators.{tag}.{name}", getattr(ops, name), exact, floats)
+    iso_set = build_labeled_set(isolated, 0.5, np.random.default_rng(4))
+    cfg = TrainConfig(variant=VariantKind(tag="base"), epochs=3, feature_rank=4, seed=1)
+    state = train(isolated, cfg, "hyperedge-pred", data=iso_set)
+    floats["isolated.hyperedge_pred.log"] = [list(row) for row in state.log]
+    floats["isolated.hyperedge_pred.z_final"] = state.final.z_final.tolist()
+    floats["isolated.hyperedge_pred.y_final"] = state.final.y_final.tolist()
 
     labels = np.arange(g.num_nodes) % 3
     mask = np.arange(g.num_nodes) % 2 == 0
