@@ -10,7 +10,9 @@ compare by identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +22,18 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, HypergraphWarning
+
+
+def _reader_stacklevel() -> int:
+    """``warnings`` stacklevel of the first frame outside this module and ``functools``.
+
+    A warning raised while a cached property derives its value then names the
+    code that read the property, also when one property reads another.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame.f_code.co_filename in (__file__, functools.__file__):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -65,7 +79,7 @@ class Hypergraph:
             warnings.warn(
                 f"{isolated} isolated node(s): inverse degree taken as 0",
                 HypergraphWarning,
-                stacklevel=3,
+                stacklevel=_reader_stacklevel(),
             )
         d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
         return GraphPack(h, *(_readonly(a) for a in (d, d_e, d_inv, 1.0 / d_e)))

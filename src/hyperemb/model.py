@@ -7,9 +7,12 @@ The base layer couples the two streams:
 
 where the Y update reads the freshly computed Z(k+1).  The four variants
 (p2, plusplus, wt, h2) swap in different propagation operators and drop
-the cross-stream B terms, so their streams evolve independently.  All
-operators are precomputed CSR matrices, built once per (graph, variant)
-and reused for every epoch.
+the cross-stream B terms, so their streams evolve independently.  Every
+operator is an ``Operator``: a sum of products of the scaled incidence
+factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, built once per
+(graph, variant) and reused for every epoch.  ``build_operators`` decides
+from nonzero counts alone which products to multiply out into one CSR and
+which to apply factor by factor.
 
 Every sparse-times-dense product of the forward pass, and of the backward
 pass in ``training``, goes through ``spmm``.  When the BLAS runs one thread,
@@ -22,7 +25,9 @@ checkpoint format.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +39,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, DataError
 from .features import RngLike, as_rng
-from .hypergraph import Hypergraph, canonical, transition_matrices
+from .hypergraph import Hypergraph, canonical
 
 VARIANT_TAGS = ("base", "p2", "plusplus", "wt", "h2")
 ACTIVATION_TAGS = ("tanh", "leaky-relu", "gelu", "selu", "rrelu")
@@ -69,6 +74,11 @@ SPMM_PARTS = _spmm_parts(CPUS)
 # below this nnz x width a product stays one call: at citeseer size the width-32
 # b_v/b_e products (13.6k nnz, 4.4e5) went from 0.3 to 0.6 ms when split in two
 SPMM_SPLIT_MIN = 2_000_000
+# below this many nonzeros per output row a product is bound by writing its output,
+# and splitting lost: random CSR at dblp shape, width 32, one BLAS thread, went
+# 7.8 -> 10.6 ms at 7.7 per row and 12.3 -> 9.3 ms at 11.6; base's b_v at dblp
+# size (1.65 per row) went 9.5 -> 10.1 ms
+SPMM_SPLIT_MIN_ROW_NNZ = 8
 
 _POOL: ThreadPoolExecutor
 
@@ -88,18 +98,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
+def _split_parts(nnz: int, rows: int, width: int) -> int:
+    """How many column blocks ``spmm`` cuts a product with ``rows`` output rows into."""
+    if nnz * width < SPMM_SPLIT_MIN or nnz < SPMM_SPLIT_MIN_ROW_NNZ * rows:
+        return 1
+    return min(SPMM_PARTS, width)
+
+
 def spmm(a, x: np.ndarray) -> np.ndarray:
     """``a @ x`` for a sparse ``a`` (CSR, or the CSC view ``.T`` of one) and a 2-d dense ``x``.
 
-    A large product runs as one column block of ``x`` per CPU on a shared
-    thread pool (scipy's kernel releases the GIL), each block writing its own
-    columns of one output.  Splitting columns, unlike rows, leaves the order
-    of every output element's sum unchanged, also for the CSC scatter, so the
-    result equals ``a @ x`` exactly.
+    A large product that is not bound by writing its output runs as one
+    column block of ``x`` per CPU on a shared thread pool (scipy's kernel
+    releases the GIL), each block writing its own columns of one output.
+    Splitting columns, unlike rows, leaves the order of every output
+    element's sum unchanged, also for the CSC scatter, so the result equals
+    ``a @ x`` exactly.
     """
     width = x.shape[1]
-    parts = min(SPMM_PARTS, width)
-    if parts < 2 or a.nnz * width < SPMM_SPLIT_MIN:
+    parts = _split_parts(a.nnz, a.shape[0], width)
+    if parts < 2:
         return a @ x
     out = np.empty((a.shape[0], width), dtype=np.result_type(a.dtype, x.dtype))
     bounds = [width * i // parts for i in range(parts + 1)]
@@ -183,18 +201,70 @@ def activate(
     raise ConfigError(f"unknown activation {tag!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A sum of sparse products, applied without multiplying them out.
+
+    Each term is a tuple of sparse factors (CSR, or the CSC view ``.T`` of
+    one) applied right to left, one ``spmm`` per factor; the terms' results
+    are summed in order.  A materialized operator is one term of one factor,
+    so ``op @ x`` is then exactly ``spmm(factor, x)``.  ``data``, ``indices``
+    and ``indptr`` are the stored factors' arrays, concatenated when there
+    are several, so their ``nbytes`` count what the operator stores.
+    """
+
+    terms: tuple[tuple[sparse.sparray, ...], ...]
+
+    @property
+    def factors(self) -> list[sparse.sparray]:
+        return [f for term in self.terms for f in term]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.terms[0][0].shape[0], self.terms[0][-1].shape[1]
+
+    @property
+    def nnz(self) -> int:
+        """Stored nonzeros, summed over the factors."""
+        return sum(f.nnz for f in self.factors)
+
+    @property
+    def T(self) -> "Operator":
+        return Operator(tuple(tuple(f.T for f in reversed(term)) for term in self.terms))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = None
+        for term in self.terms:
+            y = x
+            for f in reversed(term):
+                y = spmm(f, y)
+            out = y if out is None else out + y
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return sum(functools.reduce(operator.matmul, term).toarray() for term in self.terms)
+
+    def _stored(self, name: str) -> np.ndarray:
+        arrays = [getattr(f, name) for f in self.factors]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    data = property(lambda self: self._stored("data"))
+    indices = property(lambda self: self._stored("indices"))
+    indptr = property(lambda self: self._stored("indptr"))
+
+
 @dataclass(frozen=True)
 class PropagationOperators:
-    """Precomputed sparse operators for one (graph, variant) pair.
+    """The propagation operators for one (graph, variant) pair.
 
     b_v and b_e are None for the decoupled variants.
     """
 
     tag: str
-    s_v: sparse.csr_array
-    s_e: sparse.csr_array
-    b_v: Optional[sparse.csr_array] = None
-    b_e: Optional[sparse.csr_array] = None
+    s_v: Operator
+    s_e: Operator
+    b_v: Optional[Operator] = None
+    b_e: Optional[Operator] = None
 
     @property
     def num_nodes(self) -> int:
@@ -205,39 +275,107 @@ class PropagationOperators:
         return self.s_e.shape[0]
 
 
+# a product stays a chain of factors when the row-wise bound on its multiplied-out
+# nonzeros is at least this many times the chain's work, sum(factor nnz + factor
+# rows).  Probe, one width-32 product at one BLAS thread on the seed-1 planted
+# graphs: on the citeseer-size train split base's S_v and S_e (ratios 27.7 and
+# 29.4) went 12.6 -> 1.5 and 15.2 -> 1.8 ms as chains; at dblp size base's S_e and
+# p2's P_e P_e (5.8) lost, 19.3 -> 22.6 ms, and S_v and P P (11.3) won alone,
+# 54.7 -> 24.7 ms, which 16 leaves unclaimed so that dblp keeps its operators
+CHAIN_MIN_RATIO = 16
+
+
+def _plan_counts(chain: Sequence[sparse.sparray]) -> tuple[int, int]:
+    """(bound, work) of a product of sparse factors, from their patterns alone.
+
+    ``bound`` caps the product's nonzeros: the last factor's row counts are
+    pushed through the other factors' patterns as sparse mat-vecs, each row
+    capped at the column count.  ``work`` is what applying the factors one by
+    one reads and writes per dense column: every factor's nonzeros and rows.
+    """
+    cols = chain[-1].shape[1]
+    rows = np.ones(cols)
+    for f in reversed(chain):
+        pattern = type(f)((np.ones(f.nnz), f.indices, f.indptr), shape=f.shape)
+        rows = np.minimum(pattern @ rows, cols)
+    return int(rows.sum()), sum(f.nnz + f.shape[0] for f in chain)
+
+
+@dataclass(frozen=True, eq=False)
+class _Walk:
+    """One random-walk step, P = H De^-1 (D^-1 H)^T or P_e = (D^-1 H)^T H De^-1:
+    two factors, multiplied out once when a materialized term uses it."""
+
+    factors: tuple[sparse.csr_array, sparse.csr_array]
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_array:
+        return canonical(self.factors[0] @ self.factors[1])
+
+
+def _plan(terms: Sequence[tuple]) -> Operator:
+    """One Operator from a sum of products of factors and walk steps, in expression order.
+
+    A product whose ``_plan_counts`` ratio reaches ``CHAIN_MIN_RATIO`` stays a
+    chain of its factors.  The others are multiplied out left to right and
+    summed in order into one CSR, which leads the terms.
+    """
+    chains, summed = [], None
+    for term in terms:
+        chain = tuple(f for item in term for f in (item.factors if isinstance(item, _Walk) else (item,)))
+        bound, work = _plan_counts(chain)
+        if bound >= CHAIN_MIN_RATIO * work:
+            chains.append(chain)
+            continue
+        product = functools.reduce(
+            operator.matmul, (item.matrix if isinstance(item, _Walk) else item for item in term)
+        )
+        summed = product if summed is None else summed + product
+    stored = [] if summed is None else [(canonical(summed),)]
+    return Operator(tuple(stored + chains))
+
+
 def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
-    """Assemble the sparse propagation operators for the given variant."""
+    """Assemble the propagation operators for the given variant.
+
+    Each operator is written as a sum of products over the scaled incidence
+    factors and planned term by term (``_plan``); the result depends only on
+    the graph's nonzero counts, never on a timing.
+    """
     if isinstance(variant, str):
         variant = VariantKind(tag=variant)
     h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
-    p, p_e = transition_matrices(g)
 
     hd = canonical(h.multiply(d_inv[:, np.newaxis]))  # D^-1 H
     hde = canonical(h.multiply(de_inv[np.newaxis, :]))  # H De^-1
     hdd = canonical(hd.multiply(de_inv[np.newaxis, :]))  # D^-1 H De^-1
+    dt = canonical(hd.T)  # (D^-1 H)^T, stored row-wise
+    p, p_e = _Walk((hde, dt)), _Walk((dt, hde))
 
     tag = variant.tag
     if tag == "base":
-        s_v = hd @ p_e @ hdd.T
-        s_e = hde.T @ p @ hdd
         return PropagationOperators(
-            tag, canonical(s_v), canonical(s_e), b_v=hd, b_e=canonical(hde.T)
+            tag,
+            _plan([(hd, p_e, hdd.T)]),
+            _plan([(hde.T, p, hdd)]),
+            b_v=_plan([(hd,)]),
+            b_e=_plan([(hde.T,)]),
         )
     if tag == "p2":
-        s_v = hdd @ hd.T + p + p @ p
-        s_e = hde.T @ hdd + p_e + p_e @ p_e
+        s_v = [(hdd, hd.T), (p,), (p, p)]
+        s_e = [(hde.T, hdd), (p_e,), (p_e, p_e)]
     elif tag == "plusplus":
-        s_v = hd @ p_e @ hdd.T + p
-        s_e = hde.T @ p @ hdd + p_e
+        s_v = [(hd, p_e, hdd.T), (p,)]
+        s_e = [(hde.T, p, hdd), (p_e,)]
     elif tag == "wt":
-        s_v = hd @ p_e @ hd.T
-        s_e = hde.T @ p @ hde
+        s_v = [(hd, p_e, hd.T)]
+        s_e = [(hde.T, p, hde)]
     elif tag == "h2":
-        s_v = h @ h.T + p
-        s_e = h.T @ h + p_e
+        s_v = [(h, h.T), (p,)]
+        s_e = [(h.T, h), (p_e,)]
     else:  # pragma: no cover - guarded by VariantKind
         raise ConfigError(f"unknown variant {tag!r}")
-    return PropagationOperators(tag, canonical(s_v), canonical(s_e))
+    return PropagationOperators(tag, _plan(s_v), _plan(s_e))
 
 
 @dataclass
@@ -393,15 +531,15 @@ def forward(
 
     state = EmbeddingState(z=[z0], y=[y0], agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
     for k in range(params.layers):
-        agg_z = spmm(ops.s_v, state.z[k])
+        agg_z = ops.s_v @ state.z[k]
         if ops.b_v is not None:
-            agg_z = agg_z + spmm(ops.b_v, state.y[k])
+            agg_z = agg_z + ops.b_v @ state.y[k]
         z_next, dz = activate(
             variant.sigma_v, agg_z @ params.w[k], rng, training, variant.rrelu_range
         )
-        agg_y = spmm(ops.s_e, state.y[k])
+        agg_y = ops.s_e @ state.y[k]
         if ops.b_e is not None:
-            agg_y = agg_y + spmm(ops.b_e, z_next)
+            agg_y = agg_y + ops.b_e @ z_next
         y_next, dy = activate(
             variant.sigma_e, agg_y @ params.w_e[k], rng, training, variant.rrelu_range
         )

@@ -31,7 +31,6 @@ from .model import (
     default_dims,
     forward,
     init_params,
-    spmm,
 )
 
 SCORE_FNS = ("mean-pairwise", "max-min")
@@ -422,15 +421,15 @@ def backward(
         gy = dy * state.deriv_y[k]
         grads.w_e[k] = state.agg_y[k].T @ gy
         dv = gy @ params.w_e[k].T
-        dy_prev = spmm(ops.s_e.T, dv)
+        dy_prev = ops.s_e.T @ dv
         if ops.b_e is not None:
-            dz = dz + spmm(ops.b_e.T, dv)
+            dz = dz + ops.b_e.T @ dv
         gz = dz * state.deriv_z[k]
         grads.w[k] = state.agg_z[k].T @ gz
         du = gz @ params.w[k].T
-        dz_prev = spmm(ops.s_v.T, du)
+        dz_prev = ops.s_v.T @ du
         if ops.b_v is not None:
-            dy_prev = dy_prev + spmm(ops.b_v.T, du)
+            dy_prev = dy_prev + ops.b_v.T @ du
         dz, dy = dz_prev, dy_prev
     return grads
 

@@ -32,6 +32,12 @@ def pool_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def chains_forced(monkeypatch):
+    """Plan every operator product as a chain of its factors, however small."""
+    monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
+
+
 def dataset_root() -> Path | None:
     """Directory with converted public datasets, if the env points at one."""
     root = os.environ.get("HYPEREMB_DATA")

@@ -254,7 +254,7 @@ class TestConvert:
         write_pickle_dataset(src, {"e": [0, 1], "f": [2, 3, 4]}, features=feats)
         convert_hypergcn(src, tmp_path / "out")
         ds = load_dataset(tmp_path / "out")
-        assert_allclose(ds.features, np.asarray(feats.todense()), atol=1e-15)
+        assert_allclose(ds.features, np.asarray(feats.toarray()), atol=1e-15)
 
     def test_empty_hypergraph_rejected(self, tmp_path):
         src = tmp_path / "raw"

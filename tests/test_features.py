@@ -110,7 +110,7 @@ class TestInitNodeFeatures:
 
     def test_triangle_matches_dense_oracle(self, triangle):
         x = svd_features(node_adjacency(triangle), 2, rng=5)
-        a = np.asarray(node_adjacency(triangle).todense())
+        a = np.asarray(node_adjacency(triangle).toarray())
         w, v = np.linalg.eigh(a)
         order = np.argsort(-np.abs(w))[:2]
         expected = v[:, order] * np.sqrt(np.abs(w[order]))

@@ -117,16 +117,16 @@ class TestBuild:
 
 class TestMatrices:
     def test_triangle_values(self, triangle):
-        h = incidence_matrix(triangle).todense()
+        h = incidence_matrix(triangle).toarray()
         assert_allclose(h, [[1, 0, 1], [1, 1, 1], [0, 1, 1]])
         assert triangle.pack.d.tolist() == [2, 3, 2]
         assert triangle.pack.d_e.tolist() == [2, 2, 3]
         assert_allclose(triangle.pack.d_inv, [1 / 2, 1 / 3, 1 / 2])
         assert_allclose(triangle.pack.de_inv, [1 / 2, 1 / 2, 1 / 3])
         assert node_adjacency(triangle).sum(axis=1).tolist() == [3, 4, 3]
-        assert_allclose(node_adjacency(triangle).todense(), [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+        assert_allclose(node_adjacency(triangle).toarray(), [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
         assert_allclose(
-            hyperedge_adjacency(triangle).todense(), [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+            hyperedge_adjacency(triangle).toarray(), [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
         )
 
     def test_degree_vectors_read_only(self, triangle):
@@ -147,10 +147,10 @@ class TestMatrices:
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
             assert_allclose(
-                node_adjacency(g).todense(), brute_node_adjacency(edges, n), atol=1e-10
+                node_adjacency(g).toarray(), brute_node_adjacency(edges, n), atol=1e-10
             )
             assert_allclose(
-                hyperedge_adjacency(g).todense(),
+                hyperedge_adjacency(g).toarray(),
                 brute_hyperedge_adjacency(edges, n),
                 atol=1e-10,
             )
@@ -159,7 +159,7 @@ class TestMatrices:
         for _ in range(10):
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
-            assert_allclose(incidence_matrix(g).todense(), dense_incidence(edges, n))
+            assert_allclose(incidence_matrix(g).toarray(), dense_incidence(edges, n))
 
 
 class TestFlatSets:
@@ -210,31 +210,31 @@ class TestTransitions:
             edges, n = random_hypergraph(rng)  # all nodes covered
             g = build_hypergraph(edges, n)
             p, p_e = transition_matrices(g)
-            assert_allclose(np.asarray(p.todense()).sum(axis=0), 1.0, atol=1e-10)
-            assert_allclose(np.asarray(p_e.todense()).sum(axis=0), 1.0, atol=1e-10)
+            assert_allclose(np.asarray(p.toarray()).sum(axis=0), 1.0, atol=1e-10)
+            assert_allclose(np.asarray(p_e.toarray()).sum(axis=0), 1.0, atol=1e-10)
 
     def test_matches_dense_oracle(self, triangle, rng):
         p, p_e = transition_matrices(triangle)
         op, op_e = dense_transitions(TRIANGLE_EDGES, 3)
-        assert_allclose(p.todense(), op, atol=1e-12)
-        assert_allclose(p_e.todense(), op_e, atol=1e-12)
+        assert_allclose(p.toarray(), op, atol=1e-12)
+        assert_allclose(p_e.toarray(), op_e, atol=1e-12)
         for _ in range(15):
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
             p, p_e = transition_matrices(g)
             op, op_e = dense_transitions(edges, n)
-            assert_allclose(p.todense(), op, atol=1e-10)
-            assert_allclose(p_e.todense(), op_e, atol=1e-10)
+            assert_allclose(p.toarray(), op, atol=1e-10)
+            assert_allclose(p_e.toarray(), op_e, atol=1e-10)
 
     def test_isolated_node_warns_and_zeroes(self):
         g = build_hypergraph([(0, 1)], 3)  # node 2 isolated
         with pytest.warns(HypergraphWarning, match="isolated"):
             p, p_e = transition_matrices(g)
-        dense = np.asarray(p.todense())
+        dense = np.asarray(p.toarray())
         assert_allclose(dense[:, 2], 0.0)
         assert_allclose(dense[2, :], 0.0)
         assert_allclose(dense[:2, :2].sum(axis=0), 1.0)
-        assert_allclose(np.asarray(p_e.todense()), 1.0)  # single hyperedge
+        assert_allclose(np.asarray(p_e.toarray()), 1.0)  # single hyperedge
 
 
 class TestGraphPack:
@@ -258,7 +258,7 @@ class TestGraphPack:
         hyperedge_adjacency(triangle)
         transition_matrices(triangle)
         assert calls == [triangle]
-        assert_allclose(triangle.pack.h.todense(), incidence_matrix(triangle).todense())
+        assert_allclose(triangle.pack.h.toarray(), incidence_matrix(triangle).toarray())
 
     def test_train_derives_h_once(self, calls):
         g = build_hypergraph([(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)], 6)
@@ -284,3 +284,10 @@ class TestGraphPack:
         assert [str(w.message) for w in isolated] == [
             "1 isolated node(s): inverse degree taken as 0"
         ]
+
+    @pytest.mark.parametrize("attr", ["pack", "node_edges"])
+    def test_isolated_node_warning_names_the_reader(self, attr):
+        g = build_hypergraph([(0, 1)], 3)  # node 2 isolated
+        with pytest.warns(HypergraphWarning, match="isolated") as caught:
+            getattr(g, attr)
+        assert [w.filename for w in caught] == [__file__]

@@ -98,11 +98,11 @@ class TestBuildOperators:
         for tag in VARIANT_TAGS:
             ops = build_operators(triangle, tag)
             s_v, s_e, b_v, b_e = dense_operators(TRIANGLE_EDGES, 3, tag)
-            assert_allclose(ops.s_v.todense(), s_v, atol=1e-12)
-            assert_allclose(ops.s_e.todense(), s_e, atol=1e-12)
+            assert_allclose(ops.s_v.toarray(), s_v, atol=1e-12)
+            assert_allclose(ops.s_e.toarray(), s_e, atol=1e-12)
             if tag == "base":
-                assert_allclose(ops.b_v.todense(), b_v, atol=1e-12)
-                assert_allclose(ops.b_e.todense(), b_e, atol=1e-12)
+                assert_allclose(ops.b_v.toarray(), b_v, atol=1e-12)
+                assert_allclose(ops.b_e.toarray(), b_e, atol=1e-12)
             else:
                 assert ops.b_v is None and ops.b_e is None
 
@@ -113,20 +113,111 @@ class TestBuildOperators:
             for tag in VARIANT_TAGS:
                 ops = build_operators(g, tag)
                 s_v, s_e, _, _ = dense_operators(edges, n, tag)
-                assert_allclose(ops.s_v.todense(), s_v, atol=1e-10)
-                assert_allclose(ops.s_e.todense(), s_e, atol=1e-10)
+                assert_allclose(ops.s_v.toarray(), s_v, atol=1e-10)
+                assert_allclose(ops.s_e.toarray(), s_e, atol=1e-10)
 
     def test_single_full_hyperedge_symmetry(self):
         g = build_hypergraph([(0, 1, 2, 3)], 4)
         ops = build_operators(g, "base")
-        dense = np.asarray(ops.s_v.todense())
+        dense = np.asarray(ops.s_v.toarray())
         assert_allclose(dense, dense.flat[0])  # every entry equal
 
     def test_p2_scalar_identity(self):
         g = build_hypergraph([(0,)], 1)
         ops = build_operators(g, "p2")
-        assert_allclose(ops.s_v.todense(), [[3.0]])
-        assert_allclose(ops.s_e.todense(), [[3.0]])
+        assert_allclose(ops.s_v.toarray(), [[3.0]])
+        assert_allclose(ops.s_e.toarray(), [[3.0]])
+
+
+@pytest.mark.usefixtures("chains_forced")
+class TestBuildOperatorsChained(TestBuildOperators):
+    """The dense oracles again, with every product applied as a chain."""
+
+
+def _star(n):
+    """One hyperedge over ``n`` nodes."""
+    return build_hypergraph([tuple(range(n))], n)
+
+
+class TestOperator:
+    @pytest.mark.usefixtures("chains_forced")
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_chains_apply_like_their_product(self, rng, tag):
+        for _ in range(5):
+            edges, n = random_hypergraph(rng)
+            ops = build_operators(build_hypergraph(edges, n), tag)
+            for name in ("s_v", "s_e", "b_v", "b_e"):
+                op = getattr(ops, name)
+                if op is None:
+                    continue
+                assert all(len(term) > 1 for term in op.terms) or name.startswith("b_")
+                dense = op.toarray()
+                x = rng.standard_normal((op.shape[1], 3))
+                xt = rng.standard_normal((op.shape[0], 3))
+                assert_allclose(op @ x, dense @ x, atol=1e-10, err_msg=f"{tag} {name}")
+                assert_allclose(op.T @ xt, dense.T @ xt, atol=1e-10, err_msg=f"{tag} {name}")
+                assert_allclose(op.T.toarray(), dense.T, atol=1e-10)
+
+    def test_stored_arrays_cover_every_factor(self, rng, chains_forced):
+        edges, n = random_hypergraph(rng)
+        ops = build_operators(build_hypergraph(edges, n), "plusplus")
+        for op in (ops.s_v, ops.s_e):
+            assert op.nnz == sum(f.nnz for term in op.terms for f in term)
+            for name in ("data", "indices", "indptr"):
+                arrays = [getattr(f, name) for term in op.terms for f in term]
+                assert getattr(op, name).nbytes == sum(a.nbytes for a in arrays)
+
+    def test_materialized_operator_is_its_csr(self, triangle):
+        ops = build_operators(triangle, "p2")
+        [[csr]] = ops.s_v.terms
+        assert isinstance(csr, sparse.csr_array) and ops.s_v.nnz == csr.nnz
+        assert ops.s_v.shape == csr.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(ops.s_v, name) is getattr(csr, name)
+        x = np.random.default_rng(0).standard_normal((3, 2))
+        assert np.array_equal(ops.s_v @ x, csr @ x)
+        assert np.array_equal(ops.s_v.T @ x, csr.T @ x)
+
+    def test_plan_counts_on_a_star(self):
+        # one hyperedge of n nodes: every two-hop product is n x n and full
+        for n in (3, 10, 96, 97):
+            g = _star(n)
+            h = g.pack.h
+            assert model._plan_counts((h, h.T)) == (n * n, (n + n) + (n + 1))
+            assert model._plan_counts((h.T, h)) == (1, (n + 1) + (n + n))
+            assert model._plan_counts((h,)) == (n, 2 * n)
+
+    def test_plan_counts_bound_the_product(self, rng):
+        for _ in range(10):
+            edges, n = random_hypergraph(rng)
+            h = build_hypergraph(edges, n).pack.h
+            for chain in ((h, h.T), (h.T, h), (h, h.T, h, h.T), (h.T, h, h.T)):
+                product = chain[0]
+                for f in chain[1:]:
+                    product = product @ f
+                bound, work = model._plan_counts(chain)
+                assert product.nnz <= bound <= product.shape[0] * product.shape[1]
+                assert work == sum(f.nnz + f.shape[0] for f in chain)
+
+    @pytest.mark.parametrize("n, chained", [(96, False), (97, True)])
+    def test_base_chains_from_ratio_16(self, n, chained):
+        # base's S_v = (D^-1 H)(D^-1 H)^T (H De^-1)(D^-1 H De^-1)^T on the star:
+        # bound n^2 against work 6n + 2 (4n nonzeros, 2n + 2 rows), so it chains
+        # from n = 97 on
+        assert model.CHAIN_MIN_RATIO == 16
+        ops = build_operators(_star(n), "base")
+        assert [len(term) for term in ops.s_v.terms] == ([4] if chained else [1])
+        assert [len(term) for term in ops.b_v.terms] == [1]
+        assert ops.s_v.nnz == (4 * n if chained else n * n)
+        assert_allclose(ops.s_v.toarray(), 1.0 / n, atol=1e-12)
+
+    def test_mixed_sum_puts_the_summed_csr_first(self, monkeypatch):
+        # plusplus S_v = (D^-1 H) P_e (D^-1 H De^-1)^T + P on the star: the first
+        # term's ratio is n^2 / (6n + 2) = 6.6 and P's n^2 / (3n + 1) = 13.2
+        monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 10)
+        ops = build_operators(_star(40), "plusplus")
+        assert [len(term) for term in ops.s_v.terms] == [1, 2]
+        assert_allclose(ops.s_v.toarray(), 2.0 / 40, atol=1e-12)
 
 
 def _csr(rng, rows, cols, nnz):
@@ -161,6 +252,25 @@ class TestSpmm:
                 x = rng.standard_normal((op.shape[1], width))
                 assert np.array_equal(spmm(op, x), op @ x)
         assert len(pool_calls) == sum(2 * min(parts, width) for width in (2, 7, 32))
+
+    def test_fill_bound_products_stay_whole(self, rng, monkeypatch, pool_calls):
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        # 7 nonzeros per output row, nnz x width above SPMM_SPLIT_MIN
+        a = _csr(rng, 10_000, 2000, 70_000)
+        x = rng.standard_normal((2000, 32))
+        assert a.nnz * 32 >= model.SPMM_SPLIT_MIN
+        assert np.array_equal(spmm(a, x), a @ x) and not pool_calls
+
+    def test_dblp_shaped_products(self, monkeypatch):
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        # p2's S_v and S_e at dblp size, and their transposes, split
+        assert model._split_parts(1_603_395, 43_413, 32) == 2
+        assert model._split_parts(680_209, 22_535, 32) == 2
+        # base's B_v = D^-1 H and B_e = (H De^-1)^T there, and their transposes, do not
+        assert model._split_parts(71_564, 43_413, 32) == 1
+        assert model._split_parts(71_564, 22_535, 32) == 1
+        # nor does a product under SPMM_SPLIT_MIN, however dense its rows
+        assert model._split_parts(10_787, 100, 32) == 1
 
     def test_one_cpu_never_uses_the_pool(self, rng, monkeypatch, pool_calls):
         monkeypatch.setattr(model, "SPMM_PARTS", 1)
@@ -238,8 +348,8 @@ class TestForward:
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         y0 = np.abs(np.random.default_rng(1).standard_normal((3, 2)))
         state = forward(ops, params, z0, y0, v)
-        assert_allclose(state.z_final, np.asarray(ops.s_v.todense()) @ z0, atol=1e-12)
-        assert_allclose(state.y_final, np.asarray(ops.s_e.todense()) @ y0, atol=1e-12)
+        assert_allclose(state.z_final, np.asarray(ops.s_v.toarray()) @ z0, atol=1e-12)
+        assert_allclose(state.y_final, np.asarray(ops.s_e.toarray()) @ y0, atol=1e-12)
 
     def test_zero_weights_give_zero_outputs(self, triangle):
         for tag in ("base", "wt"):
@@ -324,6 +434,11 @@ class TestForward:
     def test_base_width_coupling_enforced(self):
         with pytest.raises(ConfigError, match="matching widths"):
             init_params([2, 3, 3], [4, 3, 3], VariantKind())
+
+
+@pytest.mark.usefixtures("chains_forced")
+class TestForwardChained(TestForward):
+    """The forward checks again, with every product applied as a chain."""
 
 
 class TestDependentEmbedding:

@@ -595,11 +595,16 @@ class TestBackwardAgainstFiniteDifferences:
         z0 = np.array([[0.9]])
         y0 = np.array([[0.4]])
         st = forward(ops, params, z0, y0, variant)
-        s_v = float(ops.s_v.todense()[0, 0])
+        s_v = float(ops.s_v.toarray()[0, 0])
         pre = s_v * 0.9 * 0.7
         grads = backward(st, ops, params, variant, np.ones((1, 1)))
         assert_allclose(grads.w[0], [[(1 - math.tanh(pre) ** 2) * s_v * 0.9]], atol=1e-12)
         assert_allclose(grads.w_e[0], 0.0)  # decoupled: loss never sees Y
+
+
+@pytest.mark.usefixtures("chains_forced")
+class TestBackwardChained(TestBackwardAgainstFiniteDifferences):
+    """The gradient checks again, with every product applied as a chain."""
 
 
 class TestOptimizers:
