@@ -131,36 +131,35 @@ def build_train_config(args) -> TrainConfig:
     return TrainConfig(variant=variant, **merged)
 
 
-def _compress_features(x: np.ndarray, rank: int, seed: int) -> np.ndarray:
-    u, s, _ = randomized_svd(x, rank, rng=np.random.default_rng(seed))
-    return u * s[np.newaxis, :]
+def _feature_meta(features: Optional[np.ndarray], cfg: TrainConfig, mode: str) -> dict:
+    """The checkpoint metadata naming a run's node feature source.
 
-
-def _prepare_features(
-    ds: Dataset, cfg: TrainConfig, mode: str
-) -> tuple[Optional[np.ndarray], dict]:
-    """Resolve the node feature source; returns (z0 or None, checkpoint metadata).
-
-    'file' uses the dataset's features (compressed to the width override
-    when one is set, keeping the base variant's width coupling intact);
-    'svd' bootstraps structural features inside each trial.  'auto'
-    picks 'file' when the dataset has features.
+    'auto' picks 'file' when the dataset has features, else 'svd'.  A file
+    source wider than the width override becomes 'file-compressed', which
+    keeps the base variant's width coupling intact.
     """
     if mode == "auto":
-        mode = "file" if ds.features is not None else "svd"
+        mode = "file" if features is not None else "svd"
     if mode == "svd":
-        return None, {"feature_source": "svd", "feature_rank": cfg.feature_rank}
-    if ds.features is None:
-        raise DataError("dataset has no features.tsv but --features file was requested")
-    x = ds.features
-    if cfg.width is not None and cfg.width < x.shape[1]:
-        x = _compress_features(x, cfg.width, cfg.seed)
-        return x, {
-            "feature_source": "file-compressed",
-            "width": cfg.width,
-            "feature_seed": cfg.seed,
-        }
-    return x, {"feature_source": "file"}
+        return {"feature_source": "svd"}
+    if features is not None and cfg.width is not None and cfg.width < features.shape[1]:
+        return {"feature_source": "file-compressed", "width": cfg.width, "feature_seed": cfg.seed}
+    return {"feature_source": "file"}
+
+
+def _given_features(features: Optional[np.ndarray], meta: dict) -> Optional[np.ndarray]:
+    """The Z(0) a run's or a checkpoint's feature source takes from the dataset:
+    the features, their seeded rank-``width`` SVD map, or None for the in-trial
+    SVD bootstrap of 'svd'."""
+    source = meta.get("feature_source", "svd")
+    if source == "svd":
+        return None
+    if features is None:
+        raise DataError(f"feature source {source!r} needs the dataset's features.tsv, which is missing")
+    if source == "file":
+        return features
+    u, s, _ = randomized_svd(features, meta["width"], rng=np.random.default_rng(meta["feature_seed"]))
+    return u * s[np.newaxis, :]
 
 
 def _write_epoch_log(path, log, wall_ms) -> Path:
@@ -179,8 +178,6 @@ def _checkpoint_meta(cfg: TrainConfig, task: str, seed: int, feat_meta: dict) ->
         "variant": cfg.variant.tag,
         "sigma_v": cfg.variant.sigma_v,
         "sigma_e": cfg.variant.sigma_e,
-        "rrelu_lo": cfg.variant.rrelu_range[0],
-        "rrelu_hi": cfg.variant.rrelu_range[1],
         "layers": cfg.layers,
         "seed": seed,
         "score_fn": cfg.score_fn,
@@ -192,27 +189,13 @@ def _checkpoint_meta(cfg: TrainConfig, task: str, seed: int, feat_meta: dict) ->
     }
 
 
-def _variant_from_meta(meta: dict) -> VariantKind:
-    return VariantKind(
-        tag=meta["variant"],
-        sigma_v=meta["sigma_v"],
-        sigma_e=meta["sigma_e"],
-        rrelu_range=(meta["rrelu_lo"], meta["rrelu_hi"]),
-    )
-
-
 def _checkpoint_state(g, features, params, meta: dict, seed: int):
     """Eval-mode (variant, embeddings) of ``g`` under checkpoint weights, with Z(0)
-    from the checkpoint's feature source and ``seed`` seeding the SVD bootstrap."""
-    variant = _variant_from_meta(meta)
-    z0 = None
-    source = meta.get("feature_source", "svd")
-    if source in ("file", "file-compressed"):
-        if features is None:
-            raise DataError("checkpoint expects dataset features but none are present")
-        z0 = features
-        if source == "file-compressed":
-            z0 = _compress_features(features, meta["width"], meta["feature_seed"])
+    from the checkpoint's feature source and ``seed`` seeding the SVD bootstrap.
+    Meta keys other checkpoint versions wrote, such as ``rrelu_lo``/``rrelu_hi``,
+    are ignored."""
+    variant = VariantKind(tag=meta["variant"], sigma_v=meta["sigma_v"], sigma_e=meta["sigma_e"])
+    z0 = _given_features(features, meta)
     z0, y0 = input_features(g, int(meta.get("feature_rank", 32)), np.random.default_rng(seed), z0)
     return variant, forward(build_operators(g, variant), params, z0, y0, variant, training=False)
 
@@ -224,7 +207,6 @@ def run_trials(
     trials: int,
     features_mode: str = "auto",
     out_dir: Optional[Path] = None,
-    checkpoint_name: str = "model.npz",
 ) -> EvalReport:
     """The multi-trial protocol shared by train and sweep.
 
@@ -235,7 +217,8 @@ def run_trials(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    z0_shared, feat_meta = _prepare_features(ds, cfg, features_mode)
+    feat_meta = _feature_meta(ds.features, cfg, features_mode)
+    z0_shared = _given_features(ds.features, feat_meta)
     g = ds.graph
     seeds = [cfg.seed + t for t in range(trials)]
     values: list[float] = []
@@ -284,7 +267,7 @@ def run_trials(
 
     if out_dir is not None and last_state is not None:
         meta = _checkpoint_meta(cfg, task, last_seed, feat_meta)
-        save_checkpoint(unique_path(out_dir / checkpoint_name), last_state.params, meta)
+        save_checkpoint(unique_path(out_dir / "model.npz"), last_state.params, meta)
     return EvalReport(task=task, seeds=seeds, per_trial={"auc": values})
 
 
@@ -346,14 +329,8 @@ def _apply_cell(cfg: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig:
             cfg = replace(cfg, variant=replace(cfg.variant, tag=value))
         elif key == "sigma":
             cfg = replace(cfg, variant=replace(cfg.variant, sigma_v=value, sigma_e=value))
-        elif key == "layers":
-            cfg = replace(cfg, layers=_coerce("layers", value))
-        elif key == "lr":
-            cfg = replace(cfg, lr=_coerce("lr", value))
-        elif key == "alpha":
-            cfg = replace(cfg, alpha=_coerce("alpha", value))
-        elif key == "epochs":
-            cfg = replace(cfg, epochs=_coerce("epochs", value))
+        else:
+            cfg = replace(cfg, **{key: _coerce(key, value)})
     return cfg
 
 

@@ -95,8 +95,6 @@ def convert_hypergcn(
     src_dir,
     out_dir,
     name: Optional[str] = None,
-    split_count: int = 10,
-    train_fraction: float = 0.5,
     rng: RngLike = 0,
 ) -> dict:
     """Convert a pickle-layout dataset directory; returns the manifest."""
@@ -162,9 +160,7 @@ def convert_hypergcn(
                  np.asarray(sorted(payload["test"]), dtype=np.int64))
             )
     if not splits and labels is not None:
-        splits = generate_node_splits(
-            labels, count=split_count, train_fraction=train_fraction, rng=rng
-        )
+        splits = generate_node_splits(labels, rng=rng)
 
     created = not out_dir.exists()
     try:

@@ -16,6 +16,7 @@ Parse errors always carry the file and line number.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -99,6 +100,8 @@ def read_tsv_matrix(path) -> np.ndarray:
             row = [float(tok) for tok in raw.split("\t")]
         except ValueError:
             raise DataError(f"{path}:{ln}: non-numeric feature value in {raw!r}")
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}:{ln}: non-finite feature value in {raw!r}")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -153,7 +156,8 @@ def write_splits(dir_path, splits) -> None:
         (dir_path / f"split_{k:02d}.json").write_text(json.dumps(payload))
 
 
-def read_splits(dir_path) -> list[tuple[np.ndarray, np.ndarray]]:
+def read_splits(dir_path, num_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every split file's (train, test) node indices, each checked against [0, num_nodes)."""
     dir_path = Path(dir_path)
     out = []
     for p in sorted(dir_path.glob("split_*.json")):
@@ -163,6 +167,10 @@ def read_splits(dir_path) -> list[tuple[np.ndarray, np.ndarray]]:
             test = np.asarray(payload["test"], dtype=np.int64)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{p}: malformed split file ({exc})")
+        for side, idx in (("train", train), ("test", test)):
+            bad = idx[(idx < 0) | (idx >= num_nodes)]
+            if bad.size:
+                raise DataError(f"{p}: {side} index {bad[0]} outside [0, {num_nodes})")
         out.append((train, test))
     return out
 
@@ -284,7 +292,7 @@ def load_dataset(dir_path) -> Dataset:
 
     splits = []
     if (dir_path / SPLITS_DIR).is_dir():
-        splits = read_splits(dir_path / SPLITS_DIR)
+        splits = read_splits(dir_path / SPLITS_DIR, g.num_nodes)
 
     for key, actual in (
         ("num_nodes", g.num_nodes),

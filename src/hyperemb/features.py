@@ -17,6 +17,10 @@ from .errors import ConfigError, DataError, HypergraphWarning
 from .hypergraph import Hypergraph, hyperedge_adjacency, node_adjacency
 
 RngLike = Union[np.random.Generator, int, None]
+# randomized_svd's sketch: columns beyond the rank and power iterations of the
+# randomized subspace iteration of Halko, Martinsson & Tropp (SIAM Review 2011)
+SVD_OVERSAMPLE = 8
+SVD_POWER_ITERS = 4
 
 
 def as_rng(seed: RngLike) -> np.random.Generator:
@@ -26,18 +30,12 @@ def as_rng(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def randomized_svd(
-    m,
-    rank: int,
-    rng: RngLike = 0,
-    oversample: int = 8,
-    n_iter: int = 4,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def randomized_svd(m, rank: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``rank`` singular triplets (u, s, vt) by randomized subspace iteration.
 
     Works on dense arrays and scipy sparse matrices alike.  The sketch uses
-    a seeded Gaussian test matrix with ``oversample`` extra columns and
-    ``n_iter`` power iterations with QR re-orthonormalization.
+    a seeded Gaussian test matrix with ``SVD_OVERSAMPLE`` extra columns and
+    ``SVD_POWER_ITERS`` power iterations with QR re-orthonormalization.
     """
     n_rows, n_cols = m.shape
     if not 1 <= rank <= min(n_rows, n_cols):
@@ -45,10 +43,10 @@ def randomized_svd(
             f"rank must be in [1, {min(n_rows, n_cols)}], got {rank}"
         )
     rng = as_rng(rng)
-    k = min(rank + oversample, min(n_rows, n_cols))
+    k = min(rank + SVD_OVERSAMPLE, min(n_rows, n_cols))
     omega = rng.standard_normal((n_cols, k))
     q, _ = np.linalg.qr(m @ omega)
-    for _ in range(n_iter):
+    for _ in range(SVD_POWER_ITERS):
         q, _ = np.linalg.qr(m.T @ q)
         q, _ = np.linalg.qr(m @ q)
     b = (m.T @ q).T  # k x n_cols, sparse-friendly
@@ -82,16 +80,14 @@ def svd_features(m, f: int, rng: RngLike = 0) -> np.ndarray:
     return x
 
 
-def _check_given(given, rows: int, what: str) -> np.ndarray:
+def _check_given(given, rows: int) -> np.ndarray:
     x = np.asarray(given, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != rows:
-        raise DataError(
-            f"{what} features must be 2-d with {rows} rows, got shape {x.shape}"
-        )
+        raise DataError(f"node features must be 2-d with {rows} rows, got shape {x.shape}")
     if x.shape[1] < 1:
-        raise DataError(f"{what} features need at least one column")
+        raise DataError("node features need at least one column")
     if not np.all(np.isfinite(x)):
-        raise DataError(f"{what} features contain NaN/Inf entries")
+        raise DataError("node features contain NaN/Inf entries")
     return x
 
 
@@ -101,9 +97,9 @@ def init_node_features(
     given=None,
     rng: RngLike = 0,
 ) -> np.ndarray:
-    """Provided node features verbatim, else the rank-``f`` map of H H^T - D."""
+    """Provided node features, checked and as float64, else the rank-``f`` map of H H^T - D."""
     if given is not None:
-        return _check_given(given, g.num_nodes, "node")
+        return _check_given(given, g.num_nodes)
     return svd_features(node_adjacency(g), f, rng=rng)
 
 
@@ -111,18 +107,15 @@ def init_hyperedge_features(
     g: Hypergraph,
     z1: np.ndarray,
     f: int,
-    given=None,
     mode: str = "aggregate",
     rng: RngLike = 0,
 ) -> np.ndarray:
-    """Provided hyperedge features verbatim, else derived ones.
+    """Hyperedge features derived from the graph.
 
     mode "aggregate" (default): Y = (D^-1 H)^T Z, each hyperedge summing its
     members' feature rows scaled by inverse node degree.  mode "svd": the
     rank-``f`` map of H^T H - D_e, ignoring ``z1``'s values.
     """
-    if given is not None:
-        return _check_given(given, g.num_hyperedges, "hyperedge")
     z1 = np.asarray(z1, dtype=np.float64)
     if z1.ndim != 2 or z1.shape[0] != g.num_nodes:
         raise DataError(

@@ -137,7 +137,6 @@ class VariantKind:
     tag: str = "base"
     sigma_v: str = "tanh"
     sigma_e: str = "tanh"
-    rrelu_range: tuple[float, float] = RRELU_RANGE
 
     def __post_init__(self):
         object.__setattr__(self, "tag", str(self.tag).lower())
@@ -148,9 +147,6 @@ class VariantKind:
             object.__setattr__(self, name, a)
             if a not in ACTIVATION_TAGS:
                 raise ConfigError(f"unknown activation {a!r}; expected one of {ACTIVATION_TAGS}")
-        lo, hi = self.rrelu_range
-        if not 0 <= lo < hi < 1:
-            raise ConfigError(f"rrelu slope range must satisfy 0 <= lo < hi < 1, got {self.rrelu_range}")
 
     @property
     def coupled(self) -> bool:
@@ -162,13 +158,13 @@ def activate(
     x: np.ndarray,
     rng: Optional[np.random.Generator] = None,
     training: bool = False,
-    rrelu_range: tuple[float, float] = RRELU_RANGE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the tagged nonlinearity; return (value, elementwise derivative).
 
     The derivative is evaluated at x and cached by the caller for the
-    backward pass.  rrelu draws per-element negative slopes from ``rng``
-    in training mode and uses the fixed midpoint slope in eval mode.
+    backward pass.  rrelu draws per-element negative slopes uniformly from
+    ``RRELU_RANGE`` with ``rng`` in training mode and uses the range's
+    midpoint in eval mode.
     """
     if tag == "tanh":
         t = np.tanh(x)
@@ -188,7 +184,7 @@ def activate(
         deriv = SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * ex)
         return value, deriv
     if tag == "rrelu":
-        lo, hi = rrelu_range
+        lo, hi = RRELU_RANGE
         if training:
             if rng is None:
                 raise ConfigError("rrelu in training mode needs a random generator")
@@ -380,7 +376,7 @@ def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOpe
 
 @dataclass
 class ModelParams:
-    """Learned weights: per-layer W / W_e, the psi projection, optional classifier head."""
+    """Learned weights or their gradients: per-layer W / W_e, the psi projection, optional head."""
 
     w: list[np.ndarray]
     w_e: list[np.ndarray]
@@ -400,12 +396,13 @@ class ModelParams:
             out.append(("head", self.head))
         return out
 
-    def copy(self) -> "ModelParams":
+    def zeros_like(self) -> "ModelParams":
+        """Zero arrays of the same shapes: the gradient holder of ``training.backward``."""
         return ModelParams(
-            w=[a.copy() for a in self.w],
-            w_e=[a.copy() for a in self.w_e],
-            psi=self.psi.copy(),
-            head=None if self.head is None else self.head.copy(),
+            w=[np.zeros_like(a) for a in self.w],
+            w_e=[np.zeros_like(a) for a in self.w_e],
+            psi=np.zeros_like(self.psi),
+            head=None if self.head is None else np.zeros_like(self.head),
         )
 
 
@@ -433,7 +430,6 @@ def init_params(
     dims_y: Sequence[int],
     variant: VariantKind,
     rng: RngLike = 0,
-    psi_dim: Optional[int] = None,
     n_classes: Optional[int] = None,
 ) -> ModelParams:
     """Seeded uniform(+-sqrt(6/(fan_in+fan_out))) weights for the whole stack.
@@ -458,11 +454,7 @@ def init_params(
                 )
     w = [_glorot(rng, dims_z[k], dims_z[k + 1]) for k in range(layers)]
     w_e = [_glorot(rng, dims_y[k], dims_y[k + 1]) for k in range(layers)]
-    d_cat = dims_z[-1] + dims_y[-1]
-    psi_dim = dims_z[-1] if psi_dim is None else int(psi_dim)
-    if psi_dim < 1:
-        raise ConfigError(f"psi output dim must be >= 1, got {psi_dim}")
-    psi = _glorot(rng, d_cat, psi_dim)
+    psi = _glorot(rng, dims_z[-1] + dims_y[-1], dims_z[-1])
     head = None
     if n_classes is not None:
         if n_classes < 2:
@@ -534,15 +526,11 @@ def forward(
         agg_z = ops.s_v @ state.z[k]
         if ops.b_v is not None:
             agg_z = agg_z + ops.b_v @ state.y[k]
-        z_next, dz = activate(
-            variant.sigma_v, agg_z @ params.w[k], rng, training, variant.rrelu_range
-        )
+        z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training)
         agg_y = ops.s_e @ state.y[k]
         if ops.b_e is not None:
             agg_y = agg_y + ops.b_e @ z_next
-        y_next, dy = activate(
-            variant.sigma_e, agg_y @ params.w_e[k], rng, training, variant.rrelu_range
-        )
+        y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
         state.z.append(z_next)
         state.y.append(y_next)
         state.agg_z.append(agg_z)
@@ -567,7 +555,7 @@ def dependent_embeddings(
         raise DataError(
             f"concatenated width {cat.shape[1]} does not match psi input dim {params.psi.shape[0]}"
         )
-    value, _ = activate(variant.sigma_v, cat @ params.psi, rrelu_range=variant.rrelu_range)
+    value, _ = activate(variant.sigma_v, cat @ params.psi)
     return value
 
 
@@ -612,14 +600,19 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise DataError(f"checkpoint {path} does not exist")
     except (OSError, ValueError) as exc:
         raise DataError(f"checkpoint {path} is not a readable archive ({exc})")
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise DataError(f"checkpoint {path} is a single array, not an .npz archive")
     with blob:
-        version = int(blob["format_version"])
-        if version != 1:
-            raise DataError(f"unsupported checkpoint version {version}")
-        layers = int(blob["layer_count"])
-        w = [blob[f"w_{k}"] for k in range(layers)]
-        w_e = [blob[f"we_{k}"] for k in range(layers)]
-        psi = blob["psi"]
-        head = blob["head"] if "head" in blob.files else None
-        meta = json.loads(bytes(blob["meta_json"]).decode("utf-8"))
+        try:
+            version = int(blob["format_version"])
+            if version != 1:
+                raise DataError(f"unsupported checkpoint version {version}")
+            layers = int(blob["layer_count"])
+            w = [blob[f"w_{k}"] for k in range(layers)]
+            w_e = [blob[f"we_{k}"] for k in range(layers)]
+            psi = blob["psi"]
+            head = blob["head"] if "head" in blob.files else None
+            meta = json.loads(bytes(blob["meta_json"]).decode("utf-8"))
+        except KeyError as exc:
+            raise DataError(f"checkpoint {path} is not a hyperemb checkpoint: {exc.args[0]}")
     return ModelParams(w=w, w_e=w_e, psi=psi, head=head), meta

@@ -36,6 +36,8 @@ from .model import (
 SCORE_FNS = ("mean-pairwise", "max-min")
 OPTIMIZERS = ("adam", "sgd")
 TASKS = ("hyperedge-pred", "node-class")
+# Adam's moment decay rates and denominator guard, as Kingma & Ba (ICLR 2015) set them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -289,25 +291,24 @@ def build_labeled_set(
     rng: RngLike = 0,
     positives: Optional[Sequence[Sequence[int]]] = None,
     forbid: Optional[Iterable[Iterable[int]]] = None,
-    min_size: int = 2,
 ) -> LabeledHyperedgeSet:
     """Label the (filtered) positives 1 and an equal count of forged negatives 0.
 
-    Positives smaller than ``min_size`` are dropped with a warning —
-    pairwise scores are undefined on singletons.  A kept positive that
-    lists a node twice is rejected by the sampler.
+    Singleton positives are dropped with a warning — pairwise scores are
+    undefined on them.  A kept positive that lists a node twice is
+    rejected by the sampler.
     """
     rng = as_rng(rng)
     pos = [tuple(sorted(e)) for e in positives] if positives is not None else g.edges.tuples()
-    kept = [e for e in pos if len(e) >= min_size]
+    kept = [e for e in pos if len(e) >= 2]
     if len(kept) < len(pos):
         warnings.warn(
-            f"dropped {len(pos) - len(kept)} hyperedge(s) smaller than {min_size}",
+            f"dropped {len(pos) - len(kept)} hyperedge(s) smaller than 2",
             HypergraphWarning,
             stacklevel=2,
         )
     if not kept:
-        raise DataError(f"no hyperedges of size >= {min_size} to label")
+        raise DataError("no hyperedges of size >= 2 to label")
     negatives = sample_negatives(
         g, len(kept), alpha, rng, source_edges=kept, forbid=forbid
     )
@@ -357,33 +358,6 @@ def node_ce_loss(logits, labels, mask) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-@dataclass
-class ParamGrads:
-    """Gradient holder mirroring ModelParams' shapes."""
-
-    w: list[np.ndarray]
-    w_e: list[np.ndarray]
-    psi: np.ndarray
-    head: Optional[np.ndarray] = None
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [(f"w_{k}", a) for k, a in enumerate(self.w)]
-        out += [(f"we_{k}", a) for k, a in enumerate(self.w_e)]
-        out.append(("psi", self.psi))
-        if self.head is not None:
-            out.append(("head", self.head))
-        return out
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ParamGrads":
-        return cls(
-            w=[np.zeros_like(a) for a in params.w],
-            w_e=[np.zeros_like(a) for a in params.w_e],
-            psi=np.zeros_like(params.psi),
-            head=None if params.head is None else np.zeros_like(params.head),
-        )
-
-
 def backward(
     state: EmbeddingState,
     ops: PropagationOperators,
@@ -393,8 +367,8 @@ def backward(
     d_y_final: Optional[np.ndarray] = None,
     d_psi: Optional[np.ndarray] = None,
     d_head: Optional[np.ndarray] = None,
-) -> ParamGrads:
-    """Reverse-mode gradients for every weight matrix.
+) -> ModelParams:
+    """Reverse-mode gradients for every weight matrix, held in a ``ModelParams``.
 
     Walks the layers backwards, undoing the Y update before the Z update
     of the same layer; for the base variant the Y update's B_e Z(k+1)
@@ -404,7 +378,7 @@ def backward(
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
-    grads = ParamGrads.zeros_like(params)
+    grads = params.zeros_like()
     if d_psi is not None:
         grads.psi = np.asarray(d_psi, dtype=np.float64)
     if d_head is not None:
@@ -458,11 +432,8 @@ def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
 def optimizer_step(
     opt: OptimizerState,
     params: ModelParams,
-    grads: ParamGrads,
+    grads: ModelParams,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """In-place parameter update; lr=0 is an exact no-op on the weights."""
     named_grads = dict(grads.named_arrays())
@@ -473,11 +444,11 @@ def optimizer_step(
     opt.t += 1
     for name, a in params.named_arrays():
         g = named_grads[name]
-        opt.m[name] = beta1 * opt.m[name] + (1.0 - beta1) * g
-        opt.v[name] = beta2 * opt.v[name] + (1.0 - beta2) * g * g
-        m_hat = opt.m[name] / (1.0 - beta1**opt.t)
-        v_hat = opt.v[name] / (1.0 - beta2**opt.t)
-        a -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
+        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = opt.m[name] / (1.0 - ADAM_BETA1**opt.t)
+        v_hat = opt.v[name] / (1.0 - ADAM_BETA2**opt.t)
+        a -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _score_examples(
@@ -502,7 +473,7 @@ def _score_examples(
     rows = z_final[pack.idx]
     means = pack.set_sums(rows) / pack.sizes[:, np.newaxis]
     cat = np.concatenate([rows, means[pack.owner]], axis=1)
-    x, deriv = activate(variant.sigma_v, cat @ params.psi, rng, training, variant.rrelu_range)
+    x, deriv = activate(variant.sigma_v, cat @ params.psi, rng, training)
     scores, backprop = _score_rows(x, np.arange(len(x)), pack, cfg.score_fn, cfg.normalize)
     return scores, {"backprop": backprop, "pack": pack, "cat": cat, "deriv": deriv}
 
@@ -545,15 +516,12 @@ class TrainState:
     final: Optional[EmbeddingState] = None
 
 
-def input_features(
-    g: Hypergraph, rank: int, rng: RngLike, z0=None, y0=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Given inputs as float64, else the rank-clamped SVD bootstrap for Z(0) and the
-    degree-normalized aggregate of Z(0) for Y(0)."""
+def input_features(g: Hypergraph, rank: int, rng: RngLike, z0=None) -> tuple[np.ndarray, np.ndarray]:
+    """Z(0): the given node features, checked, else the rank-clamped SVD bootstrap;
+    Y(0): the degree-normalized aggregate of Z(0)."""
     rank = max(1, min(rank, g.num_nodes))
-    z0 = init_node_features(g, rank, rng=rng) if z0 is None else np.asarray(z0, dtype=np.float64)
-    y0 = init_hyperedge_features(g, z0, rank, rng=rng) if y0 is None else np.asarray(y0, dtype=np.float64)
-    return z0, y0
+    z0 = init_node_features(g, rank, given=z0, rng=rng)
+    return z0, init_hyperedge_features(g, z0, rank, rng=rng)
 
 
 def train(
@@ -563,7 +531,6 @@ def train(
     data=None,
     eval_data=None,
     z0=None,
-    y0=None,
 ) -> TrainState:
     """Full-batch training for hyperedge prediction or node classification.
 
@@ -580,7 +547,7 @@ def train(
     variant = cfg.variant
     rng = np.random.default_rng(cfg.seed)
 
-    z0, y0 = input_features(g, cfg.feature_rank, rng, z0, y0)
+    z0, y0 = input_features(g, cfg.feature_rank, rng, z0)
 
     n_classes = None
     labels = mask = metric_mask = None

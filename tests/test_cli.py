@@ -372,6 +372,64 @@ class TestEvalCommand:
                      "--data", str(data)])
         assert code == 2
 
+    def test_meta_with_rrelu_range_still_loads(self, tmp_path, capsys):
+        # checkpoints from when the rrelu slope range was a variant field carry it in their meta
+        data = make_dataset(tmp_path / "ds")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), "--sigma-v", "rrelu", *FAST]) == 0
+        ckpt = out / "model.npz"
+        params, meta = load_checkpoint(ckpt)
+        assert "rrelu_lo" not in meta and "rrelu_hi" not in meta
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--feature-rank", "4"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        fresh = json.loads(capsys.readouterr().out)
+        save_checkpoint(ckpt, params, {**meta, "rrelu_lo": 1 / 8, "rrelu_hi": 1 / 3})
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == fresh
+
+
+def _write_features(text):
+    return lambda data: (data / "features.tsv").write_text(text)
+
+
+def _write_split(index):
+    def write(data):
+        (data / "splits").mkdir()
+        (data / "splits" / "split_00.json").write_text(json.dumps({"train": [0, index], "test": [1]}))
+    return write
+
+
+def _write_npy_as_npz(data):
+    with (data / "other.npz").open("wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+TRAIN_NODE_CLASS = ["train", "--task", "node-class", "--out", "{out}", *FAST]
+EVAL = ["eval", "--checkpoint", "{ckpt}"]
+BAD_FILES = [
+    pytest.param(_write_features("0.5\n" * 7 + "nan\n"), TRAIN_NODE_CLASS,
+                 "features.tsv:8: non-finite feature value", id="nan-feature"),
+    pytest.param(_write_features("inf\n" + "0.5\n" * 7), TRAIN_NODE_CLASS,
+                 "features.tsv:1: non-finite feature value", id="inf-feature"),
+    pytest.param(_write_split(9), TRAIN_NODE_CLASS,
+                 "split_00.json: train index 9 outside [0, 8)", id="split-index-past-end"),
+    pytest.param(_write_split(-1), TRAIN_NODE_CLASS,
+                 "split_00.json: train index -1 outside [0, 8)", id="negative-split-index"),
+    pytest.param(lambda data: np.savez(data / "other.npz", weights=np.zeros(3)),
+                 EVAL, "other.npz is not a hyperemb checkpoint", id="foreign-npz"),
+    pytest.param(_write_npy_as_npz, EVAL, "other.npz is a single array", id="npy-array"),
+]
+
+
+@pytest.mark.parametrize("write, command, message", BAD_FILES)
+def test_bad_input_file_exits_two_naming_it(tmp_path, capsys, write, command, message):
+    data = make_dataset(tmp_path / "ds")
+    write(data)
+    argv = [arg.format(out=tmp_path / "run", ckpt=data / "other.npz") for arg in command]
+    assert main([*argv, "--data", str(data)]) == 2
+    assert message in capsys.readouterr().err
+
 
 class TestConvertCommand:
     def test_pickle_to_text_layout(self, tmp_path, capsys):

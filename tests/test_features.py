@@ -165,11 +165,6 @@ class TestInitHyperedgeFeatures:
         ])
         assert_allclose(y, expected, atol=1e-12)
 
-    def test_passthrough_exact(self, triangle, rng):
-        given = rng.standard_normal((3, 4))
-        out = init_hyperedge_features(triangle, np.ones((3, 1)), 2, given=given)
-        assert_allclose(out, given)
-
     def test_svd_mode(self, triangle):
         y = init_hyperedge_features(triangle, np.ones((3, 1)), 2, mode="svd", rng=3)
         assert y.shape == (3, 2)
@@ -179,8 +174,6 @@ class TestInitHyperedgeFeatures:
         with pytest.raises(ConfigError, match="mode"):
             init_hyperedge_features(triangle, np.ones((3, 1)), 2, mode="bogus")
 
-    def test_shape_mismatch_rejected(self, triangle, rng):
+    def test_shape_mismatch_rejected(self, triangle):
         with pytest.raises(DataError):
             init_hyperedge_features(triangle, np.ones((4, 1)), 2)
-        with pytest.raises(DataError):
-            init_hyperedge_features(triangle, np.ones((3, 1)), 2, given=rng.standard_normal((2, 2)))

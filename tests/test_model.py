@@ -49,10 +49,6 @@ class TestVariantKind:
         with pytest.raises(ConfigError, match="activation"):
             VariantKind(sigma_v="relu6")
 
-    def test_bad_rrelu_range(self):
-        with pytest.raises(ConfigError, match="rrelu"):
-            VariantKind(rrelu_range=(0.5, 0.2))
-
 
 class TestActivations:
     def test_values_match_oracle(self, rng):

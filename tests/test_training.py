@@ -27,7 +27,7 @@ from hyperemb import (
     train,
 )
 from hyperemb import model
-from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
+from hyperemb.model import ACTIVATION_TAGS, RRELU_RANGE, VARIANT_TAGS
 from hyperemb.training import (
     LabeledHyperedgeSet,
     _distribute_score_grads,
@@ -330,7 +330,7 @@ class TestBatchedScoringAgainstOracles:
         cfg = TrainConfig(variant=variant, score_mode="dependent")
         scores, _ = _score_examples(z, sets, cfg, params, variant, np.random.default_rng(6), training=True)
         draws = np.random.default_rng(6)
-        lo, hi = variant.rrelu_range
+        lo, hi = RRELU_RANGE
         for t, members in enumerate(sets):
             rows = z[list(members)]
             pre = np.concatenate([rows, np.tile(rows.mean(axis=0), (len(members), 1))], axis=1) @ params.psi
@@ -614,9 +614,7 @@ class TestOptimizers:
         )
 
     def _grads(self, params, scale=1.0):
-        from hyperemb.training import ParamGrads
-
-        g = ParamGrads.zeros_like(params)
+        g = params.zeros_like()
         rng = np.random.default_rng(99)
         for _, arr in g.named_arrays():
             arr += scale * rng.standard_normal(arr.shape)
