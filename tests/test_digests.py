@@ -5,9 +5,10 @@ Structural outputs are compared exactly: H, the hyperedge and link splits, the
 forged negatives with the generator state after them, and each variant's
 operator sparsity patterns, on a covered graph and on one with isolated nodes.
 Float outputs are compared at rtol 1e-12: operator values, the SVD features, a
-3-epoch log plus final Z/Y for both tasks, and the same for ``base`` on the
-isolated-node graph.  The tolerance is there because OpenBLAS picks its GEMM
-kernels per CPU, so the last bits of a product can differ between machines.
+3-epoch log plus final Z/Y for both tasks, the same for ``base`` on the
+isolated-node graph, and the per-trial AUC and saved weights of a 2-trial
+``run_trials`` of each task.  The tolerance is there because OpenBLAS picks its
+GEMM kernels per CPU, so the last bits of a product can differ between machines.
 
 A change that alters seeded output on purpose regenerates the reference file
 with the command below and lists every changed entry in CHANGES.md:
@@ -17,6 +18,7 @@ with the command below and lists every changed entry in CHANGES.md:
 
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hyperemb import (
+    Dataset,
     TrainConfig,
     VariantKind,
     build_hypergraph,
@@ -32,10 +35,12 @@ from hyperemb import (
     build_operators,
     init_hyperedge_features,
     init_node_features,
+    load_checkpoint,
     split_hyperedges,
     split_links,
     train,
 )
+from hyperemb.cli import run_trials
 
 REFERENCE = Path(__file__).with_name("digests.json")
 VARIANTS = ("base", "p2", "plusplus", "wt", "h2")
@@ -129,6 +134,18 @@ def collect():
     floats["node_class.log"] = [list(row) for row in state.log]
     floats["node_class.z_final"] = state.final.z_final.tolist()
     floats["node_class.y_final"] = state.final.y_final.tolist()
+
+    # the CLI protocol: per-trial splits and seeds, held-out scoring, the checkpoint write
+    seeded_labels = np.random.default_rng(6).integers(0, 3, g.num_nodes)
+    for task, tag, labels in (("hyperedge-pred", "base", None), ("node-class", "p2", seeded_labels)):
+        prefix = f"run_trials.{task.replace('-', '_')}"
+        cfg = TrainConfig(variant=VariantKind(tag=tag), epochs=3, feature_rank=4, seed=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            report = run_trials(Dataset(graph=g, labels=labels), cfg, task, 2, out_dir=Path(tmp))
+            params, _ = load_checkpoint(Path(tmp) / "model.npz")
+        floats[f"{prefix}.auc"] = report.per_trial["auc"]
+        for name, array in params.named_arrays():
+            floats[f"{prefix}.{name}"] = array.tolist()
     return exact, floats
 
 
