@@ -71,6 +71,8 @@ CONFIG_KEYS = {
     "feature_rank": int,
     "width": int,
 }
+# the checkpoint meta that rebuilds a model's embeddings; every checkpoint version has it
+MODEL_META = ("variant", "sigma_v", "sigma_e", "feature_rank")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,12 +125,18 @@ def build_train_config(args) -> TrainConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
+    return config_from(merged)
+
+
+def config_from(values: dict) -> TrainConfig:
+    """The TrainConfig of typed CONFIG_KEYS values; absent keys keep their defaults."""
+    values = dict(values)
     variant = VariantKind(
-        tag=merged.pop("variant", "base"),
-        sigma_v=merged.pop("sigma_v", "tanh"),
-        sigma_e=merged.pop("sigma_e", "tanh"),
+        tag=values.pop("variant", "base"),
+        sigma_v=values.pop("sigma_v", "tanh"),
+        sigma_e=values.pop("sigma_e", "tanh"),
     )
-    return TrainConfig(variant=variant, **merged)
+    return TrainConfig(variant=variant, **values)
 
 
 def _feature_meta(features: Optional[np.ndarray], cfg: TrainConfig, mode: str) -> dict:
@@ -172,21 +180,21 @@ def _write_epoch_log(path, log, wall_ms) -> Path:
     return path
 
 
-def _checkpoint_meta(cfg: TrainConfig, task: str, seed: int, feat_meta: dict) -> dict:
-    return {
-        "task": task,
-        "variant": cfg.variant.tag,
-        "sigma_v": cfg.variant.sigma_v,
-        "sigma_e": cfg.variant.sigma_e,
-        "layers": cfg.layers,
-        "seed": seed,
-        "score_fn": cfg.score_fn,
-        "score_mode": cfg.score_mode,
-        "normalize": cfg.normalize,
-        "feature_rank": cfg.feature_rank,
-        "width": cfg.width,
-        **feat_meta,
-    }
+def _checkpoint_meta(cfg: TrainConfig, task: str, trial: int, trials: int, feat_meta: dict) -> dict:
+    """The run's resolved config under its CONFIG_KEYS names, plus the task, the
+    saved trial's index, the trial count and the feature source."""
+    config = {"variant": cfg.variant.tag, "sigma_v": cfg.variant.sigma_v, "sigma_e": cfg.variant.sigma_e}
+    config.update((key, getattr(cfg, key)) for key in CONFIG_KEYS if key not in config)
+    return {**config, "task": task, "trial": trial, "trials": trials, **feat_meta}
+
+
+def _load_checkpoint(path, keys=MODEL_META):
+    """A checkpoint whose meta holds ``keys``; a missing one is a DataError naming it."""
+    params, meta = load_checkpoint(path)
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise DataError(f"checkpoint {path} has no {missing[0]!r} in its meta")
+    return params, meta
 
 
 def _checkpoint_state(g, features, params, meta: dict, seed: int):
@@ -194,10 +202,47 @@ def _checkpoint_state(g, features, params, meta: dict, seed: int):
     from the checkpoint's feature source and ``seed`` seeding the SVD bootstrap.
     Meta keys other checkpoint versions wrote, such as ``rrelu_lo``/``rrelu_hi``,
     are ignored."""
-    variant = VariantKind(tag=meta["variant"], sigma_v=meta["sigma_v"], sigma_e=meta["sigma_e"])
+    cfg = config_from({key: meta[key] for key in MODEL_META})
     z0 = _given_features(features, meta)
-    z0, y0 = input_features(g, int(meta.get("feature_rank", 32)), np.random.default_rng(seed), z0)
-    return variant, forward(build_operators(g, variant), params, z0, y0, variant, training=False)
+    z0, y0 = input_features(g, cfg.feature_rank, np.random.default_rng(seed), z0)
+    return cfg.variant, forward(build_operators(g, cfg.variant), params, z0, y0, cfg.variant, training=False)
+
+
+def _node_splits(ds: Dataset, cfg: TrainConfig, trials: int) -> list:
+    """The dataset's node splits, else ``trials`` seeded ones."""
+    if ds.labels is None:
+        raise DataError("node classification needs labels.tsv")
+    if ds.splits:
+        return ds.splits
+    splits = generate_node_splits(ds.labels, count=trials, rng=cfg.seed)
+    print(f"no provided splits; generated {len(splits)} seeded splits", file=sys.stderr)
+    return splits
+
+
+def _trial_data(ds: Dataset, cfg: TrainConfig, task: str, t: int, splits):
+    """Trial ``t``'s (train graph, training data, held-out data).
+
+    Hyperedge prediction splits the hyperedges and builds both labeled sets
+    from one generator seeded ``cfg.seed + t``.  Node classification trains on
+    the whole graph with the trial's node split, cycled, as masks.
+    """
+    if task == "hyperedge-pred":
+        rng = np.random.default_rng(cfg.seed + t)
+        train_g, held = split_hyperedges(ds.graph, cfg.split_fraction, rng)
+        train_set = build_labeled_set(train_g, cfg.alpha, rng, forbid=held)
+        eval_set = build_labeled_set(train_g, cfg.alpha, rng, positives=held, forbid=held)
+        return train_g, train_set, eval_set
+    nodes = np.arange(ds.graph.num_nodes)
+    train_mask, test_mask = (np.isin(nodes, idx) for idx in splits[t % len(splits)])
+    return ds.graph, (ds.labels, train_mask), test_mask
+
+
+def _heldout_auc(task: str, z_final, params, cfg: TrainConfig, data, held) -> float:
+    """Held-out AUC of a trial's final embeddings on its ``_trial_data``."""
+    if task == "hyperedge-pred":
+        return auc(score_sets(z_final, held.pack, cfg, params, cfg.variant), held.labels)
+    probs = softmax(z_final @ params.head, axis=1)
+    return multiclass_auc(probs, data[0], held)
 
 
 def run_trials(
@@ -208,7 +253,7 @@ def run_trials(
     features_mode: str = "auto",
     out_dir: Optional[Path] = None,
 ) -> EvalReport:
-    """The multi-trial protocol shared by train and sweep.
+    """The multi-trial protocol shared by train and sweep; eval replays one trial.
 
     Hyperedge prediction: per trial, split hyperedges, train on the
     train side, report AUC on held-out positives vs freshly sampled
@@ -219,55 +264,20 @@ def run_trials(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     feat_meta = _feature_meta(ds.features, cfg, features_mode)
     z0_shared = _given_features(ds.features, feat_meta)
-    g = ds.graph
+    splits = _node_splits(ds, cfg, trials) if task == "node-class" else None
     seeds = [cfg.seed + t for t in range(trials)]
     values: list[float] = []
-    last_state = None
-    last_seed = cfg.seed
-
-    if task == "node-class":
-        if ds.labels is None:
-            raise DataError("node classification needs labels.tsv")
-        splits = ds.splits
-        if not splits:
-            splits = generate_node_splits(ds.labels, count=trials, rng=cfg.seed)
-            print(f"no provided splits; generated {len(splits)} seeded splits", file=sys.stderr)
-
     for t, seed in enumerate(seeds):
         cfg_t = replace(cfg, seed=seed)
-        if task == "hyperedge-pred":
-            rng = np.random.default_rng(seed)
-            train_g, held = split_hyperedges(g, cfg.split_fraction, rng)
-            train_set = build_labeled_set(train_g, cfg.alpha, rng, forbid=held)
-            eval_set = build_labeled_set(
-                train_g, cfg.alpha, rng, positives=held, forbid=held
-            )
-            state = train(
-                train_g, cfg_t, task, data=train_set, eval_data=eval_set, z0=z0_shared
-            )
-            scores = score_sets(
-                state.final.z_final, eval_set.pack, cfg_t, state.params, cfg.variant
-            )
-            values.append(auc(scores, eval_set.labels))
-        else:
-            train_idx, test_idx = splits[t % len(splits)]
-            train_mask = np.zeros(g.num_nodes, dtype=bool)
-            train_mask[train_idx] = True
-            test_mask = np.zeros(g.num_nodes, dtype=bool)
-            test_mask[test_idx] = True
-            state = train(
-                g, cfg_t, task, data=(ds.labels, train_mask), eval_data=test_mask,
-                z0=z0_shared,
-            )
-            probs = softmax(state.final.z_final @ state.params.head, axis=1)
-            values.append(multiclass_auc(probs, ds.labels, test_mask))
-        last_state, last_seed = state, seed
+        train_g, data, held = _trial_data(ds, cfg, task, t, splits)
+        state = train(train_g, cfg_t, task, data=data, eval_data=held, z0=z0_shared)
+        values.append(_heldout_auc(task, state.final.z_final, state.params, cfg_t, data, held))
         if out_dir is not None:
             _write_epoch_log(out_dir / f"trial_{t:02d}.csv", state.log, state.wall_ms)
-
-    if out_dir is not None and last_state is not None:
-        meta = _checkpoint_meta(cfg, task, last_seed, feat_meta)
-        save_checkpoint(unique_path(out_dir / "model.npz"), last_state.params, meta)
+            if t == trials - 1:
+                meta = _checkpoint_meta(cfg, task, t, trials, feat_meta)
+                save_checkpoint(unique_path(out_dir / "model.npz"), state.params, meta)
+        del state  # its final embeddings hold Z(0) and every layer; free them before the next trial
     return EvalReport(task=task, seeds=seeds, per_trial={"auc": values})
 
 
@@ -376,8 +386,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_embed(args) -> int:
     ds = load_dataset(args.data)
-    params, meta = load_checkpoint(args.checkpoint)
-    variant, state = _checkpoint_state(ds.graph, ds.features, params, meta, meta["seed"])
+    params, meta = _load_checkpoint(args.checkpoint, (*MODEL_META, "seed"))
+    seed = meta["seed"] + meta.get("trial", 0)
+    variant, state = _checkpoint_state(ds.graph, ds.features, params, meta, seed)
     g = ds.graph
     if args.nodes.strip().lower() == "all":
         nodes = list(range(g.num_nodes))
@@ -421,7 +432,7 @@ def cmd_recommend(args) -> int:
 
     checkpoint_params = checkpoint_meta = None
     if args.checkpoint:
-        checkpoint_params, checkpoint_meta = load_checkpoint(args.checkpoint)
+        checkpoint_params, checkpoint_meta = _load_checkpoint(args.checkpoint)
 
     per_ranker: dict[str, dict[str, list[float]]] = {}
     seeds = [cfg.seed + t for t in range(args.trials)]
@@ -467,28 +478,15 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = build_train_config(args)
+    """Replay the checkpoint's own trial: its split and seed, its config, its held-out AUC."""
     ds = load_dataset(args.data)
-    params, meta = load_checkpoint(args.checkpoint)
-    variant, state = _checkpoint_state(ds.graph, ds.features, params, meta, meta["seed"])
-    if args.task == "hyperedge-pred":
-        labeled = build_labeled_set(ds.graph, cfg.alpha, np.random.default_rng(cfg.seed))
-        scores = score_sets(state.z_final, labeled.pack, cfg, params, variant)
-        value = auc(scores, labeled.labels)
-    else:
-        if ds.labels is None or params.head is None:
-            raise DataError("node classification eval needs labels and a classifier head")
-        if ds.splits:
-            masks = []
-            for _, test_idx in ds.splits:
-                mask = np.zeros(ds.graph.num_nodes, dtype=bool)
-                mask[test_idx] = True
-                masks.append(mask)
-        else:
-            masks = [ds.labels >= 0]
-        probs = softmax(state.z_final @ params.head, axis=1)
-        value = float(np.mean([multiclass_auc(probs, ds.labels, m) for m in masks]))
-    print(json.dumps({"task": args.task, "auc": value}))
+    params, meta = _load_checkpoint(args.checkpoint, ("task", "trial", "trials", *CONFIG_KEYS))
+    cfg = config_from({key: meta[key] for key in CONFIG_KEYS})
+    task, trial = meta["task"], meta["trial"]
+    splits = _node_splits(ds, cfg, meta["trials"]) if task == "node-class" else None
+    train_g, data, held = _trial_data(ds, cfg, task, trial, splits)
+    _, state = _checkpoint_state(train_g, ds.features, params, meta, cfg.seed + trial)
+    print(json.dumps({"task": task, "auc": _heldout_auc(task, state.z_final, params, cfg, data, held)}))
     return 0
 
 
@@ -565,11 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("eval", help="metrics for an existing checkpoint")
+    p = sub.add_parser("eval", help="replay a checkpoint's trial and print its held-out AUC")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--task", choices=("hyperedge-pred", "node-class"), default="hyperedge-pred")
-    _add_train_flags(p)
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -504,15 +504,9 @@ class TrainState:
     """Everything a finished (or halted) run carries."""
 
     params: ModelParams
-    optimizer: OptimizerState
-    epoch: int
-    log: list[tuple[float, float]]
-    wall_ms: list[float]
-    rng: np.random.Generator
-    ops: PropagationOperators
-    z0: np.ndarray
-    y0: np.ndarray
-    variant: VariantKind
+    epoch: int = 0
+    log: list[tuple[float, float]] = field(default_factory=list)
+    wall_ms: list[float] = field(default_factory=list)
     final: Optional[EmbeddingState] = None
 
 
@@ -571,18 +565,7 @@ def train(
     params = init_params(dims_z, dims_y, variant, rng=rng, n_classes=n_classes)
     ops = build_operators(g, variant)
     opt = init_optimizer(cfg.optimizer, params)
-    state = TrainState(
-        params=params,
-        optimizer=opt,
-        epoch=0,
-        log=[],
-        wall_ms=[],
-        rng=rng,
-        ops=ops,
-        z0=z0,
-        y0=y0,
-        variant=variant,
-    )
+    state = TrainState(params)
 
     for epoch in range(cfg.epochs):
         t_start = time.perf_counter()

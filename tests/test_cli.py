@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyperemb import (
+    ConfigError,
     VariantKind,
     build_hypergraph,
     build_operators,
@@ -53,6 +56,11 @@ def shrink_feature_rank(ckpt):
 
 
 FAST = ["--epochs", "5", "--feature-rank", "4", "--lr", "0.05"]
+
+# the meta a checkpoint carried before eval replayed its trial
+OLD_META = {"task": "hyperedge-pred", "variant": "base", "sigma_v": "tanh", "sigma_e": "tanh",
+            "layers": 1, "seed": 0, "score_fn": "mean-pairwise", "score_mode": "plain",
+            "normalize": True, "feature_rank": 4, "width": None, "feature_source": "svd"}
 
 
 class TestTrainCommand:
@@ -262,6 +270,16 @@ class TestEmbedCommand:
         assert {r[0] for r in rows} == {"0", "4"}
         assert len([r for r in rows if r[0] == "0"]) == 3  # node 0 sits in 3 edges
 
+    def test_checkpoint_from_before_trial_replay_still_embeds(self, tmp_path):
+        data, ckpt = self.trained(tmp_path)
+        assert main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "new.tsv")]) == 0
+        params, meta = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, params, {key: meta[key] for key in OLD_META})
+        assert main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "old.tsv")]) == 0
+        assert (tmp_path / "old.tsv").read_text() == (tmp_path / "new.tsv").read_text()
+
     def test_bad_node_list_exits_one(self, tmp_path, capsys):
         data, ckpt = self.trained(tmp_path)
         code = main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
@@ -349,8 +367,7 @@ class TestEvalCommand:
         out = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(out), *FAST]) == 0
         capsys.readouterr()
-        code = main(["eval", "--checkpoint", str(out / "model.npz"),
-                     "--data", str(data), "--feature-rank", "4"])
+        code = main(["eval", "--checkpoint", str(out / "model.npz"), "--data", str(data)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["task"] == "hyperedge-pred"
@@ -380,13 +397,45 @@ class TestEvalCommand:
         ckpt = out / "model.npz"
         params, meta = load_checkpoint(ckpt)
         assert "rrelu_lo" not in meta and "rrelu_hi" not in meta
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--feature-rank", "4"]
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data)]
         capsys.readouterr()
         assert main(argv) == 0
         fresh = json.loads(capsys.readouterr().out)
         save_checkpoint(ckpt, params, {**meta, "rrelu_lo": 1 / 8, "rrelu_hi": 1 / 3})
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == fresh
+
+
+def make_grouped_dataset(root, groups=4, size=10):
+    """Seeded hyperedges mostly inside node groups, the group as label, two provided splits."""
+    rng = np.random.default_rng(0)
+    n = groups * size
+    edges = [tuple(range(k, n, size)) for k in range(size)]  # one member of every group each
+    for _ in range(6 * groups):
+        group = int(rng.integers(groups))
+        edges.append(tuple(group * size + rng.choice(size, size=int(rng.integers(2, 5)), replace=False)))
+    g = build_hypergraph(edges, n)
+    labels = np.arange(n) // size
+    splits = []
+    for _ in range(2):
+        perm = rng.permutation(n)
+        splits.append((np.sort(perm[: n // 2]), np.sort(perm[n // 2:])))
+    write_dataset(root, g, labels=labels, splits=splits)
+    return root
+
+
+@pytest.mark.parametrize("task", ["hyperedge-pred", "node-class"])
+@pytest.mark.parametrize("scorer", [[], ["--score-fn", "max-min"]], ids=["default", "max-min"])
+def test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, scorer):
+    data = make_grouped_dataset(tmp_path / "ds")
+    run = tmp_path / "run"
+    assert main(["--seed", "3", "train", "--data", str(data), "--out", str(run), "--task", task,
+                 "--trials", "2", *FAST, *scorer]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "model.npz"), "--data", str(data)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    report = json.loads((run / "report.json").read_text())
+    assert printed == {"task": task, "auc": report["metrics"]["auc"]["values"][-1]}
 
 
 def _write_features(text):
@@ -405,8 +454,14 @@ def _write_npy_as_npz(data):
         np.save(fh, np.zeros(3))
 
 
+def _write_checkpoint_meta(meta):
+    params = model.init_params([4, 4], [4, 4], VariantKind(), rng=0)
+    return lambda data: save_checkpoint(data / "other.npz", params, meta)
+
+
 TRAIN_NODE_CLASS = ["train", "--task", "node-class", "--out", "{out}", *FAST]
 EVAL = ["eval", "--checkpoint", "{ckpt}"]
+EMBED = ["embed", "--checkpoint", "{ckpt}", "--out", "{out}"]
 BAD_FILES = [
     pytest.param(_write_features("0.5\n" * 7 + "nan\n"), TRAIN_NODE_CLASS,
                  "features.tsv:8: non-finite feature value", id="nan-feature"),
@@ -419,6 +474,12 @@ BAD_FILES = [
     pytest.param(lambda data: np.savez(data / "other.npz", weights=np.zeros(3)),
                  EVAL, "other.npz is not a hyperemb checkpoint", id="foreign-npz"),
     pytest.param(_write_npy_as_npz, EVAL, "other.npz is a single array", id="npy-array"),
+    pytest.param(_write_checkpoint_meta({}), EMBED, "other.npz has no 'variant' in its meta",
+                 id="empty-meta-embed"),
+    pytest.param(_write_checkpoint_meta({}), EVAL, "other.npz has no 'task' in its meta",
+                 id="empty-meta-eval"),
+    pytest.param(_write_checkpoint_meta(OLD_META), EVAL, "other.npz has no 'trial' in its meta",
+                 id="meta-without-trial"),
 ]
 
 
@@ -464,6 +525,23 @@ class TestConvertCommand:
 
 
 class TestParser:
+    def test_readme_command_lines_parse(self):
+        # a flag that is removed but still documented fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [
+            line.strip()
+            for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("hyperemb ")
+        ]
+        assert len(lines) >= 6
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except ConfigError as exc:
+                pytest.fail(f"README line {line!r} does not parse: {exc}")
+
     def test_no_command_is_config_error(self, capsys):
         assert main([]) == 1
         assert "config error" in capsys.readouterr().err
