@@ -38,6 +38,8 @@ from .evaluation import (
 )
 from .features import randomized_svd
 from .model import (
+    ACTIVATION_TAGS,
+    VARIANT_TAGS,
     VariantKind,
     build_operators,
     export_embedding_set,
@@ -46,6 +48,10 @@ from .model import (
     save_checkpoint,
 )
 from .training import (
+    OPTIMIZERS,
+    SCORE_FNS,
+    SCORE_MODES,
+    TASKS,
     TrainConfig,
     build_labeled_set,
     input_features,
@@ -260,6 +266,8 @@ def run_trials(
     negatives.  Node classification: per trial, use the trial's
     provided split (cycled) and report masked test AUC.
     """
+    if task not in TASKS:
+        raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     feat_meta = _feature_meta(ds.features, cfg, features_mode)
@@ -481,8 +489,10 @@ def cmd_eval(args) -> int:
     """Replay the checkpoint's own trial: its split and seed, its config, its held-out AUC."""
     ds = load_dataset(args.data)
     params, meta = _load_checkpoint(args.checkpoint, ("task", "trial", "trials", *CONFIG_KEYS))
-    cfg = config_from({key: meta[key] for key in CONFIG_KEYS})
     task, trial = meta["task"], meta["trial"]
+    if task not in TASKS:
+        raise DataError(f"checkpoint {args.checkpoint} has unknown task {task!r}; expected one of {TASKS}")
+    cfg = config_from({key: meta[key] for key in CONFIG_KEYS})
     splits = _node_splits(ds, cfg, meta["trials"]) if task == "node-class" else None
     train_g, data, held = _trial_data(ds, cfg, task, trial, splits)
     _, state = _checkpoint_state(train_g, ds.features, params, meta, cfg.seed + trial)
@@ -491,19 +501,17 @@ def cmd_eval(args) -> int:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variant", choices=("base", "p2", "plusplus", "wt", "h2"))
-    parser.add_argument("--sigma-v", dest="sigma_v",
-                        choices=("tanh", "leaky-relu", "gelu", "selu", "rrelu"))
-    parser.add_argument("--sigma-e", dest="sigma_e",
-                        choices=("tanh", "leaky-relu", "gelu", "selu", "rrelu"))
+    parser.add_argument("--variant", choices=VARIANT_TAGS)
+    parser.add_argument("--sigma-v", dest="sigma_v", choices=ACTIVATION_TAGS)
+    parser.add_argument("--sigma-e", dest="sigma_e", choices=ACTIVATION_TAGS)
     parser.add_argument("--layers", type=int)
     parser.add_argument("--lr", type=float)
     parser.add_argument("--epochs", type=int)
-    parser.add_argument("--optimizer", choices=("adam", "sgd"))
+    parser.add_argument("--optimizer", choices=OPTIMIZERS)
     parser.add_argument("--split-fraction", dest="split_fraction", type=float)
     parser.add_argument("--alpha", type=float)
-    parser.add_argument("--score-fn", dest="score_fn", choices=("mean-pairwise", "max-min"))
-    parser.add_argument("--score-mode", dest="score_mode", choices=("plain", "dependent"))
+    parser.add_argument("--score-fn", dest="score_fn", choices=SCORE_FNS)
+    parser.add_argument("--score-mode", dest="score_mode", choices=SCORE_MODES)
     parser.add_argument("--score-norm", dest="normalize", choices=("cosine", "dot"))
     parser.add_argument("--feature-rank", dest="feature_rank", type=int)
     parser.add_argument("--width", type=int)
@@ -529,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="multi-trial training with a held-out evaluation")
     p.add_argument("--data", required=True)
-    p.add_argument("--task", choices=("hyperedge-pred", "node-class"), default="hyperedge-pred")
+    p.add_argument("--task", choices=TASKS, default="hyperedge-pred")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_train_flags(p)
@@ -537,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep over config values")
     p.add_argument("--data", required=True)
-    p.add_argument("--task", choices=("hyperedge-pred", "node-class"), default="hyperedge-pred")
+    p.add_argument("--task", choices=TASKS, default="hyperedge-pred")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--vary", action="append", default=[],

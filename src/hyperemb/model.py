@@ -7,7 +7,9 @@ The base layer couples the two streams:
 
 where the Y update reads the freshly computed Z(k+1).  The four variants
 (p2, plusplus, wt, h2) swap in different propagation operators and drop
-the cross-stream B terms, so their streams evolve independently.  Every
+the cross-stream B terms, so their streams evolve independently.  No loss
+reads Y, so a decoupled variant's training-mode ``forward`` runs the Z
+stream alone; Y(L), which ``embed`` exports, comes from eval mode.  Every
 operator is an ``Operator``: a sum of products of the scaled incidence
 factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, built once per
 (graph, variant) and reused for every epoch.  ``build_operators`` decides
@@ -470,7 +472,9 @@ class EmbeddingState:
     z[k]/y[k] are the layer inputs and outputs (z[0] = input features);
     agg_z[k]/agg_y[k] are the pre-weight aggregates fed into W(k)/W_e(k);
     deriv_z[k]/deriv_y[k] are the activation derivatives at the layer-k
-    pre-activations (rrelu's sampled slopes live inside these).
+    pre-activations (rrelu's sampled slopes live inside these).  A decoupled
+    variant computes Y only in eval mode: its training pass leaves y = [Y(0)]
+    and agg_y/deriv_y empty, since Y never reaches Z or a loss.
     """
 
     z: list[np.ndarray]
@@ -490,6 +494,8 @@ class EmbeddingState:
 
     @property
     def y_final(self) -> np.ndarray:
+        if len(self.y) <= self.layers:
+            raise DataError("Y(L) was not computed: a decoupled variant's training pass skips the Y stream")
         return self.y[-1]
 
 
@@ -502,7 +508,11 @@ def forward(
     rng: RngLike = None,
     training: bool = False,
 ) -> EmbeddingState:
-    """Run all layers, caching everything the backward pass needs."""
+    """Run all layers, caching everything the backward pass needs.
+
+    In training mode a decoupled variant runs the Z stream alone (see
+    ``EmbeddingState``); every eval-mode pass computes Y too.
+    """
     z0 = np.asarray(z0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     if z0.ndim != 2 or z0.shape[0] != ops.num_nodes:
@@ -527,15 +537,17 @@ def forward(
         if ops.b_v is not None:
             agg_z = agg_z + ops.b_v @ state.y[k]
         z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training)
+        state.z.append(z_next)
+        state.agg_z.append(agg_z)
+        state.deriv_z.append(dz)
+        if training and not variant.coupled:
+            continue  # no loss reads a decoupled Y, so training skips its stream
         agg_y = ops.s_e @ state.y[k]
         if ops.b_e is not None:
             agg_y = agg_y + ops.b_e @ z_next
         y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
-        state.z.append(z_next)
         state.y.append(y_next)
-        state.agg_z.append(agg_z)
         state.agg_y.append(agg_y)
-        state.deriv_z.append(dz)
         state.deriv_y.append(dy)
     return state
 

@@ -34,6 +34,7 @@ from .model import (
 )
 
 SCORE_FNS = ("mean-pairwise", "max-min")
+SCORE_MODES = ("plain", "dependent")
 OPTIMIZERS = ("adam", "sgd")
 TASKS = ("hyperedge-pred", "node-class")
 # Adam's moment decay rates and denominator guard, as Kingma & Ba (ICLR 2015) set them
@@ -73,8 +74,8 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}")
         if self.score_fn not in SCORE_FNS:
             raise ConfigError(f"unknown score_fn {self.score_fn!r}; expected one of {SCORE_FNS}")
-        if self.score_mode not in ("plain", "dependent"):
-            raise ConfigError(f"unknown score_mode {self.score_mode!r}")
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"unknown score_mode {self.score_mode!r}; expected one of {SCORE_MODES}")
         if self.feature_rank < 1:
             raise ConfigError(f"feature_rank must be >= 1, got {self.feature_rank}")
 
@@ -372,7 +373,10 @@ def backward(
 
     Walks the layers backwards, undoing the Y update before the Z update
     of the same layer; for the base variant the Y update's B_e Z(k+1)
-    term feeds extra gradient back into Z(k+1).  psi/head gradients are
+    term feeds extra gradient back into Z(k+1).  A state without Y caches
+    (a decoupled variant's training pass) undoes the Z updates alone and
+    leaves the W_e gradients at zero; it rejects a ``d_y_final`` with a
+    DataError, since nothing could carry it.  psi/head gradients are
     computed by the scoring/classification heads and passed through so
     the result covers the full parameter set.
     """
@@ -387,24 +391,26 @@ def backward(
         grads.head = np.asarray(d_head, dtype=np.float64)
 
     dz = np.asarray(d_z_final, dtype=np.float64)
-    if d_y_final is not None:
-        dy = np.asarray(d_y_final, dtype=np.float64)
-    else:
-        dy = np.zeros_like(state.y[-1])
+    dy = None  # d(loss)/d Y(k+1), while the forward pass cached the Y stream
+    if state.agg_y:
+        dy = np.zeros_like(state.y[-1]) if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
+    elif d_y_final is not None:
+        raise DataError("forward caches hold no Y stream (a decoupled variant's training pass), "
+                        "so no gradient can flow through Y")
     for k in reversed(range(params.layers)):
-        gy = dy * state.deriv_y[k]
-        grads.w_e[k] = state.agg_y[k].T @ gy
-        dv = gy @ params.w_e[k].T
-        dy_prev = ops.s_e.T @ dv
-        if ops.b_e is not None:
-            dz = dz + ops.b_e.T @ dv
+        if dy is not None:
+            gy = dy * state.deriv_y[k]
+            grads.w_e[k] = state.agg_y[k].T @ gy
+            dv = gy @ params.w_e[k].T
+            dy = ops.s_e.T @ dv
+            if ops.b_e is not None:
+                dz = dz + ops.b_e.T @ dv
         gz = dz * state.deriv_z[k]
         grads.w[k] = state.agg_z[k].T @ gz
         du = gz @ params.w[k].T
-        dz_prev = ops.s_v.T @ du
+        dz = ops.s_v.T @ du
         if ops.b_v is not None:
-            dy_prev = dy_prev + ops.b_v.T @ du
-        dz, dy = dz_prev, dy_prev
+            dy = dy + ops.b_v.T @ du
     return grads
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -8,6 +9,7 @@ import pytest
 
 from hyperemb import (
     ConfigError,
+    TrainConfig,
     VariantKind,
     build_hypergraph,
     build_operators,
@@ -20,8 +22,10 @@ from hyperemb import (
     split_links,
     write_dataset,
 )
-from hyperemb import model
+from hyperemb import cli, model
 from hyperemb.cli import build_parser, build_train_config, main
+from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
+from hyperemb.training import OPTIMIZERS, SCORE_FNS, SCORE_MODES, TASKS
 from test_data import write_pickle_dataset
 
 CLUSTER_EDGES = [
@@ -480,6 +484,8 @@ BAD_FILES = [
                  id="empty-meta-eval"),
     pytest.param(_write_checkpoint_meta(OLD_META), EVAL, "other.npz has no 'trial' in its meta",
                  id="meta-without-trial"),
+    pytest.param(_write_checkpoint_meta(cli._checkpoint_meta(TrainConfig(), "regression", 0, 1, {})),
+                 EVAL, "other.npz has unknown task 'regression'", id="unknown-task-eval"),
 ]
 
 
@@ -490,6 +496,13 @@ def test_bad_input_file_exits_two_naming_it(tmp_path, capsys, write, command, me
     argv = [arg.format(out=tmp_path / "run", ckpt=data / "other.npz") for arg in command]
     assert main([*argv, "--data", str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_run_trials_rejects_unknown_task_before_splitting(tmp_path, monkeypatch):
+    ds = load_dataset(make_dataset(tmp_path / "ds"))
+    monkeypatch.setattr(cli, "_trial_data", lambda *args: pytest.fail("split before the task check"))
+    with pytest.raises(ConfigError, match="unknown task 'regression'"):
+        cli.run_trials(ds, TrainConfig(epochs=1), "regression", 1)
 
 
 class TestConvertCommand:
@@ -541,6 +554,17 @@ class TestParser:
                 parser.parse_args(shlex.split(line)[1:])
             except ConfigError as exc:
                 pytest.fail(f"README line {line!r} does not parse: {exc}")
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "recommend"])
+    def test_choices_are_the_library_constants(self, command):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices[command]._actions if a.choices is not None}
+        want = {"variant": VARIANT_TAGS, "sigma_v": ACTIVATION_TAGS, "sigma_e": ACTIVATION_TAGS,
+                "optimizer": OPTIMIZERS, "score_fn": SCORE_FNS, "score_mode": SCORE_MODES}
+        if command != "recommend":
+            want["task"] = TASKS
+        for dest, constant in want.items():
+            assert tuple(choices[dest]) == constant, dest
 
     def test_no_command_is_config_error(self, capsys):
         assert main([]) == 1

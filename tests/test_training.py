@@ -29,6 +29,7 @@ from hyperemb import (
 from hyperemb import model
 from hyperemb.model import ACTIVATION_TAGS, RRELU_RANGE, VARIANT_TAGS
 from hyperemb.training import (
+    TASKS,
     LabeledHyperedgeSet,
     _distribute_score_grads,
     _score_examples,
@@ -810,3 +811,65 @@ class TestTrain:
         assert one.log == two.log
         for got, want in zip(two.final.z + two.final.y, one.final.z + one.final.y):
             assert np.array_equal(got, want)
+
+
+DECOUPLED_TAGS = [tag for tag in VARIANT_TAGS if not VariantKind(tag=tag).coupled]
+
+
+class TestDecoupledTrainingSkipsY:
+    """A decoupled variant's training pass leaves out the Y stream, which neither loss reads."""
+
+    @pytest.mark.parametrize("tag", DECOUPLED_TAGS)
+    @pytest.mark.parametrize("act", [a for a in ACTIVATION_TAGS if a != "rrelu"])
+    def test_z_and_grads_match_the_full_y_stream(self, tag, act):
+        variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3)
+        skipped = forward(ops, params, z0, y0, variant, training=True)
+        # without rrelu, eval mode computes the same function with the Y stream run in full
+        full = forward(ops, params, z0, y0, variant)
+        assert len(skipped.y) == 1 and skipped.agg_y == [] and skipped.deriv_y == []
+        assert len(full.agg_y) == params.layers
+        assert np.array_equal(skipped.z_final, full.z_final)
+        # dependent scoring gives psi a gradient and the classifier gives head one
+        cfg = TrainConfig(variant=variant, score_mode="dependent")
+        scores, caches = _score_examples(
+            skipped.z_final, BCE_EXAMPLES, cfg, params, variant, None, training=True
+        )
+        _, d_scores = hyperedge_bce_loss(scores, BCE_LABELS)
+        d_z, d_psi = _distribute_score_grads(caches, d_scores, z0.shape, cfg, params)
+        labels, mask = np.array([0, 1, 2, 1, 0]), np.ones(GRAD_NODES, dtype=bool)
+        _, d_logits = node_ce_loss(skipped.z_final @ params.head, labels, mask)
+        d_z = d_z + d_logits @ params.head.T
+        upstream = dict(d_psi=d_psi, d_head=skipped.z_final.T @ d_logits)
+        got = backward(skipped, ops, params, variant, d_z, **upstream)
+        want = backward(full, ops, params, variant, d_z, **upstream)
+        for (name, g), (_, w) in zip(got.named_arrays(), want.named_arrays()):
+            assert np.array_equal(g, w), name
+        assert not any(g.any() for g in got.w_e)
+        assert np.abs(got.psi).max() > 0 and np.abs(got.head).max() > 0
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("tag", DECOUPLED_TAGS)
+    def test_sigma_e_changes_no_trained_float(self, tag, task):
+        # sigma_v = rrelu draws slopes after every Z update, so a Y activation that
+        # drew its own (sigma_e = rrelu) would shift every later Z
+        g = toy_clustered_graph()
+        data = (np.arange(8) // 4, np.arange(8) % 2 == 0) if task == "node-class" else None
+        runs = {
+            act: train(g, TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e=act),
+                                      epochs=3, feature_rank=4, seed=2), task=task, data=data)
+            for act in ACTIVATION_TAGS
+        }
+        first = runs[ACTIVATION_TAGS[0]]
+        for act, run in runs.items():
+            assert run.log == first.log, act
+            assert np.array_equal(run.final.z_final, first.final.z_final), act
+            for (name, a), (_, b) in zip(run.params.named_arrays(), first.params.named_arrays()):
+                assert np.array_equal(a, b), (act, name)
+
+    def test_gradient_with_nowhere_to_flow_rejected(self):
+        variant, ops, params, z0, y0 = _grad_setup("p2", "tanh")
+        st = forward(ops, params, z0, y0, variant, training=True)
+        with pytest.raises(DataError, match="no Y stream"):
+            backward(st, ops, params, variant, np.zeros_like(z0), d_y_final=np.ones_like(y0))
+        with pytest.raises(DataError, match=r"Y\(L\) was not computed"):
+            st.y_final
