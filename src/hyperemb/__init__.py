@@ -30,7 +30,6 @@ from .model import (
     VariantKind,
     build_operators,
     default_dims,
-    export_embedding_set,
     forward,
     init_params,
     load_checkpoint,
@@ -73,7 +72,7 @@ __all__ = [
     "init_hyperedge_features", "init_node_features", "randomized_svd",
     "svd_features",
     "EmbeddingState", "ModelParams", "PropagationOperators", "VariantKind",
-    "build_operators", "default_dims", "export_embedding_set", "forward",
+    "build_operators", "default_dims", "forward",
     "init_params", "load_checkpoint", "save_checkpoint",
     "LabeledHyperedgeSet", "TrainConfig", "TrainState", "backward",
     "build_labeled_set", "hyperedge_bce_loss", "node_ce_loss",

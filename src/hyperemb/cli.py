@@ -42,7 +42,6 @@ from .model import (
     VARIANT_TAGS,
     VariantKind,
     build_operators,
-    export_embedding_set,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -54,6 +53,7 @@ from .training import (
     TASKS,
     TrainConfig,
     build_labeled_set,
+    dependent_embeddings,
     input_features,
     score_sets,
     train,
@@ -79,6 +79,8 @@ CONFIG_KEYS = {
 }
 # the checkpoint meta that rebuilds a model's embeddings; every checkpoint version has it
 MODEL_META = ("variant", "sigma_v", "sigma_e", "feature_rank")
+# the checkpoint meta that replays the checkpoint's trial, for eval and embed
+REPLAY_META = ("task", "trial", "trials", *CONFIG_KEYS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,7 +212,7 @@ def _checkpoint_state(g, features, params, meta: dict, seed: int):
     are ignored."""
     cfg = config_from({key: meta[key] for key in MODEL_META})
     z0 = _given_features(features, meta)
-    z0, y0 = input_features(g, cfg.feature_rank, np.random.default_rng(seed), z0)
+    z0, y0 = input_features(g, cfg.variant, cfg.feature_rank, np.random.default_rng(seed), z0)
     return cfg.variant, forward(build_operators(g, cfg.variant), params, z0, y0, cfg.variant, training=False)
 
 
@@ -241,6 +243,17 @@ def _trial_data(ds: Dataset, cfg: TrainConfig, task: str, t: int, splits):
     nodes = np.arange(ds.graph.num_nodes)
     train_mask, test_mask = (np.isin(nodes, idx) for idx in splits[t % len(splits)])
     return ds.graph, (ds.labels, train_mask), test_mask
+
+
+def _replay(ds: Dataset, params, meta: dict):
+    """The checkpoint's own trial, replayed: (config, training data, held-out data,
+    eval-mode embeddings of the trial's train graph seeded ``seed + trial``)."""
+    task, trial = meta["task"], meta["trial"]
+    cfg = config_from({key: meta[key] for key in CONFIG_KEYS})
+    splits = _node_splits(ds, cfg, meta["trials"]) if task == "node-class" else None
+    train_g, data, held = _trial_data(ds, cfg, task, trial, splits)
+    _, state = _checkpoint_state(train_g, ds.features, params, meta, cfg.seed + trial)
+    return cfg, data, held, state
 
 
 def _heldout_auc(task: str, z_final, params, cfg: TrainConfig, data, held) -> float:
@@ -393,10 +406,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    """Write each listed node's hyperedge-dependent embeddings, one row per
+    (node, hyperedge) and hyperedges ascending, from the checkpoint's replayed trial."""
     ds = load_dataset(args.data)
-    params, meta = _load_checkpoint(args.checkpoint, (*MODEL_META, "seed"))
-    seed = meta["seed"] + meta.get("trial", 0)
-    variant, state = _checkpoint_state(ds.graph, ds.features, params, meta, seed)
+    params, meta = _load_checkpoint(args.checkpoint, REPLAY_META)
+    # psi makes the embeddings, and only dependent hyperedge scoring trains it
+    for key, trained in (("score_mode", "dependent"), ("task", "hyperedge-pred")):
+        if meta[key] != trained:
+            raise DataError(f"checkpoint {args.checkpoint} has {key} {meta[key]!r}, which leaves psi "
+                            f"untrained; embed needs a {key} {trained!r} checkpoint")
     g = ds.graph
     if args.nodes.strip().lower() == "all":
         nodes = list(range(g.num_nodes))
@@ -405,14 +423,21 @@ def cmd_embed(args) -> int:
             nodes = [int(tok) for tok in args.nodes.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"--nodes expects comma-separated ids or 'all', got {args.nodes!r}")
+    for node in nodes:
+        if not 0 <= node < g.num_nodes:
+            raise DataError(f"node {node} outside [0, {g.num_nodes})")
+    cfg, _, _, state = _replay(ds, params, meta)
+    rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, cfg.variant, None, training=False)
+    owner = g.edges.owner
+    by_node = np.lexsort((owner, g.edges.idx))  # flat rows by node, then hyperedge
+    starts = np.searchsorted(g.edges.idx[by_node], np.arange(g.num_nodes + 1))
     out_path = unique_path(Path(args.out))
     total = 0
     with out_path.open("w") as fh:
         fh.write("# node\thyperedge\t" + "\t".join(f"v{j}" for j in range(params.psi.shape[1])) + "\n")
         for node in nodes:
-            mat = export_embedding_set(g, state, params, node, variant)
-            for edge_id, row in zip(g.node_edges[node], mat):
-                fh.write(f"{node}\t{edge_id}\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+            for r in by_node[starts[node]:starts[node + 1]]:
+                fh.write(f"{node}\t{owner[r]}\t" + "\t".join(repr(float(v)) for v in rows[r]) + "\n")
                 total += 1
     print(f"wrote {total} embedding rows for {len(nodes)} node(s) to {out_path}")
     return 0
@@ -488,14 +513,11 @@ def cmd_recommend(args) -> int:
 def cmd_eval(args) -> int:
     """Replay the checkpoint's own trial: its split and seed, its config, its held-out AUC."""
     ds = load_dataset(args.data)
-    params, meta = _load_checkpoint(args.checkpoint, ("task", "trial", "trials", *CONFIG_KEYS))
-    task, trial = meta["task"], meta["trial"]
+    params, meta = _load_checkpoint(args.checkpoint, REPLAY_META)
+    task = meta["task"]
     if task not in TASKS:
         raise DataError(f"checkpoint {args.checkpoint} has unknown task {task!r}; expected one of {TASKS}")
-    cfg = config_from({key: meta[key] for key in CONFIG_KEYS})
-    splits = _node_splits(ds, cfg, meta["trials"]) if task == "node-class" else None
-    train_g, data, held = _trial_data(ds, cfg, task, trial, splits)
-    _, state = _checkpoint_state(train_g, ds.features, params, meta, cfg.seed + trial)
+    cfg, data, held, state = _replay(ds, params, meta)
     print(json.dumps({"task": task, "auc": _heldout_auc(task, state.z_final, params, cfg, data, held)}))
     return 0
 

@@ -2,8 +2,7 @@
 
 When a dataset ships no features, node features are the rank-``f``
 factorization of the co-membership matrix ``H H^T - D`` and hyperedge
-features are a degree-normalized aggregation of member-node features
-(or, selectably, the analogous factorization of ``H^T H - D_e``).
+features are a degree-normalized aggregation of member-node features.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DataError, HypergraphWarning
-from .hypergraph import Hypergraph, hyperedge_adjacency, node_adjacency
+from .hypergraph import Hypergraph, node_adjacency
 
 RngLike = Union[np.random.Generator, int, None]
 # randomized_svd's sketch: columns beyond the rank and power iterations of the
@@ -103,26 +102,12 @@ def init_node_features(
     return svd_features(node_adjacency(g), f, rng=rng)
 
 
-def init_hyperedge_features(
-    g: Hypergraph,
-    z1: np.ndarray,
-    f: int,
-    mode: str = "aggregate",
-    rng: RngLike = 0,
-) -> np.ndarray:
-    """Hyperedge features derived from the graph.
-
-    mode "aggregate" (default): Y = (D^-1 H)^T Z, each hyperedge summing its
-    members' feature rows scaled by inverse node degree.  mode "svd": the
-    rank-``f`` map of H^T H - D_e, ignoring ``z1``'s values.
-    """
+def init_hyperedge_features(g: Hypergraph, z1: np.ndarray) -> np.ndarray:
+    """Y = (D^-1 H)^T Z: each hyperedge sums its members' feature rows scaled by
+    inverse node degree, so Y has Z's width."""
     z1 = np.asarray(z1, dtype=np.float64)
     if z1.ndim != 2 or z1.shape[0] != g.num_nodes:
         raise DataError(
             f"node features must be 2-d with {g.num_nodes} rows, got shape {z1.shape}"
         )
-    if mode == "aggregate":
-        return g.pack.h.T @ (g.pack.d_inv[:, np.newaxis] * z1)
-    if mode == "svd":
-        return svd_features(hyperedge_adjacency(g), f, rng=rng)
-    raise ConfigError(f"unknown hyperedge feature mode {mode!r}")
+    return g.pack.h.T @ (g.pack.d_inv[:, np.newaxis] * z1)

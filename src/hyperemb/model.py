@@ -6,11 +6,14 @@ The base layer couples the two streams:
     Y(k+1) = sigma_e((S_e Y(k) + B_e Z(k+1)) W_e(k))
 
 where the Y update reads the freshly computed Z(k+1).  The four variants
-(p2, plusplus, wt, h2) swap in different propagation operators and drop
-the cross-stream B terms, so their streams evolve independently.  No loss
-reads Y, so a decoupled variant's training-mode ``forward`` runs the Z
-stream alone; Y(L), which ``embed`` exports, comes from eval mode.  Every
-operator is an ``Operator``: a sum of products of the scaled incidence
+(p2, plusplus, wt, h2) swap in a different node operator and drop the
+cross-stream B terms.  Their Y would then never reach Z, and no loss or
+output reads it, so they have no Y stream at all: no S_e, no Y(0) and no
+Y update.  The hyperedge-dependent embedding of node i in hyperedge e,
+act([z_i ; mean of e's rows of Z(L)] @ psi), is computed from Z(L) alone
+(``training.dependent_embeddings``).
+
+Every operator is an ``Operator``: a sum of products of the scaled incidence
 factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, built once per
 (graph, variant) and reused for every epoch.  ``build_operators`` decides
 from nonzero counts alone which products to multiply out into one CSR and
@@ -255,22 +258,18 @@ class Operator:
 class PropagationOperators:
     """The propagation operators for one (graph, variant) pair.
 
-    b_v and b_e are None for the decoupled variants.
+    s_e, b_v and b_e are None for the decoupled variants, which have no Y stream.
     """
 
     tag: str
     s_v: Operator
-    s_e: Operator
+    s_e: Optional[Operator]
     b_v: Optional[Operator] = None
     b_e: Optional[Operator] = None
 
     @property
     def num_nodes(self) -> int:
         return self.s_v.shape[0]
-
-    @property
-    def num_hyperedges(self) -> int:
-        return self.s_e.shape[0]
 
 
 # a product stays a chain of factors when the row-wise bound on its multiplied-out
@@ -361,19 +360,15 @@ def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOpe
         )
     if tag == "p2":
         s_v = [(hdd, hd.T), (p,), (p, p)]
-        s_e = [(hde.T, hdd), (p_e,), (p_e, p_e)]
     elif tag == "plusplus":
         s_v = [(hd, p_e, hdd.T), (p,)]
-        s_e = [(hde.T, p, hdd), (p_e,)]
     elif tag == "wt":
         s_v = [(hd, p_e, hd.T)]
-        s_e = [(hde.T, p, hde)]
     elif tag == "h2":
         s_v = [(h, h.T), (p,)]
-        s_e = [(h.T, h), (p_e,)]
     else:  # pragma: no cover - guarded by VariantKind
         raise ConfigError(f"unknown variant {tag!r}")
-    return PropagationOperators(tag, _plan(s_v), _plan(s_e))
+    return PropagationOperators(tag, _plan(s_v), None)
 
 
 @dataclass
@@ -472,11 +467,12 @@ class EmbeddingState:
     z[k]/y[k] are the layer inputs and outputs (z[0] = input features);
     agg_z[k]/agg_y[k] are the pre-weight aggregates fed into W(k)/W_e(k);
     deriv_z[k]/deriv_y[k] are the activation derivatives at the layer-k
-    pre-activations (rrelu's sampled slopes live inside these).  A decoupled
-    variant computes Y only in eval mode: its training pass leaves y = [Y(0)]
-    and agg_y/deriv_y empty, since Y never reaches Z or a loss.
+    pre-activations (rrelu's sampled slopes live inside these).  ``tag`` names
+    the variant; a decoupled one has no Y stream, so its y, agg_y and deriv_y
+    stay empty.
     """
 
+    tag: str
     z: list[np.ndarray]
     y: list[np.ndarray]
     agg_z: list[np.ndarray]
@@ -494,8 +490,8 @@ class EmbeddingState:
 
     @property
     def y_final(self) -> np.ndarray:
-        if len(self.y) <= self.layers:
-            raise DataError("Y(L) was not computed: a decoupled variant's training pass skips the Y stream")
+        if not self.y:
+            raise DataError(f"variant {self.tag!r} has no Y stream: only the coupled 'base' variant computes Y")
         return self.y[-1]
 
 
@@ -503,35 +499,38 @@ def forward(
     ops: PropagationOperators,
     params: ModelParams,
     z0: np.ndarray,
-    y0: np.ndarray,
+    y0: Optional[np.ndarray],
     variant: VariantKind,
     rng: RngLike = None,
     training: bool = False,
 ) -> EmbeddingState:
     """Run all layers, caching everything the backward pass needs.
 
-    In training mode a decoupled variant runs the Z stream alone (see
-    ``EmbeddingState``); every eval-mode pass computes Y too.
+    Only the coupled ``base`` variant reads ``y0`` and runs the Y update; a
+    decoupled variant ignores ``y0`` (callers pass None) and runs the Z
+    stream alone, in training and eval mode alike.
     """
     z0 = np.asarray(z0, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
     if z0.ndim != 2 or z0.shape[0] != ops.num_nodes:
         raise DataError(f"z0 must be ({ops.num_nodes}, *), got {z0.shape}")
-    if y0.ndim != 2 or y0.shape[0] != ops.num_hyperedges:
-        raise DataError(f"y0 must be ({ops.num_hyperedges}, *), got {y0.shape}")
     if z0.shape[1] != params.w[0].shape[0]:
         raise DataError(
             f"z0 width {z0.shape[1]} does not match W(0) input dim {params.w[0].shape[0]}"
         )
-    if y0.shape[1] != params.w_e[0].shape[0]:
-        raise DataError(
-            f"y0 width {y0.shape[1]} does not match W_e(0) input dim {params.w_e[0].shape[0]}"
-        )
     if variant.tag != ops.tag:
         raise ConfigError(f"operators built for {ops.tag!r} but forward asked for {variant.tag!r}")
+    if variant.coupled:
+        y0 = np.asarray(y0, dtype=np.float64)
+        if y0.ndim != 2 or y0.shape[0] != ops.s_e.shape[0]:
+            raise DataError(f"y0 must be ({ops.s_e.shape[0]}, *), got {y0.shape}")
+        if y0.shape[1] != params.w_e[0].shape[0]:
+            raise DataError(
+                f"y0 width {y0.shape[1]} does not match W_e(0) input dim {params.w_e[0].shape[0]}"
+            )
     rng = as_rng(rng) if training else None
 
-    state = EmbeddingState(z=[z0], y=[y0], agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
+    ys = [y0] if variant.coupled else []
+    state = EmbeddingState(variant.tag, z=[z0], y=ys, agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
     for k in range(params.layers):
         agg_z = ops.s_v @ state.z[k]
         if ops.b_v is not None:
@@ -540,55 +539,14 @@ def forward(
         state.z.append(z_next)
         state.agg_z.append(agg_z)
         state.deriv_z.append(dz)
-        if training and not variant.coupled:
-            continue  # no loss reads a decoupled Y, so training skips its stream
-        agg_y = ops.s_e @ state.y[k]
-        if ops.b_e is not None:
-            agg_y = agg_y + ops.b_e @ z_next
+        if not variant.coupled:
+            continue
+        agg_y = ops.s_e @ state.y[k] + ops.b_e @ z_next
         y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
         state.y.append(y_next)
         state.agg_y.append(agg_y)
         state.deriv_y.append(dy)
     return state
-
-
-def dependent_embeddings(
-    z_rows: np.ndarray, y_rows: np.ndarray, params: ModelParams, variant: VariantKind
-) -> np.ndarray:
-    """Batched psi([z_i ; y_e]): one output row per input row pair (eval-mode activation)."""
-    z_rows = np.atleast_2d(np.asarray(z_rows, dtype=np.float64))
-    y_rows = np.atleast_2d(np.asarray(y_rows, dtype=np.float64))
-    if z_rows.shape[0] != y_rows.shape[0]:
-        raise DataError(
-            f"need matching row counts, got {z_rows.shape[0]} and {y_rows.shape[0]}"
-        )
-    cat = np.concatenate([z_rows, y_rows], axis=1)
-    if cat.shape[1] != params.psi.shape[0]:
-        raise DataError(
-            f"concatenated width {cat.shape[1]} does not match psi input dim {params.psi.shape[0]}"
-        )
-    value, _ = activate(variant.sigma_v, cat @ params.psi)
-    return value
-
-
-def export_embedding_set(
-    g: Hypergraph,
-    state: EmbeddingState,
-    params: ModelParams,
-    node: int,
-    variant: VariantKind,
-) -> np.ndarray:
-    """The node's hyperedge-dependent embeddings, one row per incident hyperedge.
-
-    Rows follow ascending hyperedge index; a node in no hyperedge yields
-    a 0-row matrix.  Row count always equals the node's hyperedge degree.
-    """
-    if not 0 <= node < g.num_nodes:
-        raise DataError(f"node {node} outside [0, {g.num_nodes})")
-    edges = g.node_edges[node]
-    z_rows = np.repeat(state.z_final[node][np.newaxis, :], edges.size, axis=0)
-    y_rows = state.y_final[edges, :]
-    return dependent_embeddings(z_rows, y_rows, params, variant)
 
 
 def save_checkpoint(

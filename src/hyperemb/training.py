@@ -371,14 +371,14 @@ def backward(
 ) -> ModelParams:
     """Reverse-mode gradients for every weight matrix, held in a ``ModelParams``.
 
-    Walks the layers backwards, undoing the Y update before the Z update
-    of the same layer; for the base variant the Y update's B_e Z(k+1)
-    term feeds extra gradient back into Z(k+1).  A state without Y caches
-    (a decoupled variant's training pass) undoes the Z updates alone and
-    leaves the W_e gradients at zero; it rejects a ``d_y_final`` with a
-    DataError, since nothing could carry it.  psi/head gradients are
-    computed by the scoring/classification heads and passed through so
-    the result covers the full parameter set.
+    Walks the layers backwards.  For the coupled base variant it undoes the
+    Y update before the Z update of the same layer, and the Y update's
+    B_e Z(k+1) term feeds extra gradient back into Z(k+1).  A decoupled
+    variant has no Y stream: its state holds no Y caches, so only the Z
+    updates are undone, the W_e gradients stay exactly zero, and a
+    ``d_y_final`` is rejected with a DataError, since nothing could carry
+    it.  psi/head gradients are computed by the scoring/classification
+    heads and passed through so the result covers the full parameter set.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
@@ -391,20 +391,18 @@ def backward(
         grads.head = np.asarray(d_head, dtype=np.float64)
 
     dz = np.asarray(d_z_final, dtype=np.float64)
-    dy = None  # d(loss)/d Y(k+1), while the forward pass cached the Y stream
+    dy = None  # d(loss)/d Y(k+1), for the variant with a Y stream
     if state.agg_y:
         dy = np.zeros_like(state.y[-1]) if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
     elif d_y_final is not None:
-        raise DataError("forward caches hold no Y stream (a decoupled variant's training pass), "
-                        "so no gradient can flow through Y")
+        raise DataError(f"variant {state.tag!r} has no Y stream, so no gradient can flow through Y")
     for k in reversed(range(params.layers)):
         if dy is not None:
             gy = dy * state.deriv_y[k]
             grads.w_e[k] = state.agg_y[k].T @ gy
             dv = gy @ params.w_e[k].T
             dy = ops.s_e.T @ dv
-            if ops.b_e is not None:
-                dz = dz + ops.b_e.T @ dv
+            dz = dz + ops.b_e.T @ dv
         gz = dz * state.deriv_z[k]
         grads.w[k] = state.agg_z[k].T @ gz
         du = gz @ params.w[k].T
@@ -457,6 +455,31 @@ def optimizer_step(
         a -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def dependent_embeddings(
+    z_final: np.ndarray,
+    pack: FlatSets,
+    params: ModelParams,
+    variant: VariantKind,
+    rng: Optional[np.random.Generator],
+    training: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hyperedge-dependent embeddings act([z_i ; mean of the set's Z rows] @ psi).
+
+    One row per member i of every set of ``pack``, in the pack's flat order,
+    computed with one GEMM.  Returns (embeddings, activation derivative,
+    concatenated input), the last two for the backward pass.
+    """
+    pack.check_members(z_final.shape[0])
+    if 2 * z_final.shape[1] != params.psi.shape[0]:
+        raise DataError(f"[z_i ; set mean] width {2 * z_final.shape[1]} does not match "
+                        f"psi input dim {params.psi.shape[0]}")
+    rows = z_final[pack.idx]
+    means = pack.set_sums(rows) / pack.sizes[:, np.newaxis]
+    cat = np.concatenate([rows, means[pack.owner]], axis=1)
+    x, deriv = activate(variant.sigma_v, cat @ params.psi, rng, training)
+    return x, deriv, cat
+
+
 def _score_examples(
     z_final: np.ndarray,
     examples: Sequence[tuple[int, ...]] | FlatSets,
@@ -468,18 +491,15 @@ def _score_examples(
 ) -> tuple[np.ndarray, dict]:
     """Score every vertex set; the cache carries what gradient distribution needs.
 
-    Plain mode scores rows of Z(final) in place; dependent mode scores
-    act([z_i, set mean] @ psi) of all members with one GEMM.
+    Plain mode scores rows of Z(final) in place; dependent mode scores the
+    members' ``dependent_embeddings``.
     """
     pack = FlatSets.of(examples)
-    pack.check_members(z_final.shape[0])
     if cfg.score_mode != "dependent":
+        pack.check_members(z_final.shape[0])
         scores, backprop = _score_rows(z_final, pack.idx, pack, cfg.score_fn, cfg.normalize)
         return scores, {"backprop": backprop}
-    rows = z_final[pack.idx]
-    means = pack.set_sums(rows) / pack.sizes[:, np.newaxis]
-    cat = np.concatenate([rows, means[pack.owner]], axis=1)
-    x, deriv = activate(variant.sigma_v, cat @ params.psi, rng, training)
+    x, deriv, cat = dependent_embeddings(z_final, pack, params, variant, rng, training)
     scores, backprop = _score_rows(x, np.arange(len(x)), pack, cfg.score_fn, cfg.normalize)
     return scores, {"backprop": backprop, "pack": pack, "cat": cat, "deriv": deriv}
 
@@ -516,12 +536,15 @@ class TrainState:
     final: Optional[EmbeddingState] = None
 
 
-def input_features(g: Hypergraph, rank: int, rng: RngLike, z0=None) -> tuple[np.ndarray, np.ndarray]:
+def input_features(
+    g: Hypergraph, variant: VariantKind, rank: int, rng: RngLike, z0=None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Z(0): the given node features, checked, else the rank-clamped SVD bootstrap;
-    Y(0): the degree-normalized aggregate of Z(0)."""
+    Y(0): the degree-normalized aggregate of Z(0) for the coupled variant, None
+    for a decoupled one, which has no Y stream."""
     rank = max(1, min(rank, g.num_nodes))
     z0 = init_node_features(g, rank, given=z0, rng=rng)
-    return z0, init_hyperedge_features(g, z0, rank, rng=rng)
+    return z0, init_hyperedge_features(g, z0) if variant.coupled else None
 
 
 def train(
@@ -547,7 +570,7 @@ def train(
     variant = cfg.variant
     rng = np.random.default_rng(cfg.seed)
 
-    z0, y0 = input_features(g, cfg.feature_rank, rng, z0)
+    z0, y0 = input_features(g, variant, cfg.feature_rank, rng, z0)
 
     n_classes = None
     labels = mask = metric_mask = None
@@ -567,7 +590,8 @@ def train(
             data = build_labeled_set(g, cfg.alpha, rng)
         examples, ex_labels = data.pack, data.labels
 
-    dims_z, dims_y = default_dims(z0.shape[1], y0.shape[1], cfg.layers, cfg.width)
+    # Y(0), built or not, has Z(0)'s width, so W_e keeps its seeded draw either way
+    dims_z, dims_y = default_dims(z0.shape[1], z0.shape[1], cfg.layers, cfg.width)
     params = init_params(dims_z, dims_y, variant, rng=rng, n_classes=n_classes)
     ops = build_operators(g, variant)
     opt = init_optimizer(cfg.optimizer, params)

@@ -22,7 +22,6 @@ from hyperemb import (
     build_labeled_set,
     build_operators,
     default_dims,
-    export_embedding_set,
     forward,
     hyperedge_adjacency,
     hyperedge_bce_loss,
@@ -39,7 +38,7 @@ from hyperemb import (
 )
 from hyperemb.cli import _ranking_metrics, main, run_trials
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
-from hyperemb.training import _distribute_score_grads, _score_examples, backward
+from hyperemb.training import _distribute_score_grads, _score_examples, backward, dependent_embeddings
 from conftest import dataset_root, require_dataset
 from oracles import (
     brute_auc,
@@ -253,16 +252,16 @@ def test_c5_property_battery():
         assert_allclose(p_e.toarray().sum(axis=0), np.ones(len(edges)), atol=1e-10)
 
         # 2b. every variant's propagation operators against literal chains
+        #     (a decoupled variant has no Y stream, so only base builds S_e, B_v and B_e)
         for tag in VARIANT_TAGS:
             ops = build_operators(g, tag)
-            s_v, s_e, b_v, b_e = dense_operators(edges, n, tag)
-            assert_allclose(ops.s_v.toarray(), s_v, atol=1e-10, err_msg=tag)
-            assert_allclose(ops.s_e.toarray(), s_e, atol=1e-10, err_msg=tag)
-            if b_v is None:
-                assert ops.b_v is None and ops.b_e is None
-            else:
-                assert_allclose(ops.b_v.toarray(), b_v, atol=1e-10, err_msg=tag)
-                assert_allclose(ops.b_e.toarray(), b_e, atol=1e-10, err_msg=tag)
+            dense = dict(zip(("s_v", "s_e", "b_v", "b_e"), dense_operators(edges, n, tag)))
+            for name, want in dense.items():
+                got = getattr(ops, name)
+                if tag != "base" and name != "s_v":
+                    assert got is None, (tag, name)
+                else:
+                    assert_allclose(got.toarray(), want, atol=1e-10, err_msg=f"{tag} {name}")
 
     # 4. rank-based AUC equals exhaustive pair counting, ties included
     for case in range(50):
@@ -289,7 +288,7 @@ def test_c5_property_battery():
                 assert kept == expected, (size, alpha, neg)
                 assert len(neg) == size
 
-    # 7. one dependent embedding per incidence
+    # 7. one dependent embedding per incidence, act([z_i ; mean of e's Z rows] @ psi)
     edges, n = random_hypergraph(np.random.default_rng(7))
     g = build_hypergraph(edges, n)
     variant = VariantKind()
@@ -302,12 +301,16 @@ def test_c5_property_battery():
         feat_rng.standard_normal((len(edges), 3)),
         variant,
     )
-    total = 0
+    rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, variant, None, False)
+    assert rows.shape[0] == g.num_incidences
+    z = state.z_final
     for node in range(n):
-        rows = export_embedding_set(g, state, params, node, variant).shape[0]
-        assert rows == len(g.node_edges[node]), f"node {node}"
-        total += rows
-    assert total == g.num_incidences
+        mine = rows[g.edges.idx == node]
+        assert len(mine) == len(g.node_edges[node]), f"node {node}"
+        for row, e in zip(mine, g.node_edges[node]):
+            members = list(g.edges[e])
+            want = np.tanh(np.concatenate([z[node], z[members].mean(axis=0)]) @ params.psi)
+            assert_allclose(row, want, atol=1e-12, err_msg=f"node {node} edge {e}")
 
 
 # --------------------------------------------------------------------------

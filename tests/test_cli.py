@@ -22,7 +22,7 @@ from hyperemb import (
     split_links,
     write_dataset,
 )
-from hyperemb import cli, model
+from hyperemb import cli, model, training
 from hyperemb.cli import build_parser, build_train_config, main
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
 from hyperemb.training import OPTIMIZERS, SCORE_FNS, SCORE_MODES, TASKS
@@ -247,10 +247,11 @@ class TestSweepCommand:
 
 
 class TestEmbedCommand:
-    def trained(self, tmp_path):
-        data = make_dataset(tmp_path / "ds", with_labels=False)
+    def trained(self, tmp_path, *flags):
+        data = make_dataset(tmp_path / "ds")
         out = tmp_path / "run"
-        assert main(["train", "--data", str(data), "--out", str(out), *FAST]) == 0
+        assert main(["train", "--data", str(data), "--out", str(out), "--score-mode", "dependent",
+                     *FAST, *flags]) == 0
         return data, out / "model.npz"
 
     def test_all_nodes_row_count_is_total_incidences(self, tmp_path, capsys):
@@ -274,15 +275,28 @@ class TestEmbedCommand:
         assert {r[0] for r in rows} == {"0", "4"}
         assert len([r for r in rows if r[0] == "0"]) == 3  # node 0 sits in 3 edges
 
-    def test_checkpoint_from_before_trial_replay_still_embeds(self, tmp_path):
+    @pytest.mark.parametrize("flags, message", [
+        (("--score-mode", "plain"), "has score_mode 'plain'"),
+        (("--task", "node-class"), "has task 'node-class'"),
+    ], ids=["plain-scoring", "node-class"])
+    def test_checkpoint_with_untrained_psi_exits_two(self, tmp_path, capsys, flags, message):
+        data, ckpt = self.trained(tmp_path, *flags)
+        capsys.readouterr()
+        code = main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "e.tsv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.tsv").exists()
+
+    def test_checkpoint_from_before_trial_replay_exits_two(self, tmp_path, capsys):
         data, ckpt = self.trained(tmp_path)
-        assert main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(tmp_path / "new.tsv")]) == 0
-        params, meta = load_checkpoint(ckpt)
-        save_checkpoint(ckpt, params, {key: meta[key] for key in OLD_META})
-        assert main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(tmp_path / "old.tsv")]) == 0
-        assert (tmp_path / "old.tsv").read_text() == (tmp_path / "new.tsv").read_text()
+        params, _ = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, params, OLD_META)
+        capsys.readouterr()
+        code = main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "e.tsv")])
+        assert code == 2
+        assert "has no 'trial' in its meta" in capsys.readouterr().err
 
     def test_bad_node_list_exits_one(self, tmp_path, capsys):
         data, ckpt = self.trained(tmp_path)
@@ -290,6 +304,47 @@ class TestEmbedCommand:
                      "--nodes", "0,x", "--out", str(tmp_path / "e.tsv")])
         assert code == 1
         assert "--nodes" in capsys.readouterr().err
+
+    def test_out_of_range_node_exits_two_naming_it(self, tmp_path, capsys):
+        data, ckpt = self.trained(tmp_path)
+        capsys.readouterr()
+        code = main(["embed", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--nodes", "0,8", "--out", str(tmp_path / "e.tsv")])
+        assert code == 2
+        assert "node 8 outside [0, 8)" in capsys.readouterr().err
+        assert not (tmp_path / "e.tsv").exists()
+
+    @pytest.mark.parametrize("variant", ["base", "p2"])
+    def test_heldout_rows_are_the_activations_eval_scores(self, tmp_path, monkeypatch, variant):
+        data, ckpt = self.trained(tmp_path, "--trials", "2", "--variant", variant)
+        emb = tmp_path / "emb.tsv"
+        assert main(["embed", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(emb)]) == 0
+        written = {}
+        for line in emb.read_text().splitlines()[1:]:
+            node, edge, *values = line.split("\t")
+            written[int(node), int(edge)] = [float(v) for v in values]
+
+        scored = []  # (pack, embeddings) of every dependent_embeddings call eval makes
+        original = training.dependent_embeddings
+
+        def spy(z_final, pack, *args):
+            out = original(z_final, pack, *args)
+            scored.append((pack, out[0]))
+            return out
+
+        monkeypatch.setattr(training, "dependent_embeddings", spy)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+        [(pack, rows)] = scored
+        # the held-out positives lead the eval pack; each is a hyperedge of the full graph
+        _, meta = load_checkpoint(ckpt)
+        held = cli._trial_data(load_dataset(data), cli.config_from(
+            {key: meta[key] for key in cli.CONFIG_KEYS}), "hyperedge-pred", meta["trial"], None)[2]
+        edge_ids = {e: j for j, e in enumerate(load_dataset(data).graph.edges.tuples())}
+        assert held.positives
+        for t, positive in enumerate(held.positives):
+            for r in range(pack.indptr[t], pack.indptr[t + 1]):
+                got = written[int(pack.idx[r]), edge_ids[positive]]
+                assert np.array_equal(got, rows[r]), (positive, int(pack.idx[r]))
 
 
 class TestRecommendCommand:
@@ -324,7 +379,7 @@ class TestRecommendCommand:
         variant = VariantKind(meta["variant"], meta["sigma_v"], meta["sigma_e"])
         train_g, pairs = split_links(load_dataset(data).graph, 0.25, "style", np.random.default_rng(3))
         z0 = init_node_features(train_g, 4, rng=np.random.default_rng(3))
-        y0 = init_hyperedge_features(train_g, z0, 4)
+        y0 = init_hyperedge_features(train_g, z0)
         z = forward(build_operators(train_g, variant), params, z0, y0, variant).z_final
         styles = np.array(train_g.nodes_of_type("style"))
         ranks = []
@@ -478,7 +533,7 @@ BAD_FILES = [
     pytest.param(lambda data: np.savez(data / "other.npz", weights=np.zeros(3)),
                  EVAL, "other.npz is not a hyperemb checkpoint", id="foreign-npz"),
     pytest.param(_write_npy_as_npz, EVAL, "other.npz is a single array", id="npy-array"),
-    pytest.param(_write_checkpoint_meta({}), EMBED, "other.npz has no 'variant' in its meta",
+    pytest.param(_write_checkpoint_meta({}), EMBED, "other.npz has no 'task' in its meta",
                  id="empty-meta-embed"),
     pytest.param(_write_checkpoint_meta({}), EVAL, "other.npz has no 'task' in its meta",
                  id="empty-meta-eval"),

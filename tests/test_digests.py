@@ -5,13 +5,15 @@ Structural outputs are compared exactly: H, the hyperedge and link splits, the
 forged negatives with the generator state after them, and each variant's
 operator sparsity patterns, on a covered graph and on one with isolated nodes.
 Float outputs are compared at rtol 1e-12: operator values, the SVD features, a
-3-epoch log plus final Z/Y for both tasks, the same for ``base`` on the
+3-epoch log plus final Z for both tasks and final Y for ``base``, the same for ``base`` on the
 isolated-node graph, and the per-trial AUC and saved weights of a 2-trial
 ``run_trials`` of each task.  The tolerance is there because OpenBLAS picks its
 GEMM kernels per CPU, so the last bits of a product can differ between machines.
 
 A change that alters seeded output on purpose regenerates the reference file
-with the command below and lists every changed entry in CHANGES.md:
+with the command below and lists every changed entry in CHANGES.md; the
+command prints the names of the entries it removes, adds and changes before
+it overwrites the file:
 
     PYTHONPATH=src python tests/test_digests.py
 """
@@ -102,10 +104,7 @@ def collect():
 
     z0 = init_node_features(g, 4, rng=np.random.default_rng(2))
     floats["features.node_svd"] = z0.tolist()
-    floats["features.hyperedge_aggregate"] = init_hyperedge_features(g, z0, 4).tolist()
-    floats["features.hyperedge_svd"] = init_hyperedge_features(
-        g, z0, 4, mode="svd", rng=np.random.default_rng(2)
-    ).tolist()
+    floats["features.hyperedge_aggregate"] = init_hyperedge_features(g, z0).tolist()
 
     cfg = TrainConfig(variant=VariantKind(tag="base"), epochs=3, feature_rank=4, seed=1)
     state = train(train_g, cfg, "hyperedge-pred", data=train_set, eval_data=eval_set)
@@ -133,7 +132,6 @@ def collect():
     state = train(g, cfg, "node-class", data=(labels, mask), eval_data=~mask)
     floats["node_class.log"] = [list(row) for row in state.log]
     floats["node_class.z_final"] = state.final.z_final.tolist()
-    floats["node_class.y_final"] = state.final.y_final.tolist()
 
     # the CLI protocol: per-trial splits and seeds, held-out scoring, the checkpoint write
     seeded_labels = np.random.default_rng(6).integers(0, 3, g.num_nodes)
@@ -150,9 +148,17 @@ def collect():
 
 
 def _write_reference(path):
+    """Rewrite the reference file, printing which entries it removes, adds and changes."""
     exact, floats = collect()
     entries = {f"exact:{k}": v for k, v in exact.items()}
     entries.update((f"float:{k}", v) for k, v in floats.items())
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for word, names in (
+        ("removed", sorted(old.keys() - entries.keys())),
+        ("added", sorted(entries.keys() - old.keys())),
+        ("changed", sorted(k for k in old.keys() & entries.keys() if old[k] != entries[k])),
+    ):
+        print(f"{word}: {len(names)}", *names, sep="\n  ")
     lines = [f"{json.dumps(k)}: {json.dumps(entries[k], allow_nan=False)}" for k in sorted(entries)]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

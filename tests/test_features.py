@@ -146,17 +146,17 @@ class TestInitHyperedgeFeatures:
             for j, members in enumerate(g.edges):
                 h[list(members), j] = 1.0
             expected = (np.diag(1.0 / d) @ h).T @ z
-            assert_allclose(init_hyperedge_features(g, z, 3), expected, atol=1e-12)
+            assert_allclose(init_hyperedge_features(g, z), expected, atol=1e-12)
 
     def test_disjoint_edges_sum_sizes(self):
         # every node in exactly one hyperedge and Z = 1 -> row j = |e_j|
         g = build_hypergraph([(0, 1), (2, 3, 4), (5,)], 6)
-        y = init_hyperedge_features(g, np.ones((6, 1)), 1)
+        y = init_hyperedge_features(g, np.ones((6, 1)))
         assert_allclose(y[:, 0], [2.0, 3.0, 1.0])
 
     def test_triangle_basis_oracle(self, triangle):
         z = np.eye(3)
-        y = init_hyperedge_features(triangle, z, 3)
+        y = init_hyperedge_features(triangle, z)
         # row j, column i = 1/d_i if node i in hyperedge j
         expected = np.array([
             [1 / 2, 1 / 3, 0.0],
@@ -165,15 +165,6 @@ class TestInitHyperedgeFeatures:
         ])
         assert_allclose(y, expected, atol=1e-12)
 
-    def test_svd_mode(self, triangle):
-        y = init_hyperedge_features(triangle, np.ones((3, 1)), 2, mode="svd", rng=3)
-        assert y.shape == (3, 2)
-        assert np.all(np.isfinite(y))
-
-    def test_bad_mode_rejected(self, triangle):
-        with pytest.raises(ConfigError, match="mode"):
-            init_hyperedge_features(triangle, np.ones((3, 1)), 2, mode="bogus")
-
     def test_shape_mismatch_rejected(self, triangle):
         with pytest.raises(DataError):
-            init_hyperedge_features(triangle, np.ones((4, 1)), 2)
+            init_hyperedge_features(triangle, np.ones((4, 1)))

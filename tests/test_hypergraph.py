@@ -275,7 +275,7 @@ class TestGraphPack:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             z1 = init_node_features(g, 2, rng=0)
-            init_hyperedge_features(g, z1, 2)
+            init_hyperedge_features(g, z1)
             for tag in ("base", "p2"):
                 build_operators(g, tag)
             transition_matrices(g)

@@ -17,14 +17,15 @@ from hyperemb import (
     build_hypergraph,
     build_operators,
     default_dims,
-    export_embedding_set,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
 from hyperemb import model
-from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, dependent_embeddings, spmm
+from hyperemb.hypergraph import FlatSets
+from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, spmm
+from hyperemb.training import dependent_embeddings
 from conftest import TRIANGLE_EDGES
 from oracles import (
     dense_forward,
@@ -95,12 +96,12 @@ class TestBuildOperators:
             ops = build_operators(triangle, tag)
             s_v, s_e, b_v, b_e = dense_operators(TRIANGLE_EDGES, 3, tag)
             assert_allclose(ops.s_v.toarray(), s_v, atol=1e-12)
-            assert_allclose(ops.s_e.toarray(), s_e, atol=1e-12)
             if tag == "base":
+                assert_allclose(ops.s_e.toarray(), s_e, atol=1e-12)
                 assert_allclose(ops.b_v.toarray(), b_v, atol=1e-12)
                 assert_allclose(ops.b_e.toarray(), b_e, atol=1e-12)
-            else:
-                assert ops.b_v is None and ops.b_e is None
+            else:  # a decoupled variant has no Y stream
+                assert ops.s_e is None and ops.b_v is None and ops.b_e is None
 
     def test_matches_dense_oracle_on_random_graphs(self, rng):
         for _ in range(10):
@@ -110,7 +111,10 @@ class TestBuildOperators:
                 ops = build_operators(g, tag)
                 s_v, s_e, _, _ = dense_operators(edges, n, tag)
                 assert_allclose(ops.s_v.toarray(), s_v, atol=1e-10)
-                assert_allclose(ops.s_e.toarray(), s_e, atol=1e-10)
+                if tag == "base":
+                    assert_allclose(ops.s_e.toarray(), s_e, atol=1e-10)
+                else:
+                    assert ops.s_e is None
 
     def test_single_full_hyperedge_symmetry(self):
         g = build_hypergraph([(0, 1, 2, 3)], 4)
@@ -122,7 +126,7 @@ class TestBuildOperators:
         g = build_hypergraph([(0,)], 1)
         ops = build_operators(g, "p2")
         assert_allclose(ops.s_v.toarray(), [[3.0]])
-        assert_allclose(ops.s_e.toarray(), [[3.0]])
+        assert ops.s_e is None
 
 
 @pytest.mark.usefixtures("chains_forced")
@@ -156,8 +160,8 @@ class TestOperator:
 
     def test_stored_arrays_cover_every_factor(self, rng, chains_forced):
         edges, n = random_hypergraph(rng)
-        ops = build_operators(build_hypergraph(edges, n), "plusplus")
-        for op in (ops.s_v, ops.s_e):
+        g = build_hypergraph(edges, n)
+        for op in (build_operators(g, "plusplus").s_v, build_operators(g, "base").s_e):
             assert op.nnz == sum(f.nnz for term in op.terms for f in term)
             for name in ("data", "indices", "indptr"):
                 arrays = [getattr(f, name) for term in op.terms for f in term]
@@ -342,10 +346,10 @@ class TestForward:
             w=[np.eye(2)], w_e=[np.eye(2)], psi=np.zeros((4, 2))
         )
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
-        y0 = np.abs(np.random.default_rng(1).standard_normal((3, 2)))
-        state = forward(ops, params, z0, y0, v)
+        state = forward(ops, params, z0, None, v)
         assert_allclose(state.z_final, np.asarray(ops.s_v.toarray()) @ z0, atol=1e-12)
-        assert_allclose(state.y_final, np.asarray(ops.s_e.toarray()) @ y0, atol=1e-12)
+        with pytest.raises(DataError, match="variant 'p2' has no Y stream"):
+            state.y_final
 
     def test_zero_weights_give_zero_outputs(self, triangle):
         for tag in ("base", "wt"):
@@ -358,7 +362,10 @@ class TestForward:
                 z0 = np.random.default_rng(2).standard_normal((3, 2))
                 state = forward(ops, params, z0, z0.copy(), v)
                 assert_allclose(state.z_final, 0.0)
-                assert_allclose(state.y_final, 0.0)
+                if v.coupled:
+                    assert_allclose(state.y_final, 0.0)
+                else:
+                    assert state.y == []
 
     def test_matches_dense_oracle(self, rng):
         for tag in VARIANT_TAGS:
@@ -374,8 +381,12 @@ class TestForward:
                 z_ref, y_ref = dense_forward(
                     edges, n, params.w, params.w_e, z0, y0, tag, act, act
                 )
+                # the oracle runs every variant's Y stream; only base's reaches an output
                 assert_allclose(state.z_final, z_ref, atol=1e-10)
-                assert_allclose(state.y_final, y_ref, atol=1e-10)
+                if v.coupled:
+                    assert_allclose(state.y_final, y_ref, atol=1e-10)
+                else:
+                    assert state.y == state.agg_y == state.deriv_y == []
 
     def test_triangle_base_two_layers_dense_oracle(self, triangle, rng):
         v = VariantKind()
@@ -407,7 +418,7 @@ class TestForward:
                 assert_allclose(with_y, without_y)
 
     def test_dimension_mismatches_rejected(self, triangle):
-        v = VariantKind(tag="p2")
+        v = VariantKind()
         ops = build_operators(triangle, v)
         params = seeded_params(*default_dims(2, 2, 1), v)
         with pytest.raises(DataError, match="z0"):
@@ -437,41 +448,40 @@ class TestForwardChained(TestForward):
     """The forward checks again, with every product applied as a chain."""
 
 
+def _embed(z, sets, psi, sigma="tanh"):
+    """Eval-mode dependent embeddings of every member of ``sets``."""
+    params = ModelParams(w=[], w_e=[], psi=psi)
+    return dependent_embeddings(z, FlatSets.of(sets), params, VariantKind(sigma_v=sigma), None, False)[0]
+
+
 class TestDependentEmbedding:
     def test_identity_projection_recovers_concat(self):
-        v = VariantKind(sigma_v="leaky-relu")
-        params = ModelParams(w=[], w_e=[], psi=np.eye(5))
-        z_i = np.array([0.5, 1.0, 0.0])
-        y_e = np.array([2.0, 3.0])
-        out = dependent_embeddings(z_i, y_e, params, v)
-        assert_allclose(out, [[0.5, 1.0, 0.0, 2.0, 3.0]])
+        z = np.array([[0.5, 1.0], [1.5, 0.0], [9.0, 9.0]])
+        out = _embed(z, [(0, 1)], np.eye(4), "leaky-relu")
+        assert_allclose(out, [[0.5, 1.0, 1.0, 0.5], [1.5, 0.0, 1.0, 0.5]])
 
     def test_distinct_hyperedges_give_distinct_embeddings(self, rng):
-        v = VariantKind(sigma_v="tanh")
-        params = ModelParams(w=[], w_e=[], psi=rng.standard_normal((4, 3)))
-        z_i = rng.standard_normal(2)
-        y1, y2 = rng.standard_normal(2), rng.standard_normal(2)
-        e1 = dependent_embeddings(z_i, y1, params, v)
-        e2 = dependent_embeddings(z_i, y2, params, v)
-        assert not np.allclose(e1, e2)
+        z = rng.standard_normal((3, 2))
+        out = _embed(z, [(0, 1), (0, 2)], rng.standard_normal((4, 3)))
+        assert not np.allclose(out[0], out[2])  # node 0 in each hyperedge
 
     def test_matches_dense_oracle(self, rng):
-        v = VariantKind(sigma_v="gelu")
+        z = rng.standard_normal((6, 3))
         psi = rng.standard_normal((6, 4))
-        params = ModelParams(w=[], w_e=[], psi=psi)
-        z_i = rng.standard_normal(4)
-        y_e = rng.standard_normal(2)
-        expected = oracle_activation("gelu", np.concatenate([z_i, y_e]) @ psi)
-        got = dependent_embeddings(z_i, y_e, params, v)
-        assert_allclose(got, expected[np.newaxis, :], atol=1e-12)
+        sets = [(0, 2, 5), (1, 2), (3,), (0, 1, 3, 4)]
+        got = _embed(z, sets, psi, "gelu")
+        expected = [oracle_activation("gelu", np.concatenate([z[i], z[list(e)].mean(axis=0)]) @ psi)
+                    for e in sets for i in e]
+        assert_allclose(got, expected, atol=1e-12)
 
     def test_dim_mismatch_rejected(self, rng):
-        params = ModelParams(w=[], w_e=[], psi=rng.standard_normal((5, 2)))
         with pytest.raises(DataError, match="psi"):
-            dependent_embeddings(np.zeros(2), np.zeros(2), params, VariantKind())
+            _embed(np.zeros((2, 2)), [(0, 1)], rng.standard_normal((5, 2)))
 
 
 class TestExportEmbeddingSet:
+    """The rows ``embed`` writes: dependent embeddings over a graph's own hyperedges."""
+
     @pytest.fixture
     def fitted(self, triangle):
         v = VariantKind()
@@ -482,44 +492,44 @@ class TestExportEmbeddingSet:
             np.random.default_rng(6).standard_normal((3, 2)),
             v,
         )
-        return triangle, state, params, v
+        rows, _, _ = dependent_embeddings(state.z_final, triangle.edges, params, v, None, False)
+        return triangle, state, params, v, rows
 
     def test_rows_equal_hyperedge_degree(self, fitted):
-        g, state, params, v = fitted
+        g, _, params, _, rows = fitted
         for node in range(g.num_nodes):
-            mat = export_embedding_set(g, state, params, node, v)
-            assert mat.shape == (len(g.node_edges[node]), params.psi.shape[1])
+            mine = g.edges.idx == node
+            assert rows[mine].shape == (len(g.node_edges[node]), params.psi.shape[1])
+            assert np.array_equal(g.edges.owner[mine], g.node_edges[node])
 
     def test_total_rows_equal_incidences(self, fitted):
-        g, state, params, v = fitted
-        total = sum(
-            export_embedding_set(g, state, params, node, v).shape[0]
-            for node in range(g.num_nodes)
-        )
-        assert total == g.num_incidences
+        g, _, _, _, rows = fitted
+        assert rows.shape[0] == g.num_incidences
 
     def test_rows_match_per_call_oracle(self, fitted):
-        g, state, params, v = fitted
-        mat = export_embedding_set(g, state, params, 1, v)  # node 1 in all 3 edges
-        assert mat.shape[0] == 3
-        for row, edge in zip(mat, g.node_edges[1]):
-            single = dependent_embeddings(
-                state.z_final[1], state.y_final[edge], params, v
+        # one batched call over every hyperedge equals one call per hyperedge, bit for bit
+        g, state, params, v, rows = fitted
+        mine = np.flatnonzero(g.edges.idx == 1)  # node 1 in all 3 edges
+        assert mine.size == 3
+        for r, edge in zip(mine, g.node_edges[1]):
+            single, _, _ = dependent_embeddings(
+                state.z_final, FlatSets.of([g.edges[edge]]), params, v, None, False
             )
-            assert_allclose(row, single[0], atol=1e-12)
+            assert np.array_equal(rows[r], single[list(g.edges[edge]).index(1)])
 
     def test_zero_edge_node_empty(self):
         g = build_hypergraph([(0, 1)], 3)
         v = VariantKind(tag="wt")
         params = seeded_params(*default_dims(2, 2, 1), v)
-        state = forward(build_operators(g, v), params, np.ones((3, 2)), np.ones((1, 2)), v)
-        mat = export_embedding_set(g, state, params, 2, v)
-        assert mat.shape == (0, params.psi.shape[1])
+        state = forward(build_operators(g, v), params, np.ones((3, 2)), None, v)
+        rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, v, None, False)
+        assert rows.shape == (2, params.psi.shape[1])
+        assert 2 not in g.edges.idx
 
     def test_bad_node_rejected(self, fitted):
-        g, state, params, v = fitted
+        _, state, params, v, _ = fitted
         with pytest.raises(DataError, match="outside"):
-            export_embedding_set(g, state, params, 7, v)
+            dependent_embeddings(state.z_final, FlatSets.of([(0, 7)]), params, v, None, False)
 
 
 class TestCheckpoint:

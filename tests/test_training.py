@@ -44,6 +44,7 @@ from oracles import (
     brute_mean_pairwise,
     brute_sample_negatives,
     brute_score_grad,
+    dense_forward,
     finite_diff,
     rel_err,
 )
@@ -817,35 +818,39 @@ DECOUPLED_TAGS = [tag for tag in VARIANT_TAGS if not VariantKind(tag=tag).couple
 
 
 class TestDecoupledTrainingSkipsY:
-    """A decoupled variant's training pass leaves out the Y stream, which neither loss reads."""
+    """A decoupled variant has no Y stream: Y never reaches Z, and no loss or output reads it."""
 
     @pytest.mark.parametrize("tag", DECOUPLED_TAGS)
     @pytest.mark.parametrize("act", [a for a in ACTIVATION_TAGS if a != "rrelu"])
     def test_z_and_grads_match_the_full_y_stream(self, tag, act):
+        # the dense oracle runs the Y stream in full, as the layer equations write it
         variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3)
-        skipped = forward(ops, params, z0, y0, variant, training=True)
-        # without rrelu, eval mode computes the same function with the Y stream run in full
-        full = forward(ops, params, z0, y0, variant)
-        assert len(skipped.y) == 1 and skipped.agg_y == [] and skipped.deriv_y == []
-        assert len(full.agg_y) == params.layers
-        assert np.array_equal(skipped.z_final, full.z_final)
-        # dependent scoring gives psi a gradient and the classifier gives head one
         cfg = TrainConfig(variant=variant, score_mode="dependent")
-        scores, caches = _score_examples(
-            skipped.z_final, BCE_EXAMPLES, cfg, params, variant, None, training=True
-        )
-        _, d_scores = hyperedge_bce_loss(scores, BCE_LABELS)
-        d_z, d_psi = _distribute_score_grads(caches, d_scores, z0.shape, cfg, params)
         labels, mask = np.array([0, 1, 2, 1, 0]), np.ones(GRAD_NODES, dtype=bool)
-        _, d_logits = node_ce_loss(skipped.z_final @ params.head, labels, mask)
-        d_z = d_z + d_logits @ params.head.T
-        upstream = dict(d_psi=d_psi, d_head=skipped.z_final.T @ d_logits)
-        got = backward(skipped, ops, params, variant, d_z, **upstream)
-        want = backward(full, ops, params, variant, d_z, **upstream)
-        for (name, g), (_, w) in zip(got.named_arrays(), want.named_arrays()):
-            assert np.array_equal(g, w), name
-        assert not any(g.any() for g in got.w_e)
-        assert np.abs(got.psi).max() > 0 and np.abs(got.head).max() > 0
+
+        def loss(z):
+            # dependent scoring gives psi a gradient and the classifier gives head one
+            scores, caches = _score_examples(z, BCE_EXAMPLES, cfg, params, variant, None, training=True)
+            bce, d_scores = hyperedge_bce_loss(scores, BCE_LABELS)
+            ce, d_logits = node_ce_loss(z @ params.head, labels, mask)
+            return bce + ce, caches, d_scores, d_logits
+
+        def oracle_z():
+            return dense_forward(GRAD_EDGES, GRAD_NODES, params.w, params.w_e, z0, y0, tag, act, act)[0]
+
+        st = forward(ops, params, z0, None, variant, training=True)
+        assert st.y == st.agg_y == st.deriv_y == []
+        assert np.array_equal(st.z_final, forward(ops, params, z0, None, variant).z_final)
+        assert_allclose(st.z_final, oracle_z(), atol=1e-10)
+        _, caches, d_scores, d_logits = loss(st.z_final)
+        d_z, d_psi = _distribute_score_grads(caches, d_scores, z0.shape, cfg, params)
+        grads = backward(st, ops, params, variant, d_z + d_logits @ params.head.T,
+                         d_psi=d_psi, d_head=st.z_final.T @ d_logits)
+        for (name, arr), (_, grad) in zip(params.named_arrays(), grads.named_arrays()):
+            numeric = finite_diff(lambda: loss(oracle_z())[0], arr)
+            assert rel_err(grad, numeric) < 1e-4, name
+        assert not any(g.any() for g in grads.w_e)
+        assert np.abs(grads.psi).max() > 0 and np.abs(grads.head).max() > 0
 
     @pytest.mark.parametrize("task", TASKS)
     @pytest.mark.parametrize("tag", DECOUPLED_TAGS)
@@ -868,8 +873,9 @@ class TestDecoupledTrainingSkipsY:
 
     def test_gradient_with_nowhere_to_flow_rejected(self):
         variant, ops, params, z0, y0 = _grad_setup("p2", "tanh")
-        st = forward(ops, params, z0, y0, variant, training=True)
-        with pytest.raises(DataError, match="no Y stream"):
-            backward(st, ops, params, variant, np.zeros_like(z0), d_y_final=np.ones_like(y0))
-        with pytest.raises(DataError, match=r"Y\(L\) was not computed"):
-            st.y_final
+        for training in (True, False):
+            st = forward(ops, params, z0, None, variant, training=training)
+            with pytest.raises(DataError, match="variant 'p2' has no Y stream"):
+                backward(st, ops, params, variant, np.zeros_like(z0), d_y_final=np.ones_like(y0))
+            with pytest.raises(DataError, match="variant 'p2' has no Y stream"):
+                st.y_final
