@@ -408,18 +408,16 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def default_dims(
-    f_z: int, f_y: int, layers: int, width: Optional[int] = None
-) -> tuple[list[int], list[int]]:
-    """Uniform layer widths: every hidden/output dim equals the node feature dim unless overridden."""
+def default_dims(f: int, layers: int, width: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """Uniform layer widths (dims_z, dims_y): Z(0) and Y(0) have the feature dim ``f``,
+    and every hidden/output dim equals it unless ``width`` overrides it."""
     if layers < 1:
         raise ConfigError(f"need at least one layer, got {layers}")
-    width = f_z if width is None else int(width)
+    width = f if width is None else int(width)
     if width < 1:
         raise ConfigError(f"layer width must be >= 1, got {width}")
-    dims_z = [int(f_z)] + [width] * layers
-    dims_y = [int(f_y)] + [width] * layers
-    return dims_z, dims_y
+    dims = [int(f)] + [width] * layers
+    return dims, list(dims)
 
 
 def init_params(

@@ -379,6 +379,13 @@ def backward(
     ``d_y_final`` is rejected with a DataError, since nothing could carry
     it.  psi/head gradients are computed by the scoring/classification
     heads and passed through so the result covers the full parameter set.
+
+    Only adjoints that reach a weight are formed.  The loop ends at
+    W(0)'s gradient, so Z(0) and Y(0), the fixed inputs, get none: layer 0
+    applies no S_v^T, B_v^T or S_e^T, only the B_e^T that feeds W(0).
+    Without a ``d_y_final`` the Y adjoint starts at the top layer's B_v^T
+    term, so the top layer's Y update is not undone and its W_e gradient
+    stays exactly zero.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
@@ -390,25 +397,27 @@ def backward(
             raise DataError("head gradient supplied but params have no head")
         grads.head = np.asarray(d_head, dtype=np.float64)
 
-    dz = np.asarray(d_z_final, dtype=np.float64)
-    dy = None  # d(loss)/d Y(k+1), for the variant with a Y stream
-    if state.agg_y:
-        dy = np.zeros_like(state.y[-1]) if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
-    elif d_y_final is not None:
+    if d_y_final is not None and not state.agg_y:
         raise DataError(f"variant {state.tag!r} has no Y stream, so no gradient can flow through Y")
+    dz = np.asarray(d_z_final, dtype=np.float64)
+    # d(loss)/d Y(k+1); None while no loss term has reached Y
+    dy = None if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
     for k in reversed(range(params.layers)):
         if dy is not None:
             gy = dy * state.deriv_y[k]
             grads.w_e[k] = state.agg_y[k].T @ gy
             dv = gy @ params.w_e[k].T
-            dy = ops.s_e.T @ dv
+            dy = ops.s_e.T @ dv if k else None
             dz = dz + ops.b_e.T @ dv
         gz = dz * state.deriv_z[k]
         grads.w[k] = state.agg_z[k].T @ gz
+        if not k:
+            break
         du = gz @ params.w[k].T
         dz = ops.s_v.T @ du
         if ops.b_v is not None:
-            dy = dy + ops.b_v.T @ du
+            dy_v = ops.b_v.T @ du
+            dy = dy_v if dy is None else dy + dy_v
     return grads
 
 
@@ -591,7 +600,7 @@ def train(
         examples, ex_labels = data.pack, data.labels
 
     # Y(0), built or not, has Z(0)'s width, so W_e keeps its seeded draw either way
-    dims_z, dims_y = default_dims(z0.shape[1], z0.shape[1], cfg.layers, cfg.width)
+    dims_z, dims_y = default_dims(z0.shape[1], cfg.layers, cfg.width)
     params = init_params(dims_z, dims_y, variant, rng=rng, n_classes=n_classes)
     ops = build_operators(g, variant)
     opt = init_optimizer(cfg.optimizer, params)

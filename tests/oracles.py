@@ -138,6 +138,35 @@ def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e):
     return z, y
 
 
+def full_backward(state, ops, params, d_z_final, d_y_final=None):
+    """Reverse mode through every adjoint, pruning nothing: the W and W_e gradients.
+
+    The Y adjoint starts at zeros when no ``d_y_final`` is given, and layer 0
+    still propagates into Z(0) and Y(0).  ``training.backward`` must give the
+    same floats while skipping what no weight reads.
+    """
+    grads_w = [np.zeros_like(a) for a in params.w]
+    grads_we = [np.zeros_like(a) for a in params.w_e]
+    dz = np.asarray(d_z_final, dtype=np.float64)
+    dy = None
+    if state.agg_y:
+        dy = np.zeros_like(state.y[-1]) if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
+    for k in reversed(range(params.layers)):
+        if dy is not None:
+            gy = dy * state.deriv_y[k]
+            grads_we[k] = state.agg_y[k].T @ gy
+            dv = gy @ params.w_e[k].T
+            dy = ops.s_e.T @ dv
+            dz = dz + ops.b_e.T @ dv
+        gz = dz * state.deriv_z[k]
+        grads_w[k] = state.agg_z[k].T @ gz
+        du = gz @ params.w[k].T
+        dz = ops.s_v.T @ du
+        if ops.b_v is not None:
+            dy = dy + ops.b_v.T @ du
+    return grads_w, grads_we
+
+
 # --- scores, metrics ---
 
 

@@ -164,7 +164,7 @@ def _gradient_cell(tag, act, seed):
     g, examples, labels = _usable_instance(seed)
     variant = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
     ops = build_operators(g, variant)
-    dims = default_dims(3, 3, 2)
+    dims = default_dims(3, 2)
     feat_rng = np.random.default_rng(seed + 1)
     z0 = feat_rng.standard_normal((g.num_nodes, 3))
     y0 = feat_rng.standard_normal((g.num_hyperedges, 3))
@@ -293,7 +293,7 @@ def test_c5_property_battery():
     g = build_hypergraph(edges, n)
     variant = VariantKind()
     ops = build_operators(g, variant)
-    params = init_params(*default_dims(3, 3, 2), variant, rng=np.random.default_rng(1))
+    params = init_params(*default_dims(3, 2), variant, rng=np.random.default_rng(1))
     feat_rng = np.random.default_rng(2)
     state = forward(
         ops, params,

@@ -373,7 +373,7 @@ class TestForward:
                 edges, n = random_hypergraph(rng)
                 g = build_hypergraph(edges, n)
                 v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
-                dims = default_dims(3, 3, 2)
+                dims = default_dims(3, 2)
                 params = seeded_params(*dims, v, seed=4)
                 z0 = rng.standard_normal((n, 3))
                 y0 = rng.standard_normal((len(edges), 3))
@@ -390,7 +390,7 @@ class TestForward:
 
     def test_triangle_base_two_layers_dense_oracle(self, triangle, rng):
         v = VariantKind()
-        dims = default_dims(2, 2, 2)
+        dims = default_dims(2, 2)
         params = seeded_params(*dims, v, seed=9)
         z0 = rng.standard_normal((3, 2))
         y0 = rng.standard_normal((3, 2))
@@ -409,7 +409,7 @@ class TestForward:
         for tag in VARIANT_TAGS:
             v = VariantKind(tag=tag)
             ops = build_operators(g, v)
-            params = seeded_params(*default_dims(3, 3, 2), v, seed=1)
+            params = seeded_params(*default_dims(3, 2), v, seed=1)
             with_y = forward(ops, params, z0, y0, v).z_final
             without_y = forward(ops, params, z0, np.zeros_like(y0), v).z_final
             if tag == "base":
@@ -420,7 +420,7 @@ class TestForward:
     def test_dimension_mismatches_rejected(self, triangle):
         v = VariantKind()
         ops = build_operators(triangle, v)
-        params = seeded_params(*default_dims(2, 2, 1), v)
+        params = seeded_params(*default_dims(2, 1), v)
         with pytest.raises(DataError, match="z0"):
             forward(ops, params, np.zeros((4, 2)), np.zeros((3, 2)), v)
         with pytest.raises(DataError, match="y0"):
@@ -432,7 +432,7 @@ class TestForward:
 
     def test_state_caches_complete(self, triangle):
         v = VariantKind()
-        params = seeded_params(*default_dims(2, 2, 3), v)
+        params = seeded_params(*default_dims(2, 3), v)
         state = forward(build_operators(triangle, v), params, np.ones((3, 2)), np.ones((3, 2)), v)
         assert state.layers == 3
         assert len(state.z) == len(state.y) == 4
@@ -485,7 +485,7 @@ class TestExportEmbeddingSet:
     @pytest.fixture
     def fitted(self, triangle):
         v = VariantKind()
-        params = seeded_params(*default_dims(2, 2, 2), v, seed=3)
+        params = seeded_params(*default_dims(2, 2), v, seed=3)
         state = forward(
             build_operators(triangle, v), params,
             np.random.default_rng(5).standard_normal((3, 2)),
@@ -520,7 +520,7 @@ class TestExportEmbeddingSet:
     def test_zero_edge_node_empty(self):
         g = build_hypergraph([(0, 1)], 3)
         v = VariantKind(tag="wt")
-        params = seeded_params(*default_dims(2, 2, 1), v)
+        params = seeded_params(*default_dims(2, 1), v)
         state = forward(build_operators(g, v), params, np.ones((3, 2)), None, v)
         rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, v, None, False)
         assert rows.shape == (2, params.psi.shape[1])
@@ -535,7 +535,7 @@ class TestExportEmbeddingSet:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         v = VariantKind()
-        params = seeded_params(*default_dims(3, 3, 2), v, seed=8, n_classes=4)
+        params = seeded_params(*default_dims(3, 2), v, seed=8, n_classes=4)
         meta = {"variant": "base", "layers": 2, "note": "round-trip"}
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, meta)
@@ -547,7 +547,7 @@ class TestCheckpoint:
 
     def test_headless_round_trip(self, tmp_path):
         v = VariantKind(tag="h2")
-        params = seeded_params(*default_dims(2, 2, 1), v)
+        params = seeded_params(*default_dims(2, 1), v)
         path = tmp_path / "m.npz"
         save_checkpoint(path, params)
         loaded, meta = load_checkpoint(path)

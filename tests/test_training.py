@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -46,6 +47,7 @@ from oracles import (
     brute_score_grad,
     dense_forward,
     finite_diff,
+    full_backward,
     rel_err,
 )
 
@@ -275,7 +277,7 @@ class TestBatchedScoringAgainstOracles:
         sets = _random_sets(rng, 30, 200)
         variant = VariantKind(sigma_v="tanh", sigma_e="tanh")
         cfg = TrainConfig(variant=variant, score_fn=score_fn, score_mode=score_mode, normalize=normalize)
-        params = init_params(*default_dims(4, 4, 1), variant, rng=np.random.default_rng(5))
+        params = init_params(*default_dims(4, 1), variant, rng=np.random.default_rng(5))
         return z, sets, cfg, params, variant
 
     @staticmethod
@@ -455,11 +457,11 @@ BCE_EXAMPLES = [(0, 1, 2), (1, 3), (0, 3, 4), (2, 4)]
 BCE_LABELS = np.array([1.0, 0.0, 1.0, 0.0])
 
 
-def _grad_setup(tag, act, seed=202, n_classes=None):
+def _grad_setup(tag, act, seed=202, n_classes=None, layers=2):
     g = build_hypergraph(GRAD_EDGES, GRAD_NODES)
     variant = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
     ops = build_operators(g, variant)
-    dims = default_dims(3, 3, 2)
+    dims = default_dims(3, layers)
     params = init_params(*dims, variant, rng=np.random.default_rng(seed), n_classes=n_classes)
     feat_rng = np.random.default_rng(seed + 1)
     z0 = feat_rng.standard_normal((GRAD_NODES, 3))
@@ -607,6 +609,90 @@ class TestBackwardAgainstFiniteDifferences:
 @pytest.mark.usefixtures("chains_forced")
 class TestBackwardChained(TestBackwardAgainstFiniteDifferences):
     """The gradient checks again, with every product applied as a chain."""
+
+
+class _Counted:
+    """An operator that logs its name each time it, or its transpose, is applied."""
+
+    def __init__(self, op, name, log):
+        self.op, self.name, self.log = op, name, log
+
+    @property
+    def T(self):
+        return _Counted(self.op.T, self.name, self.log)
+
+    def __matmul__(self, x):
+        self.log.append(self.name)
+        return self.op @ x
+
+
+OPERATOR_NAMES = ("s_v", "s_e", "b_v", "b_e")
+# (variant, d_y_final given): the pruned backward's operator applications for 1, 2 and 3 layers
+PRUNED_APPLICATIONS = {
+    ("decoupled", False): [{}, {"s_v": 1}, {"s_v": 2}],
+    ("base", False): [{}, {"s_v": 1, "b_v": 1, "b_e": 1}, {"s_v": 2, "b_v": 2, "b_e": 2, "s_e": 1}],
+    ("base", True): [{"b_e": 1}, {"s_v": 1, "b_v": 1, "b_e": 2, "s_e": 1},
+                     {"s_v": 2, "b_v": 2, "b_e": 3, "s_e": 2}],
+}
+BACKWARD_CASES = [(tag, False) for tag in VARIANT_TAGS] + [("base", True)]
+
+
+class TestBackwardPrunesUnreadAdjoints:
+    """``backward`` forms only adjoints that reach a weight; ``full_backward``, which
+    forms them all, pins every gradient float."""
+
+    @pytest.mark.parametrize("tag, with_dy", BACKWARD_CASES)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("act", ["tanh", "rrelu"])
+    def test_grads_equal_the_full_reverse_pass(self, tag, with_dy, layers, act):
+        variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3, layers=layers)
+        st = _training_forward(ops, params, z0, y0, variant)
+        up = np.random.default_rng(layers)
+        d_z = up.standard_normal(z0.shape)
+        d_y = up.standard_normal(y0.shape) if with_dy else None
+        d_psi, d_head = up.standard_normal(params.psi.shape), up.standard_normal(params.head.shape)
+        grads = backward(st, ops, params, variant, d_z, d_y_final=d_y, d_psi=d_psi, d_head=d_head)
+        full_w, full_we = full_backward(st, ops, params, d_z, d_y)
+        for k in range(layers):
+            assert np.array_equal(grads.w[k], full_w[k]), k
+            assert np.array_equal(grads.w_e[k], full_we[k]), k
+        assert np.array_equal(grads.psi, d_psi) and np.array_equal(grads.head, d_head)
+        if variant.coupled and not with_dy:
+            # no loss reads Y(L), so the top layer's W_e is a dead parameter in training
+            assert not grads.w_e[-1].any()
+
+    @pytest.mark.parametrize("tag, with_dy", BACKWARD_CASES)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_spmm_calls_per_backward(self, monkeypatch, tag, with_dy, layers):
+        variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
+        st = _training_forward(ops, params, z0, y0, variant)
+        d_y = np.ones_like(y0) if with_dy else None
+        applied, spmm_calls = [], []
+        spmm = model.spmm
+        monkeypatch.setattr(model, "spmm", lambda a, x: spmm_calls.append(1) or spmm(a, x))
+        counted = dataclasses.replace(ops, **{
+            name: _Counted(getattr(ops, name), name, applied)
+            for name in OPERATOR_NAMES if getattr(ops, name) is not None
+        })
+
+        def tally(run):
+            applied.clear()
+            spmm_calls.clear()
+            run()
+            counts = {name: applied.count(name) for name in set(applied)}
+            # one spmm per factor of every term of each operator applied
+            assert len(spmm_calls) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
+            return counts
+
+        pruned = PRUNED_APPLICATIONS[("base" if variant.coupled else "decoupled", with_dy)][layers - 1]
+        assert tally(lambda: backward(st, counted, params, variant, np.ones_like(z0), d_y_final=d_y)) == pruned
+        full = {name: layers for name in (OPERATOR_NAMES if variant.coupled else ("s_v",))}
+        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0), d_y)) == full
+
+
+@pytest.mark.usefixtures("chains_forced")
+class TestBackwardPrunesUnreadAdjointsChained(TestBackwardPrunesUnreadAdjoints):
+    """The same with every product applied as a chain, so one operator is several spmm calls."""
 
 
 class TestOptimizers:
