@@ -11,7 +11,6 @@ from .hypergraph import (
     GraphPack,
     Hypergraph,
     build_hypergraph,
-    hyperedge_adjacency,
     incidence_matrix,
     node_adjacency,
     replace_edges,
@@ -67,8 +66,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "HypergraphWarning", "NumericError",
     "FlatSets", "GraphPack", "Hypergraph", "build_hypergraph",
-    "hyperedge_adjacency", "incidence_matrix", "node_adjacency",
-    "replace_edges", "transition_matrices",
+    "incidence_matrix", "node_adjacency", "replace_edges",
+    "transition_matrices",
     "init_hyperedge_features", "init_node_features", "randomized_svd",
     "svd_features",
     "EmbeddingState", "ModelParams", "PropagationOperators", "VariantKind",

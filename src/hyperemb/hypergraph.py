@@ -235,12 +235,6 @@ def node_adjacency(g: Hypergraph) -> sparse.csr_array:
     return canonical(pack.h @ pack.h.T - sparse.diags_array(pack.d))
 
 
-def hyperedge_adjacency(g: Hypergraph) -> sparse.csr_array:
-    """M x M pairwise intersection sizes: H^T H minus its diagonal (which equals d_e)."""
-    pack = g.pack
-    return canonical(pack.h.T @ pack.h - sparse.diags_array(pack.d_e))
-
-
 def transition_matrices(g: Hypergraph) -> tuple[sparse.csr_array, sparse.csr_array]:
     """Column-stochastic random-walk operators over nodes (N x N) and hyperedges (M x M).
 

@@ -5,13 +5,15 @@ The base layer couples the two streams:
     Z(k+1) = sigma_v((S_v Z(k) + B_v Y(k)) W(k))
     Y(k+1) = sigma_e((S_e Y(k) + B_e Z(k+1)) W_e(k))
 
-where the Y update reads the freshly computed Z(k+1).  The four variants
-(p2, plusplus, wt, h2) swap in a different node operator and drop the
-cross-stream B terms.  Their Y would then never reach Z, and no loss or
-output reads it, so they have no Y stream at all: no S_e, no Y(0) and no
-Y update.  The hyperedge-dependent embedding of node i in hyperedge e,
-act([z_i ; mean of e's rows of Z(L)] @ psi), is computed from Z(L) alone
-(``training.dependent_embeddings``).
+where the Y update reads the freshly computed Z(k+1).  Y reaches an output
+only through B_v Y(k) in the Z update, so the Y update runs for k < L-1
+alone: the stream holds Y(0..L-1), with Z's widths, and W_e(L-1) is drawn
+but never read.  The four variants (p2, plusplus, wt, h2) swap in a
+different node operator and drop the cross-stream B terms.  Their Y would
+then never reach Z, and no loss or output reads it, so they have no Y
+stream at all: no S_e, no Y(0) and no Y update.  The hyperedge-dependent
+embedding of node i in hyperedge e, act([z_i ; mean of e's rows of Z(L)] @
+psi), is computed from Z(L) alone (``training.dependent_embeddings``).
 
 Every operator is an ``Operator``: a sum of products of the scaled incidence
 factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, built once per
@@ -408,53 +410,44 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def default_dims(f: int, layers: int, width: Optional[int] = None) -> tuple[list[int], list[int]]:
-    """Uniform layer widths (dims_z, dims_y): Z(0) and Y(0) have the feature dim ``f``,
-    and every hidden/output dim equals it unless ``width`` overrides it."""
+def default_dims(f: int, layers: int, width: Optional[int] = None) -> list[int]:
+    """Uniform widths of Z(0..L): Z(0) has the feature dim ``f``, and every
+    hidden/output dim equals it unless ``width`` overrides it."""
     if layers < 1:
         raise ConfigError(f"need at least one layer, got {layers}")
     width = f if width is None else int(width)
     if width < 1:
         raise ConfigError(f"layer width must be >= 1, got {width}")
-    dims = [int(f)] + [width] * layers
-    return dims, list(dims)
+    return [int(f)] + [width] * layers
 
 
 def init_params(
-    dims_z: Sequence[int],
-    dims_y: Sequence[int],
+    dims: Sequence[int],
     variant: VariantKind,
     rng: RngLike = 0,
     n_classes: Optional[int] = None,
 ) -> ModelParams:
     """Seeded uniform(+-sqrt(6/(fan_in+fan_out))) weights for the whole stack.
 
-    dims_z/dims_y list the widths of Z(0..L) and Y(0..L).  The base
-    variant's Y update adds B_e Z(k+1) to S_e Y(k), which forces
-    dims_y[k] == dims_z[k+1]; violations are rejected here rather than
+    ``dims`` lists the widths of Z(0..L), and Y(k) has Z(k)'s width.  The
+    base variant adds B_v Y(k) to S_v Z(k) and B_e Z(k+1) to S_e Y(k), so it
+    needs one width throughout; other widths are rejected here rather than
     mid-forward.
     """
     rng = as_rng(rng)
-    if len(dims_z) != len(dims_y) or len(dims_z) < 2:
-        raise ConfigError(
-            f"dims_z and dims_y must share a length >= 2, got {len(dims_z)} and {len(dims_y)}"
-        )
-    layers = len(dims_z) - 1
-    if variant.coupled:
-        for k in range(layers):
-            if dims_y[k] != dims_z[k + 1]:
-                raise ConfigError(
-                    "base variant requires matching widths for S_e Y(k) + B_e Z(k+1): "
-                    f"dims_y[{k}]={dims_y[k]} vs dims_z[{k + 1}]={dims_z[k + 1]}"
-                )
-    w = [_glorot(rng, dims_z[k], dims_z[k + 1]) for k in range(layers)]
-    w_e = [_glorot(rng, dims_y[k], dims_y[k + 1]) for k in range(layers)]
-    psi = _glorot(rng, dims_z[-1] + dims_y[-1], dims_z[-1])
+    if len(dims) < 2:
+        raise ConfigError(f"dims must list at least 2 widths, got {len(dims)}")
+    if variant.coupled and len(set(dims)) > 1:
+        raise ConfigError(f"base variant needs one width throughout, got dims {list(dims)}")
+    layers = len(dims) - 1
+    w = [_glorot(rng, dims[k], dims[k + 1]) for k in range(layers)]
+    w_e = [_glorot(rng, dims[k], dims[k + 1]) for k in range(layers)]
+    psi = _glorot(rng, 2 * dims[-1], dims[-1])
     head = None
     if n_classes is not None:
         if n_classes < 2:
             raise ConfigError(f"classifier head needs >= 2 classes, got {n_classes}")
-        head = _glorot(rng, dims_z[-1], n_classes)
+        head = _glorot(rng, dims[-1], n_classes)
     return ModelParams(w=w, w_e=w_e, psi=psi, head=head)
 
 
@@ -465,12 +458,12 @@ class EmbeddingState:
     z[k]/y[k] are the layer inputs and outputs (z[0] = input features);
     agg_z[k]/agg_y[k] are the pre-weight aggregates fed into W(k)/W_e(k);
     deriv_z[k]/deriv_y[k] are the activation derivatives at the layer-k
-    pre-activations (rrelu's sampled slopes live inside these).  ``tag`` names
-    the variant; a decoupled one has no Y stream, so its y, agg_y and deriv_y
-    stay empty.
+    pre-activations (rrelu's sampled slopes live inside these).  Only base
+    has a Y stream, and it ends at Y(L-1), the last Y the Z update reads:
+    y holds L entries, agg_y and deriv_y L-1.  A decoupled variant's y,
+    agg_y and deriv_y stay empty.
     """
 
-    tag: str
     z: list[np.ndarray]
     y: list[np.ndarray]
     agg_z: list[np.ndarray]
@@ -486,12 +479,6 @@ class EmbeddingState:
     def z_final(self) -> np.ndarray:
         return self.z[-1]
 
-    @property
-    def y_final(self) -> np.ndarray:
-        if not self.y:
-            raise DataError(f"variant {self.tag!r} has no Y stream: only the coupled 'base' variant computes Y")
-        return self.y[-1]
-
 
 def forward(
     ops: PropagationOperators,
@@ -504,9 +491,9 @@ def forward(
 ) -> EmbeddingState:
     """Run all layers, caching everything the backward pass needs.
 
-    Only the coupled ``base`` variant reads ``y0`` and runs the Y update; a
-    decoupled variant ignores ``y0`` (callers pass None) and runs the Z
-    stream alone, in training and eval mode alike.
+    Only the coupled ``base`` variant reads ``y0`` and runs the Y update,
+    for k < L-1; a decoupled variant ignores ``y0`` (callers pass None) and
+    runs the Z stream alone, in training and eval mode alike.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.ndim != 2 or z0.shape[0] != ops.num_nodes:
@@ -521,14 +508,12 @@ def forward(
         y0 = np.asarray(y0, dtype=np.float64)
         if y0.ndim != 2 or y0.shape[0] != ops.s_e.shape[0]:
             raise DataError(f"y0 must be ({ops.s_e.shape[0]}, *), got {y0.shape}")
-        if y0.shape[1] != params.w_e[0].shape[0]:
-            raise DataError(
-                f"y0 width {y0.shape[1]} does not match W_e(0) input dim {params.w_e[0].shape[0]}"
-            )
+        if y0.shape[1] != z0.shape[1]:
+            raise DataError(f"y0 width {y0.shape[1]} does not match z0 width {z0.shape[1]}")
     rng = as_rng(rng) if training else None
 
     ys = [y0] if variant.coupled else []
-    state = EmbeddingState(variant.tag, z=[z0], y=ys, agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
+    state = EmbeddingState(z=[z0], y=ys, agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
     for k in range(params.layers):
         agg_z = ops.s_v @ state.z[k]
         if ops.b_v is not None:
@@ -537,7 +522,7 @@ def forward(
         state.z.append(z_next)
         state.agg_z.append(agg_z)
         state.deriv_z.append(dz)
-        if not variant.coupled:
+        if not variant.coupled or k == params.layers - 1:
             continue
         agg_y = ops.s_e @ state.y[k] + ops.b_e @ z_next
         y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)

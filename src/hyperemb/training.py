@@ -365,7 +365,6 @@ def backward(
     params: ModelParams,
     variant: VariantKind,
     d_z_final: np.ndarray,
-    d_y_final: Optional[np.ndarray] = None,
     d_psi: Optional[np.ndarray] = None,
     d_head: Optional[np.ndarray] = None,
 ) -> ModelParams:
@@ -374,18 +373,15 @@ def backward(
     Walks the layers backwards.  For the coupled base variant it undoes the
     Y update before the Z update of the same layer, and the Y update's
     B_e Z(k+1) term feeds extra gradient back into Z(k+1).  A decoupled
-    variant has no Y stream: its state holds no Y caches, so only the Z
-    updates are undone, the W_e gradients stay exactly zero, and a
-    ``d_y_final`` is rejected with a DataError, since nothing could carry
-    it.  psi/head gradients are computed by the scoring/classification
-    heads and passed through so the result covers the full parameter set.
+    variant has no Y stream, so only its Z updates are undone.  psi/head
+    gradients are computed by the scoring/classification heads and passed
+    through so the result covers the full parameter set.
 
-    Only adjoints that reach a weight are formed.  The loop ends at
-    W(0)'s gradient, so Z(0) and Y(0), the fixed inputs, get none: layer 0
-    applies no S_v^T, B_v^T or S_e^T, only the B_e^T that feeds W(0).
-    Without a ``d_y_final`` the Y adjoint starts at the top layer's B_v^T
-    term, so the top layer's Y update is not undone and its W_e gradient
-    stays exactly zero.
+    Only adjoints that reach a weight are formed.  The Y adjoint starts at
+    the top layer's B_v^T term, and the loop ends at W(0)'s gradient, so
+    Z(0) and Y(0), the fixed inputs, get none: layer 0 applies no S_v^T,
+    B_v^T or S_e^T, only the B_e^T that feeds W(0).  The top layer's W_e,
+    which nothing reads, and every decoupled W_e keep exactly zero gradients.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
@@ -397,11 +393,8 @@ def backward(
             raise DataError("head gradient supplied but params have no head")
         grads.head = np.asarray(d_head, dtype=np.float64)
 
-    if d_y_final is not None and not state.agg_y:
-        raise DataError(f"variant {state.tag!r} has no Y stream, so no gradient can flow through Y")
     dz = np.asarray(d_z_final, dtype=np.float64)
-    # d(loss)/d Y(k+1); None while no loss term has reached Y
-    dy = None if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
+    dy = None  # d(loss)/d Y(k+1), formed from layer k+1's B_v^T term on
     for k in reversed(range(params.layers)):
         if dy is not None:
             gy = dy * state.deriv_y[k]
@@ -599,9 +592,8 @@ def train(
             data = build_labeled_set(g, cfg.alpha, rng)
         examples, ex_labels = data.pack, data.labels
 
-    # Y(0), built or not, has Z(0)'s width, so W_e keeps its seeded draw either way
-    dims_z, dims_y = default_dims(z0.shape[1], cfg.layers, cfg.width)
-    params = init_params(dims_z, dims_y, variant, rng=rng, n_classes=n_classes)
+    dims = default_dims(z0.shape[1], cfg.layers, cfg.width)
+    params = init_params(dims, variant, rng=rng, n_classes=n_classes)
     ops = build_operators(g, variant)
     opt = init_optimizer(cfg.optimizer, params)
     state = TrainState(params)

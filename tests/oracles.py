@@ -52,17 +52,6 @@ def brute_node_adjacency(edges, n):
     return a
 
 
-def brute_hyperedge_adjacency(edges, n):
-    m = len(edges)
-    a = np.zeros((m, m))
-    sets = [set(e) for e in edges]
-    for j in range(m):
-        for k in range(m):
-            if j != k:
-                a[j, k] = len(sets[j] & sets[k])
-    return a
-
-
 def dense_transitions(edges, n):
     h = dense_incidence(edges, n)
     d = h.sum(axis=1)
@@ -138,21 +127,19 @@ def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e):
     return z, y
 
 
-def full_backward(state, ops, params, d_z_final, d_y_final=None):
+def full_backward(state, ops, params, d_z_final):
     """Reverse mode through every adjoint, pruning nothing: the W and W_e gradients.
 
-    The Y adjoint starts at zeros when no ``d_y_final`` is given, and layer 0
-    still propagates into Z(0) and Y(0).  ``training.backward`` must give the
-    same floats while skipping what no weight reads.
+    The Y adjoint starts at zeros, every Y update the state cached is undone,
+    and layer 0 still propagates into Z(0) and Y(0).  ``training.backward``
+    must give the same floats while skipping what no weight reads.
     """
     grads_w = [np.zeros_like(a) for a in params.w]
     grads_we = [np.zeros_like(a) for a in params.w_e]
     dz = np.asarray(d_z_final, dtype=np.float64)
-    dy = None
-    if state.agg_y:
-        dy = np.zeros_like(state.y[-1]) if d_y_final is None else np.asarray(d_y_final, dtype=np.float64)
+    dy = np.zeros_like(state.y[-1]) if state.y else None
     for k in reversed(range(params.layers)):
-        if dy is not None:
+        if k < len(state.agg_y):
             gy = dy * state.deriv_y[k]
             grads_we[k] = state.agg_y[k].T @ gy
             dv = gy @ params.w_e[k].T

@@ -23,7 +23,6 @@ from hyperemb import (
     build_operators,
     default_dims,
     forward,
-    hyperedge_adjacency,
     hyperedge_bce_loss,
     init_params,
     load_dataset,
@@ -42,7 +41,6 @@ from hyperemb.training import _distribute_score_grads, _score_examples, backward
 from conftest import dataset_root, require_dataset
 from oracles import (
     brute_auc,
-    brute_hyperedge_adjacency,
     brute_node_adjacency,
     dense_operators,
     dense_transitions,
@@ -178,7 +176,7 @@ def _gradient_cell(tag, act, seed):
         )
 
     # -- hyperedge BCE over the sampled batch
-    params = init_params(*dims, variant, rng=np.random.default_rng(seed))
+    params = init_params(dims, variant, rng=np.random.default_rng(seed))
 
     def bce_value():
         st = fwd(params)
@@ -199,7 +197,7 @@ def _gradient_cell(tag, act, seed):
         assert err < 1e-4, f"bce d/d{name} rel err {err:.2e} ({tag}/{act})"
 
     # -- masked node cross-entropy through the classification head
-    params = init_params(*dims, variant, rng=np.random.default_rng(seed), n_classes=3)
+    params = init_params(dims, variant, rng=np.random.default_rng(seed), n_classes=3)
     node_labels = feat_rng.integers(0, 3, g.num_nodes)
     mask = feat_rng.random(g.num_nodes) > 0.3
     mask[0] = True
@@ -236,11 +234,6 @@ def test_c5_property_battery():
         # 2. incidence algebra against dense brute force
         assert_allclose(
             node_adjacency(g).toarray(), brute_node_adjacency(edges, n), atol=1e-10
-        )
-        assert_allclose(
-            hyperedge_adjacency(g).toarray(),
-            brute_hyperedge_adjacency(edges, n),
-            atol=1e-10,
         )
         p, p_e = transition_matrices(g)
         dense_p, dense_pe = dense_transitions(edges, n)
@@ -293,7 +286,7 @@ def test_c5_property_battery():
     g = build_hypergraph(edges, n)
     variant = VariantKind()
     ops = build_operators(g, variant)
-    params = init_params(*default_dims(3, 2), variant, rng=np.random.default_rng(1))
+    params = init_params(default_dims(3, 2), variant, rng=np.random.default_rng(1))
     feat_rng = np.random.default_rng(2)
     state = forward(
         ops, params,

@@ -514,7 +514,7 @@ def _write_npy_as_npz(data):
 
 
 def _write_checkpoint_meta(meta):
-    params = model.init_params([4, 4], [4, 4], VariantKind(), rng=0)
+    params = model.init_params([4, 4], VariantKind(), rng=0)
     return lambda data: save_checkpoint(data / "other.npz", params, meta)
 
 

@@ -11,7 +11,6 @@ from hyperemb import (
     TrainConfig,
     build_hypergraph,
     build_operators,
-    hyperedge_adjacency,
     incidence_matrix,
     init_hyperedge_features,
     init_node_features,
@@ -24,7 +23,6 @@ from hyperemb import hypergraph
 from conftest import TRIANGLE_EDGES
 from oracles import (
     brute_build_hypergraph,
-    brute_hyperedge_adjacency,
     brute_node_adjacency,
     dense_incidence,
     dense_transitions,
@@ -125,9 +123,6 @@ class TestMatrices:
         assert_allclose(triangle.pack.de_inv, [1 / 2, 1 / 2, 1 / 3])
         assert node_adjacency(triangle).sum(axis=1).tolist() == [3, 4, 3]
         assert_allclose(node_adjacency(triangle).toarray(), [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
-        assert_allclose(
-            hyperedge_adjacency(triangle).toarray(), [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
-        )
 
     def test_degree_vectors_read_only(self, triangle):
         pack = triangle.pack
@@ -148,11 +143,6 @@ class TestMatrices:
             g = build_hypergraph(edges, n)
             assert_allclose(
                 node_adjacency(g).toarray(), brute_node_adjacency(edges, n), atol=1e-10
-            )
-            assert_allclose(
-                hyperedge_adjacency(g).toarray(),
-                brute_hyperedge_adjacency(edges, n),
-                atol=1e-10,
             )
 
     def test_incidence_matches_oracle(self, rng):
@@ -255,7 +245,6 @@ class TestGraphPack:
     def test_pack_kept_with_the_graph(self, triangle, calls):
         assert triangle.pack is triangle.pack
         node_adjacency(triangle)
-        hyperedge_adjacency(triangle)
         transition_matrices(triangle)
         assert calls == [triangle]
         assert_allclose(triangle.pack.h.toarray(), incidence_matrix(triangle).toarray())

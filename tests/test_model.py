@@ -332,8 +332,8 @@ class TestSpmm:
         assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def seeded_params(dims_z, dims_y, variant, seed=0, **kw):
-    return init_params(dims_z, dims_y, variant, rng=np.random.default_rng(seed), **kw)
+def seeded_params(dims, variant, seed=0, **kw):
+    return init_params(dims, variant, rng=np.random.default_rng(seed), **kw)
 
 
 class TestForward:
@@ -348,8 +348,7 @@ class TestForward:
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         state = forward(ops, params, z0, None, v)
         assert_allclose(state.z_final, np.asarray(ops.s_v.toarray()) @ z0, atol=1e-12)
-        with pytest.raises(DataError, match="variant 'p2' has no Y stream"):
-            state.y_final
+        assert state.y == []
 
     def test_zero_weights_give_zero_outputs(self, triangle):
         for tag in ("base", "wt"):
@@ -357,13 +356,13 @@ class TestForward:
                 v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
                 ops = build_operators(triangle, v)
                 params = ModelParams(
-                    w=[np.zeros((2, 2))], w_e=[np.zeros((2, 2))], psi=np.zeros((4, 2))
+                    w=[np.zeros((2, 2))] * 2, w_e=[np.zeros((2, 2))] * 2, psi=np.zeros((4, 2))
                 )
                 z0 = np.random.default_rng(2).standard_normal((3, 2))
                 state = forward(ops, params, z0, z0.copy(), v)
                 assert_allclose(state.z_final, 0.0)
                 if v.coupled:
-                    assert_allclose(state.y_final, 0.0)
+                    assert_allclose(state.y[-1], 0.0)
                 else:
                     assert state.y == []
 
@@ -374,32 +373,32 @@ class TestForward:
                 g = build_hypergraph(edges, n)
                 v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
                 dims = default_dims(3, 2)
-                params = seeded_params(*dims, v, seed=4)
+                params = seeded_params(dims, v, seed=4)
                 z0 = rng.standard_normal((n, 3))
                 y0 = rng.standard_normal((len(edges), 3))
                 state = forward(build_operators(g, v), params, z0, y0, v)
-                z_ref, y_ref = dense_forward(
-                    edges, n, params.w, params.w_e, z0, y0, tag, act, act
-                )
-                # the oracle runs every variant's Y stream; only base's reaches an output
+                z_ref = dense_forward(edges, n, params.w, params.w_e, z0, y0, tag, act, act)[0]
+                # the oracle runs every variant's Y stream; only base's reaches an output,
+                # and only up to Y(L-1), the last Y its Z update reads
                 assert_allclose(state.z_final, z_ref, atol=1e-10)
                 if v.coupled:
-                    assert_allclose(state.y_final, y_ref, atol=1e-10)
+                    y_ref = dense_forward(edges, n, params.w[:-1], params.w_e[:-1], z0, y0, tag, act, act)[1]
+                    assert_allclose(state.y[-1], y_ref, atol=1e-10)
+                    assert len(state.y) == 2 and len(state.agg_y) == len(state.deriv_y) == 1
                 else:
                     assert state.y == state.agg_y == state.deriv_y == []
 
     def test_triangle_base_two_layers_dense_oracle(self, triangle, rng):
         v = VariantKind()
         dims = default_dims(2, 2)
-        params = seeded_params(*dims, v, seed=9)
+        params = seeded_params(dims, v, seed=9)
         z0 = rng.standard_normal((3, 2))
         y0 = rng.standard_normal((3, 2))
         state = forward(build_operators(triangle, v), params, z0, y0, v)
-        z_ref, y_ref = dense_forward(
-            TRIANGLE_EDGES, 3, params.w, params.w_e, z0, y0, "base", "tanh", "tanh"
-        )
+        z_ref = dense_forward(TRIANGLE_EDGES, 3, params.w, params.w_e, z0, y0, "base", "tanh", "tanh")[0]
+        y_ref = dense_forward(TRIANGLE_EDGES, 3, params.w[:1], params.w_e[:1], z0, y0, "base", "tanh", "tanh")[1]
         assert_allclose(state.z_final, z_ref, atol=1e-10)
-        assert_allclose(state.y_final, y_ref, atol=1e-10)
+        assert_allclose(state.y[-1], y_ref, atol=1e-10)
 
     def test_cross_stream_coupling_only_in_base(self, rng):
         edges, n = random_hypergraph(rng)
@@ -409,7 +408,7 @@ class TestForward:
         for tag in VARIANT_TAGS:
             v = VariantKind(tag=tag)
             ops = build_operators(g, v)
-            params = seeded_params(*default_dims(3, 2), v, seed=1)
+            params = seeded_params(default_dims(3, 2), v, seed=1)
             with_y = forward(ops, params, z0, y0, v).z_final
             without_y = forward(ops, params, z0, np.zeros_like(y0), v).z_final
             if tag == "base":
@@ -420,27 +419,29 @@ class TestForward:
     def test_dimension_mismatches_rejected(self, triangle):
         v = VariantKind()
         ops = build_operators(triangle, v)
-        params = seeded_params(*default_dims(2, 1), v)
+        params = seeded_params(default_dims(2, 1), v)
         with pytest.raises(DataError, match="z0"):
             forward(ops, params, np.zeros((4, 2)), np.zeros((3, 2)), v)
         with pytest.raises(DataError, match="y0"):
             forward(ops, params, np.zeros((3, 2)), np.zeros((2, 2)), v)
         with pytest.raises(DataError, match="width"):
             forward(ops, params, np.zeros((3, 5)), np.zeros((3, 2)), v)
+        with pytest.raises(DataError, match="y0 width"):
+            forward(ops, params, np.zeros((3, 2)), np.zeros((3, 5)), v)
         with pytest.raises(ConfigError, match="operators built"):
             forward(ops, params, np.zeros((3, 2)), np.zeros((3, 2)), VariantKind(tag="wt"))
 
     def test_state_caches_complete(self, triangle):
         v = VariantKind()
-        params = seeded_params(*default_dims(2, 3), v)
+        params = seeded_params(default_dims(2, 3), v)
         state = forward(build_operators(triangle, v), params, np.ones((3, 2)), np.ones((3, 2)), v)
-        assert state.layers == 3
-        assert len(state.z) == len(state.y) == 4
+        assert state.layers == len(state.y) == 3
+        assert len(state.z) == 4 and len(state.agg_y) == len(state.deriv_y) == 2
         assert_allclose(state.z[0], 1.0)  # inputs preserved
 
     def test_base_width_coupling_enforced(self):
-        with pytest.raises(ConfigError, match="matching widths"):
-            init_params([2, 3, 3], [4, 3, 3], VariantKind())
+        with pytest.raises(ConfigError, match="one width throughout"):
+            init_params([2, 3, 3], VariantKind())
 
 
 @pytest.mark.usefixtures("chains_forced")
@@ -485,7 +486,7 @@ class TestExportEmbeddingSet:
     @pytest.fixture
     def fitted(self, triangle):
         v = VariantKind()
-        params = seeded_params(*default_dims(2, 2), v, seed=3)
+        params = seeded_params(default_dims(2, 2), v, seed=3)
         state = forward(
             build_operators(triangle, v), params,
             np.random.default_rng(5).standard_normal((3, 2)),
@@ -520,7 +521,7 @@ class TestExportEmbeddingSet:
     def test_zero_edge_node_empty(self):
         g = build_hypergraph([(0, 1)], 3)
         v = VariantKind(tag="wt")
-        params = seeded_params(*default_dims(2, 1), v)
+        params = seeded_params(default_dims(2, 1), v)
         state = forward(build_operators(g, v), params, np.ones((3, 2)), None, v)
         rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, v, None, False)
         assert rows.shape == (2, params.psi.shape[1])
@@ -535,7 +536,7 @@ class TestExportEmbeddingSet:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         v = VariantKind()
-        params = seeded_params(*default_dims(3, 2), v, seed=8, n_classes=4)
+        params = seeded_params(default_dims(3, 2), v, seed=8, n_classes=4)
         meta = {"variant": "base", "layers": 2, "note": "round-trip"}
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, meta)
@@ -547,7 +548,7 @@ class TestCheckpoint:
 
     def test_headless_round_trip(self, tmp_path):
         v = VariantKind(tag="h2")
-        params = seeded_params(*default_dims(2, 1), v)
+        params = seeded_params(default_dims(2, 1), v)
         path = tmp_path / "m.npz"
         save_checkpoint(path, params)
         loaded, meta = load_checkpoint(path)

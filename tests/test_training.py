@@ -277,7 +277,7 @@ class TestBatchedScoringAgainstOracles:
         sets = _random_sets(rng, 30, 200)
         variant = VariantKind(sigma_v="tanh", sigma_e="tanh")
         cfg = TrainConfig(variant=variant, score_fn=score_fn, score_mode=score_mode, normalize=normalize)
-        params = init_params(*default_dims(4, 1), variant, rng=np.random.default_rng(5))
+        params = init_params(default_dims(4, 1), variant, rng=np.random.default_rng(5))
         return z, sets, cfg, params, variant
 
     @staticmethod
@@ -461,8 +461,7 @@ def _grad_setup(tag, act, seed=202, n_classes=None, layers=2):
     g = build_hypergraph(GRAD_EDGES, GRAD_NODES)
     variant = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
     ops = build_operators(g, variant)
-    dims = default_dims(3, layers)
-    params = init_params(*dims, variant, rng=np.random.default_rng(seed), n_classes=n_classes)
+    params = init_params(default_dims(3, layers), variant, rng=np.random.default_rng(seed), n_classes=n_classes)
     feat_rng = np.random.default_rng(seed + 1)
     z0 = feat_rng.standard_normal((GRAD_NODES, 3))
     y0 = feat_rng.standard_normal((len(GRAD_EDGES), 3))
@@ -561,23 +560,23 @@ class TestBackwardAgainstFiniteDifferences:
             numeric = finite_diff(loss_value, arr)
             assert rel_err(grads[name], numeric) < 1e-4, (score_fn, name)
 
-    def test_y_stream_upstream_gradient(self):
-        # synthetic linear functional on both output streams
-        variant, ops, params, z0, y0 = _grad_setup("base", "gelu", seed=5)
+    @pytest.mark.parametrize("act", ["tanh", "gelu", "rrelu"])
+    def test_base_y_stream_gradients_at_three_layers(self, act):
+        # Y(k) reaches Z(L) through B_v Y(k) for k < L, so W_e(k) matters for k < L-1 alone
+        variant, ops, params, z0, y0 = _grad_setup("base", act, seed=5, layers=3)
         c_z = np.random.default_rng(30).standard_normal(z0.shape)
-        c_y = np.random.default_rng(31).standard_normal(y0.shape)
 
         def loss_value():
-            st = forward(ops, params, z0, y0, variant)
-            return float((st.z_final * c_z).sum() + (st.y_final * c_y).sum())
+            return float((_training_forward(ops, params, z0, y0, variant).z_final * c_z).sum())
 
-        st = forward(ops, params, z0, y0, variant)
-        grads = dict(
-            backward(st, ops, params, variant, c_z, d_y_final=c_y).named_arrays()
-        )
-        for name, arr in params.named_arrays():
-            numeric = finite_diff(loss_value, arr)
-            assert rel_err(grads[name], numeric) < 1e-4, name
+        st = _training_forward(ops, params, z0, y0, variant)
+        grads = backward(st, ops, params, variant, c_z)
+        for k, arr in enumerate(params.w_e[:-1]):
+            assert np.abs(grads.w_e[k]).max() > 0, k
+            assert rel_err(grads.w_e[k], finite_diff(loss_value, arr)) < 1e-4, k
+        for k, arr in enumerate(params.w):
+            assert rel_err(grads.w[k], finite_diff(loss_value, arr)) < 1e-4, k
+        assert not grads.w_e[-1].any()
 
     def test_zero_upstream_gives_zero_grads(self):
         variant, ops, params, z0, y0 = _grad_setup("base", "tanh")
@@ -627,46 +626,40 @@ class _Counted:
 
 
 OPERATOR_NAMES = ("s_v", "s_e", "b_v", "b_e")
-# (variant, d_y_final given): the pruned backward's operator applications for 1, 2 and 3 layers
+# the pruned backward's operator applications for 1, 2 and 3 layers
 PRUNED_APPLICATIONS = {
-    ("decoupled", False): [{}, {"s_v": 1}, {"s_v": 2}],
-    ("base", False): [{}, {"s_v": 1, "b_v": 1, "b_e": 1}, {"s_v": 2, "b_v": 2, "b_e": 2, "s_e": 1}],
-    ("base", True): [{"b_e": 1}, {"s_v": 1, "b_v": 1, "b_e": 2, "s_e": 1},
-                     {"s_v": 2, "b_v": 2, "b_e": 3, "s_e": 2}],
+    "decoupled": [{}, {"s_v": 1}, {"s_v": 2}],
+    "base": [{}, {"s_v": 1, "b_v": 1, "b_e": 1}, {"s_v": 2, "b_v": 2, "b_e": 2, "s_e": 1}],
 }
-BACKWARD_CASES = [(tag, False) for tag in VARIANT_TAGS] + [("base", True)]
 
 
 class TestBackwardPrunesUnreadAdjoints:
     """``backward`` forms only adjoints that reach a weight; ``full_backward``, which
     forms them all, pins every gradient float."""
 
-    @pytest.mark.parametrize("tag, with_dy", BACKWARD_CASES)
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("act", ["tanh", "rrelu"])
-    def test_grads_equal_the_full_reverse_pass(self, tag, with_dy, layers, act):
+    def test_grads_equal_the_full_reverse_pass(self, tag, layers, act):
         variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3, layers=layers)
         st = _training_forward(ops, params, z0, y0, variant)
         up = np.random.default_rng(layers)
         d_z = up.standard_normal(z0.shape)
-        d_y = up.standard_normal(y0.shape) if with_dy else None
         d_psi, d_head = up.standard_normal(params.psi.shape), up.standard_normal(params.head.shape)
-        grads = backward(st, ops, params, variant, d_z, d_y_final=d_y, d_psi=d_psi, d_head=d_head)
-        full_w, full_we = full_backward(st, ops, params, d_z, d_y)
+        grads = backward(st, ops, params, variant, d_z, d_psi=d_psi, d_head=d_head)
+        full_w, full_we = full_backward(st, ops, params, d_z)
         for k in range(layers):
             assert np.array_equal(grads.w[k], full_w[k]), k
             assert np.array_equal(grads.w_e[k], full_we[k]), k
         assert np.array_equal(grads.psi, d_psi) and np.array_equal(grads.head, d_head)
-        if variant.coupled and not with_dy:
-            # no loss reads Y(L), so the top layer's W_e is a dead parameter in training
-            assert not grads.w_e[-1].any()
+        # Y stops at Y(L-1), so the top layer's W_e has no reader
+        assert not grads.w_e[-1].any()
 
-    @pytest.mark.parametrize("tag, with_dy", BACKWARD_CASES)
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_spmm_calls_per_backward(self, monkeypatch, tag, with_dy, layers):
+    def test_spmm_calls_per_backward(self, monkeypatch, tag, layers):
         variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
         st = _training_forward(ops, params, z0, y0, variant)
-        d_y = np.ones_like(y0) if with_dy else None
         applied, spmm_calls = [], []
         spmm = model.spmm
         monkeypatch.setattr(model, "spmm", lambda a, x: spmm_calls.append(1) or spmm(a, x))
@@ -684,10 +677,14 @@ class TestBackwardPrunesUnreadAdjoints:
             assert len(spmm_calls) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
             return counts
 
-        pruned = PRUNED_APPLICATIONS[("base" if variant.coupled else "decoupled", with_dy)][layers - 1]
-        assert tally(lambda: backward(st, counted, params, variant, np.ones_like(z0), d_y_final=d_y)) == pruned
-        full = {name: layers for name in (OPERATOR_NAMES if variant.coupled else ("s_v",))}
-        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0), d_y)) == full
+        pruned = PRUNED_APPLICATIONS["base" if variant.coupled else "decoupled"][layers - 1]
+        assert tally(lambda: backward(st, counted, params, variant, np.ones_like(z0))) == pruned
+        # the full pass undoes all L Z updates and the L - 1 Y updates the state cached
+        full = {"s_v": layers}
+        if variant.coupled:
+            full.update(b_v=layers, s_e=layers - 1, b_e=layers - 1)
+        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0))) == {
+            name: n for name, n in full.items() if n}
 
 
 @pytest.mark.usefixtures("chains_forced")
@@ -697,9 +694,7 @@ class TestBackwardPrunesUnreadAdjointsChained(TestBackwardPrunesUnreadAdjoints):
 
 class TestOptimizers:
     def _params(self, seed=0):
-        return init_params(
-            [2, 2], [2, 2], VariantKind(), rng=np.random.default_rng(seed)
-        )
+        return init_params([2, 2], VariantKind(), rng=np.random.default_rng(seed))
 
     def _grads(self, params, scale=1.0):
         g = params.zeros_like()
@@ -956,12 +951,3 @@ class TestDecoupledTrainingSkipsY:
             assert np.array_equal(run.final.z_final, first.final.z_final), act
             for (name, a), (_, b) in zip(run.params.named_arrays(), first.params.named_arrays()):
                 assert np.array_equal(a, b), (act, name)
-
-    def test_gradient_with_nowhere_to_flow_rejected(self):
-        variant, ops, params, z0, y0 = _grad_setup("p2", "tanh")
-        for training in (True, False):
-            st = forward(ops, params, z0, None, variant, training=training)
-            with pytest.raises(DataError, match="variant 'p2' has no Y stream"):
-                backward(st, ops, params, variant, np.zeros_like(z0), d_y_final=np.ones_like(y0))
-            with pytest.raises(DataError, match="variant 'p2' has no Y stream"):
-                st.y_final
