@@ -620,6 +620,10 @@ class _Counted:
     def T(self):
         return _Counted(self.op.T, self.name, self.log)
 
+    @property
+    def shape(self):
+        return self.op.shape
+
     def __matmul__(self, x):
         self.log.append(self.name)
         return self.op @ x
@@ -660,31 +664,58 @@ class TestBackwardPrunesUnreadAdjoints:
     def test_spmm_calls_per_backward(self, monkeypatch, tag, layers):
         variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
         st = _training_forward(ops, params, z0, y0, variant)
-        applied, spmm_calls = [], []
-        spmm = model.spmm
-        monkeypatch.setattr(model, "spmm", lambda a, x: spmm_calls.append(1) or spmm(a, x))
-        counted = dataclasses.replace(ops, **{
-            name: _Counted(getattr(ops, name), name, applied)
-            for name in OPERATOR_NAMES if getattr(ops, name) is not None
-        })
-
-        def tally(run):
-            applied.clear()
-            spmm_calls.clear()
-            run()
-            counts = {name: applied.count(name) for name in set(applied)}
-            # one spmm per factor of every term of each operator applied
-            assert len(spmm_calls) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
-            return counts
-
+        counted, tally = _counting(monkeypatch, ops)
         pruned = PRUNED_APPLICATIONS["base" if variant.coupled else "decoupled"][layers - 1]
         assert tally(lambda: backward(st, counted, params, variant, np.ones_like(z0))) == pruned
-        # the full pass undoes all L Z updates and the L - 1 Y updates the state cached
-        full = {"s_v": layers}
-        if variant.coupled:
-            full.update(b_v=layers, s_e=layers - 1, b_e=layers - 1)
-        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0))) == {
-            name: n for name, n in full.items() if n}
+        # the full pass undoes every update the forward ran
+        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0))) == _forward_applications(
+            variant, layers)
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_spmm_calls_per_forward(self, monkeypatch, tag, layers):
+        variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
+        counted, tally = _counting(monkeypatch, ops)
+        y0 = y0 if variant.coupled else None
+        for training in (False, True):
+            states = []
+            counts = tally(lambda: states.append(
+                forward(counted, params, z0, y0, variant, rng=np.random.default_rng(0), training=training)))
+            assert counts == _forward_applications(variant, layers), training
+            st = states[0]
+            assert len(st.z) == layers + 1 and len(st.agg_z) == len(st.deriv_z) == layers
+            n_y = layers if variant.coupled else 0
+            assert len(st.y) == n_y and len(st.agg_y) == len(st.deriv_y) == max(n_y - 1, 0)
+
+
+def _forward_applications(variant, layers):
+    """Operator applications of one forward: all L Z updates and base's L - 1 Y updates."""
+    counts = {"s_v": layers}
+    if variant.coupled:
+        counts.update(b_v=layers, s_e=layers - 1, b_e=layers - 1)
+    return {name: n for name, n in counts.items() if n}
+
+
+def _counting(monkeypatch, ops):
+    """``ops`` with every operator logged, and a tally of what a call applies."""
+    applied, spmm_calls = [], []
+    spmm = model.spmm
+    monkeypatch.setattr(model, "spmm", lambda a, x: spmm_calls.append(1) or spmm(a, x))
+    counted = dataclasses.replace(ops, **{
+        name: _Counted(getattr(ops, name), name, applied)
+        for name in OPERATOR_NAMES if getattr(ops, name) is not None
+    })
+
+    def tally(run):
+        applied.clear()
+        spmm_calls.clear()
+        run()
+        counts = {name: applied.count(name) for name in set(applied)}
+        # one spmm per factor of every term of each operator applied
+        assert len(spmm_calls) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
+        return counts
+
+    return counted, tally
 
 
 @pytest.mark.usefixtures("chains_forced")
