@@ -24,6 +24,7 @@ from .features import (
 )
 from .model import (
     EmbeddingState,
+    ForwardInputs,
     ModelParams,
     PropagationOperators,
     VariantKind,
@@ -70,7 +71,7 @@ __all__ = [
     "transition_matrices",
     "init_hyperedge_features", "init_node_features", "randomized_svd",
     "svd_features",
-    "EmbeddingState", "ModelParams", "PropagationOperators", "VariantKind",
+    "EmbeddingState", "ForwardInputs", "ModelParams", "PropagationOperators", "VariantKind",
     "build_operators", "default_dims", "forward",
     "init_params", "load_checkpoint", "save_checkpoint",
     "LabeledHyperedgeSet", "TrainConfig", "TrainState", "backward",

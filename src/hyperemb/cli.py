@@ -40,6 +40,7 @@ from .features import randomized_svd
 from .model import (
     ACTIVATION_TAGS,
     VARIANT_TAGS,
+    ForwardInputs,
     VariantKind,
     build_operators,
     forward,
@@ -213,7 +214,8 @@ def _checkpoint_state(g, features, params, meta: dict, seed: int):
     cfg = config_from({key: meta[key] for key in MODEL_META})
     z0 = _given_features(features, meta)
     z0, y0 = input_features(g, cfg.variant, cfg.feature_rank, np.random.default_rng(seed), z0)
-    return cfg.variant, forward(build_operators(g, cfg.variant), params, z0, y0, cfg.variant, training=False)
+    ops = build_operators(g, cfg.variant)
+    return cfg.variant, forward(ops, params, ForwardInputs(ops, z0, y0), cfg.variant, training=False)
 
 
 def _node_splits(ds: Dataset, cfg: TrainConfig, trials: int) -> list:

@@ -21,6 +21,12 @@ factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, built once per
 from nonzero counts alone which products to multiply out into one CSR and
 which to apply factor by factor.
 
+Before W(0), layer 0 only aggregates fixed inputs through fixed operators.
+So a ``ForwardInputs`` holds Z(0), Y(0) and their layer-0 products,
+S_v Z(0) (+ B_v Y(0)) and base's S_e Y(0), formed once per (operators,
+features) pair.  ``training.train`` builds one per trial, and all of its
+forwards, the final eval pass included, read layer 0 from it.
+
 Every sparse-times-dense product of the forward pass, and of the backward
 pass in ``training``, goes through ``spmm``.  When the BLAS runs one thread,
 a large product is split by the dense operand's columns over the CPUs of
@@ -480,51 +486,101 @@ class EmbeddingState:
         return self.z[-1]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that refuses writes; ``a`` itself keeps its flag."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardInputs:
+    """Z(0), Y(0) and their layer-0 products under one set of operators.
+
+    ``agg_z0`` (S_v Z(0), plus B_v Y(0) for base) and base's ``s_e_y0``
+    (S_e Y(0)) are formed on first read, and every ``forward`` on these
+    inputs reuses them.  ``forward`` reads ``s_e_y0`` only when a Y update
+    runs, so base at L = 1 never forms it.  Every array is read-only.  A
+    decoupled variant has no Y stream, so its ``y0`` is dropped (None).
+    """
+
+    ops: PropagationOperators
+    z0: np.ndarray
+    y0: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        ops = self.ops
+        z0 = np.asarray(self.z0, dtype=np.float64)
+        if z0.ndim != 2 or z0.shape[0] != ops.num_nodes:
+            raise DataError(f"z0 must be ({ops.num_nodes}, *), got {z0.shape}")
+        y0 = None
+        if ops.s_e is not None:
+            y0 = np.asarray(self.y0, dtype=np.float64)
+            if y0.ndim != 2 or y0.shape[0] != ops.s_e.shape[0]:
+                raise DataError(f"y0 must be ({ops.s_e.shape[0]}, *), got {y0.shape}")
+            if y0.shape[1] != z0.shape[1]:
+                raise DataError(f"y0 width {y0.shape[1]} does not match z0 width {z0.shape[1]}")
+            y0 = _read_only(y0)
+        object.__setattr__(self, "z0", _read_only(z0))
+        object.__setattr__(self, "y0", y0)
+
+    @functools.cached_property
+    def agg_z0(self) -> np.ndarray:
+        """agg_z[0], the aggregate W(0) reads: S_v Z(0), plus B_v Y(0) for base."""
+        agg = self.ops.s_v @ self.z0
+        if self.ops.b_v is not None:
+            agg = agg + self.ops.b_v @ self.y0
+        return _read_only(agg)
+
+    @functools.cached_property
+    def s_e_y0(self) -> np.ndarray:
+        """S_e Y(0), the first term of base's agg_y[0]."""
+        return _read_only(self.ops.s_e @ self.y0)
+
+
 def forward(
     ops: PropagationOperators,
     params: ModelParams,
-    z0: np.ndarray,
-    y0: Optional[np.ndarray],
+    inputs: ForwardInputs,
     variant: VariantKind,
     rng: RngLike = None,
     training: bool = False,
 ) -> EmbeddingState:
     """Run all layers, caching everything the backward pass needs.
 
-    Only the coupled ``base`` variant reads ``y0`` and runs the Y update,
-    for k < L-1; a decoupled variant ignores ``y0`` (callers pass None) and
-    runs the Z stream alone, in training and eval mode alike.
+    ``inputs`` must have been built on ``ops``.  Layer 0 reads its
+    aggregates from ``inputs``, so a forward applies S_v (and base's B_v and
+    B_e) L-1 times and base's S_e L-2 times, never at L = 1.  Only the
+    coupled ``base`` variant runs the Y update, for k < L-1; a decoupled
+    variant runs the Z stream alone, in training and eval mode alike.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.ndim != 2 or z0.shape[0] != ops.num_nodes:
-        raise DataError(f"z0 must be ({ops.num_nodes}, *), got {z0.shape}")
+    if inputs.ops is not ops:
+        raise ConfigError("inputs were built on other operators than the ones forward was given")
+    if variant.tag != ops.tag:
+        raise ConfigError(f"operators built for {ops.tag!r} but forward asked for {variant.tag!r}")
+    z0 = inputs.z0
     if z0.shape[1] != params.w[0].shape[0]:
         raise DataError(
             f"z0 width {z0.shape[1]} does not match W(0) input dim {params.w[0].shape[0]}"
         )
-    if variant.tag != ops.tag:
-        raise ConfigError(f"operators built for {ops.tag!r} but forward asked for {variant.tag!r}")
-    if variant.coupled:
-        y0 = np.asarray(y0, dtype=np.float64)
-        if y0.ndim != 2 or y0.shape[0] != ops.s_e.shape[0]:
-            raise DataError(f"y0 must be ({ops.s_e.shape[0]}, *), got {y0.shape}")
-        if y0.shape[1] != z0.shape[1]:
-            raise DataError(f"y0 width {y0.shape[1]} does not match z0 width {z0.shape[1]}")
     rng = as_rng(rng) if training else None
 
-    ys = [y0] if variant.coupled else []
+    ys = [inputs.y0] if variant.coupled else []
     state = EmbeddingState(z=[z0], y=ys, agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
     for k in range(params.layers):
-        agg_z = ops.s_v @ state.z[k]
-        if ops.b_v is not None:
-            agg_z = agg_z + ops.b_v @ state.y[k]
+        if k:
+            agg_z = ops.s_v @ state.z[k]
+            if ops.b_v is not None:
+                agg_z = agg_z + ops.b_v @ state.y[k]
+        else:
+            agg_z = inputs.agg_z0
         z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training)
         state.z.append(z_next)
         state.agg_z.append(agg_z)
         state.deriv_z.append(dz)
         if not variant.coupled or k == params.layers - 1:
             continue
-        agg_y = ops.s_e @ state.y[k] + ops.b_e @ z_next
+        agg_y = (ops.s_e @ state.y[k] if k else inputs.s_e_y0) + ops.b_e @ z_next
         y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
         state.y.append(y_next)
         state.agg_y.append(agg_y)

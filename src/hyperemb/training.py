@@ -23,6 +23,7 @@ from .features import RngLike, as_rng, init_hyperedge_features, init_node_featur
 from .hypergraph import FlatSets, Hypergraph
 from .model import (
     EmbeddingState,
+    ForwardInputs,
     ModelParams,
     PropagationOperators,
     VariantKind,
@@ -363,7 +364,6 @@ def backward(
     state: EmbeddingState,
     ops: PropagationOperators,
     params: ModelParams,
-    variant: VariantKind,
     d_z_final: np.ndarray,
     d_psi: Optional[np.ndarray] = None,
     d_head: Optional[np.ndarray] = None,
@@ -595,12 +595,13 @@ def train(
     dims = default_dims(z0.shape[1], cfg.layers, cfg.width)
     params = init_params(dims, variant, rng=rng, n_classes=n_classes)
     ops = build_operators(g, variant)
+    inputs = ForwardInputs(ops, z0, y0)  # layer 0's products, shared by every forward below
     opt = init_optimizer(cfg.optimizer, params)
     state = TrainState(params)
 
     for epoch in range(cfg.epochs):
         t_start = time.perf_counter()
-        st = forward(ops, params, z0, y0, variant, rng=rng, training=True)
+        st = forward(ops, params, inputs, variant, rng=rng, training=True)
         if task == "hyperedge-pred":
             scores, caches = _score_examples(
                 st.z_final, examples, cfg, params, variant, rng, training=True
@@ -610,7 +611,7 @@ def train(
             d_z, d_psi = _distribute_score_grads(
                 caches, d_scores, st.z_final.shape, cfg, params
             )
-            grads = backward(st, ops, params, variant, d_z, d_psi=d_psi)
+            grads = backward(st, ops, params, d_z, d_psi=d_psi)
             if eval_data is None:
                 metric = auc(scores, ex_labels)
             else:
@@ -624,7 +625,7 @@ def train(
             _check_finite(loss, epoch, state)
             d_z = d_logits @ params.head.T
             d_head = st.z_final.T @ d_logits
-            grads = backward(st, ops, params, variant, d_z, d_head=d_head)
+            grads = backward(st, ops, params, d_z, d_head=d_head)
             metric = multiclass_auc(softmax(logits, axis=1), labels, metric_mask)
         optimizer_step(opt, params, grads, cfg.lr)
         # free this epoch's caches before the next forward allocates its own
@@ -633,7 +634,7 @@ def train(
         state.log.append((float(loss), float(metric)))
         state.wall_ms.append((time.perf_counter() - t_start) * 1000.0)
 
-    state.final = forward(ops, params, z0, y0, variant, training=False)
+    state.final = forward(ops, params, inputs, variant, training=False)
     return state
 
 

@@ -20,6 +20,7 @@ from hyperemb import (
     auc,
     build_hypergraph,
     build_labeled_set,
+    ForwardInputs,
     build_operators,
     default_dims,
     forward,
@@ -166,13 +167,14 @@ def _gradient_cell(tag, act, seed):
     feat_rng = np.random.default_rng(seed + 1)
     z0 = feat_rng.standard_normal((g.num_nodes, 3))
     y0 = feat_rng.standard_normal((g.num_hyperedges, 3))
+    inputs = ForwardInputs(ops, z0, y0)
     cfg = TrainConfig(variant=variant)
 
     def fwd(params):
         # fresh identically-seeded generator per call: rrelu redraws the
         # same slopes, so finite differences see a fixed function
         return forward(
-            ops, params, z0, y0, variant, rng=np.random.default_rng(777), training=True
+            ops, params, inputs, variant, rng=np.random.default_rng(777), training=True
         )
 
     # -- hyperedge BCE over the sampled batch
@@ -191,7 +193,7 @@ def _gradient_cell(tag, act, seed):
     )
     _, d_scores = hyperedge_bce_loss(scores, labels)
     d_z, d_psi = _distribute_score_grads(caches, d_scores, st.z_final.shape, cfg, params)
-    grads = dict(backward(st, ops, params, variant, d_z, d_psi=d_psi).named_arrays())
+    grads = dict(backward(st, ops, params, d_z, d_psi=d_psi).named_arrays())
     for name, arr in params.named_arrays():
         err = rel_err(grads[name], finite_diff(bce_value, arr))
         assert err < 1e-4, f"bce d/d{name} rel err {err:.2e} ({tag}/{act})"
@@ -210,7 +212,7 @@ def _gradient_cell(tag, act, seed):
     _, d_logits = node_ce_loss(st.z_final @ params.head, node_labels, mask)
     grads = dict(
         backward(
-            st, ops, params, variant,
+            st, ops, params,
             d_logits @ params.head.T,
             d_head=st.z_final.T @ d_logits,
         ).named_arrays()
@@ -288,12 +290,10 @@ def test_c5_property_battery():
     ops = build_operators(g, variant)
     params = init_params(default_dims(3, 2), variant, rng=np.random.default_rng(1))
     feat_rng = np.random.default_rng(2)
-    state = forward(
-        ops, params,
-        feat_rng.standard_normal((n, 3)),
-        feat_rng.standard_normal((len(edges), 3)),
-        variant,
+    inputs = ForwardInputs(
+        ops, feat_rng.standard_normal((n, 3)), feat_rng.standard_normal((len(edges), 3))
     )
+    state = forward(ops, params, inputs, variant)
     rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, variant, None, False)
     assert rows.shape[0] == g.num_incidences
     z = state.z_final

@@ -9,6 +9,7 @@ import pytest
 
 from hyperemb import (
     ConfigError,
+    ForwardInputs,
     TrainConfig,
     VariantKind,
     build_hypergraph,
@@ -380,7 +381,8 @@ class TestRecommendCommand:
         train_g, pairs = split_links(load_dataset(data).graph, 0.25, "style", np.random.default_rng(3))
         z0 = init_node_features(train_g, 4, rng=np.random.default_rng(3))
         y0 = init_hyperedge_features(train_g, z0)
-        z = forward(build_operators(train_g, variant), params, z0, y0, variant).z_final
+        ops = build_operators(train_g, variant)
+        z = forward(ops, params, ForwardInputs(ops, z0, y0), variant).z_final
         styles = np.array(train_g.nodes_of_type("style"))
         ranks = []
         for query, truth in pairs:

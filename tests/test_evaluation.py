@@ -9,6 +9,7 @@ from hyperemb import (
     ConfigError,
     DataError,
     EvalReport,
+    ForwardInputs,
     HypergraphWarning,
     ModelParams,
     VariantKind,
@@ -311,9 +312,8 @@ class TestRecommend:
         g = build_hypergraph([(0, 1), (0, 2), (0, 3)], 4, node_type=types)
         v = VariantKind(tag="wt")
         params = ModelParams(w=[np.eye(2)], w_e=[np.eye(2)], psi=np.zeros((4, 2)))
-        state = forward(
-            build_operators(g, v), params, np.zeros((4, 2)), np.zeros((3, 2)), v
-        )
+        ops = build_operators(g, v)
+        state = forward(ops, params, ForwardInputs(ops, np.zeros((4, 2))), v)
         return g, state, v
 
     def _with_embeddings(self, z):

@@ -12,6 +12,7 @@ from scipy import sparse
 from hyperemb import (
     ConfigError,
     DataError,
+    ForwardInputs,
     ModelParams,
     VariantKind,
     build_hypergraph,
@@ -346,7 +347,7 @@ class TestForward:
             w=[np.eye(2)], w_e=[np.eye(2)], psi=np.zeros((4, 2))
         )
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
-        state = forward(ops, params, z0, None, v)
+        state = forward(ops, params, ForwardInputs(ops, z0), v)
         assert_allclose(state.z_final, np.asarray(ops.s_v.toarray()) @ z0, atol=1e-12)
         assert state.y == []
 
@@ -359,7 +360,7 @@ class TestForward:
                     w=[np.zeros((2, 2))] * 2, w_e=[np.zeros((2, 2))] * 2, psi=np.zeros((4, 2))
                 )
                 z0 = np.random.default_rng(2).standard_normal((3, 2))
-                state = forward(ops, params, z0, z0.copy(), v)
+                state = forward(ops, params, ForwardInputs(ops, z0, z0.copy()), v)
                 assert_allclose(state.z_final, 0.0)
                 if v.coupled:
                     assert_allclose(state.y[-1], 0.0)
@@ -376,7 +377,8 @@ class TestForward:
                 params = seeded_params(dims, v, seed=4)
                 z0 = rng.standard_normal((n, 3))
                 y0 = rng.standard_normal((len(edges), 3))
-                state = forward(build_operators(g, v), params, z0, y0, v)
+                ops = build_operators(g, v)
+                state = forward(ops, params, ForwardInputs(ops, z0, y0), v)
                 z_ref = dense_forward(edges, n, params.w, params.w_e, z0, y0, tag, act, act)[0]
                 # the oracle runs every variant's Y stream; only base's reaches an output,
                 # and only up to Y(L-1), the last Y its Z update reads
@@ -394,7 +396,8 @@ class TestForward:
         params = seeded_params(dims, v, seed=9)
         z0 = rng.standard_normal((3, 2))
         y0 = rng.standard_normal((3, 2))
-        state = forward(build_operators(triangle, v), params, z0, y0, v)
+        ops = build_operators(triangle, v)
+        state = forward(ops, params, ForwardInputs(ops, z0, y0), v)
         z_ref = dense_forward(TRIANGLE_EDGES, 3, params.w, params.w_e, z0, y0, "base", "tanh", "tanh")[0]
         y_ref = dense_forward(TRIANGLE_EDGES, 3, params.w[:1], params.w_e[:1], z0, y0, "base", "tanh", "tanh")[1]
         assert_allclose(state.z_final, z_ref, atol=1e-10)
@@ -409,32 +412,42 @@ class TestForward:
             v = VariantKind(tag=tag)
             ops = build_operators(g, v)
             params = seeded_params(default_dims(3, 2), v, seed=1)
-            with_y = forward(ops, params, z0, y0, v).z_final
-            without_y = forward(ops, params, z0, np.zeros_like(y0), v).z_final
+            with_y = forward(ops, params, ForwardInputs(ops, z0, y0), v).z_final
+            without_y = forward(ops, params, ForwardInputs(ops, z0, np.zeros_like(y0)), v).z_final
             if tag == "base":
                 assert not np.allclose(with_y, without_y)
             else:
                 assert_allclose(with_y, without_y)
 
     def test_dimension_mismatches_rejected(self, triangle):
+        # shapes of Z(0) and Y(0) alone are checked where the inputs are built,
+        # their fit to the weights and the variant where forward reads them
         v = VariantKind()
         ops = build_operators(triangle, v)
         params = seeded_params(default_dims(2, 1), v)
         with pytest.raises(DataError, match="z0"):
-            forward(ops, params, np.zeros((4, 2)), np.zeros((3, 2)), v)
+            ForwardInputs(ops, np.zeros((4, 2)), np.zeros((3, 2)))
         with pytest.raises(DataError, match="y0"):
-            forward(ops, params, np.zeros((3, 2)), np.zeros((2, 2)), v)
+            ForwardInputs(ops, np.zeros((3, 2)), np.zeros((2, 2)))
         with pytest.raises(DataError, match="width"):
-            forward(ops, params, np.zeros((3, 5)), np.zeros((3, 2)), v)
+            ForwardInputs(ops, np.zeros((3, 5)), np.zeros((3, 2)))
+        with pytest.raises(DataError, match=r"W\(0\) input dim"):
+            forward(ops, params, ForwardInputs(ops, np.zeros((3, 5)), np.zeros((3, 5))), v)
         with pytest.raises(DataError, match="y0 width"):
-            forward(ops, params, np.zeros((3, 2)), np.zeros((3, 5)), v)
+            ForwardInputs(ops, np.zeros((3, 2)), np.zeros((3, 5)))
+        with pytest.raises(DataError, match="y0"):
+            ForwardInputs(ops, np.zeros((3, 2)))  # base needs Y(0)
+        inputs = ForwardInputs(ops, np.zeros((3, 2)), np.zeros((3, 2)))
         with pytest.raises(ConfigError, match="operators built"):
-            forward(ops, params, np.zeros((3, 2)), np.zeros((3, 2)), VariantKind(tag="wt"))
+            forward(ops, params, inputs, VariantKind(tag="wt"))
+        with pytest.raises(ConfigError, match="other operators"):
+            forward(build_operators(triangle, v), params, inputs, v)
 
     def test_state_caches_complete(self, triangle):
         v = VariantKind()
         params = seeded_params(default_dims(2, 3), v)
-        state = forward(build_operators(triangle, v), params, np.ones((3, 2)), np.ones((3, 2)), v)
+        ops = build_operators(triangle, v)
+        state = forward(ops, params, ForwardInputs(ops, np.ones((3, 2)), np.ones((3, 2))), v)
         assert state.layers == len(state.y) == 3
         assert len(state.z) == 4 and len(state.agg_y) == len(state.deriv_y) == 2
         assert_allclose(state.z[0], 1.0)  # inputs preserved
@@ -447,6 +460,88 @@ class TestForward:
 @pytest.mark.usefixtures("chains_forced")
 class TestForwardChained(TestForward):
     """The forward checks again, with every product applied as a chain."""
+
+
+class TestForwardInputs:
+    """Z(0), Y(0) and the layer-0 products that every forward on them shares."""
+
+    @staticmethod
+    def built(tag, seed=3):
+        edges, n = random_hypergraph(np.random.default_rng(seed))
+        g = build_hypergraph(edges, n)
+        v = VariantKind(tag=tag)
+        ops = build_operators(g, v)
+        feat_rng = np.random.default_rng(seed + 1)
+        z0 = feat_rng.standard_normal((n, 3))
+        y0 = feat_rng.standard_normal((len(edges), 3))
+        return v, ops, z0, y0
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_products_equal_the_layer_zero_expressions(self, tag):
+        v, ops, z0, y0 = self.built(tag)
+        inputs = ForwardInputs(ops, z0, y0)
+        if v.coupled:
+            assert np.array_equal(inputs.agg_z0, ops.s_v @ z0 + ops.b_v @ y0)
+            assert np.array_equal(inputs.s_e_y0, ops.s_e @ y0)
+            assert np.array_equal(inputs.y0, y0)
+        else:
+            assert np.array_equal(inputs.agg_z0, ops.s_v @ z0)
+            assert inputs.y0 is None  # no Y stream to feed
+        assert np.array_equal(inputs.z0, z0)
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_writing_to_a_layer_zero_array_raises(self, tag):
+        v, ops, z0, y0 = self.built(tag)
+        inputs = ForwardInputs(ops, z0, y0)
+        arrays = [inputs.z0, inputs.agg_z0]
+        if v.coupled:
+            arrays += [inputs.y0, inputs.s_e_y0]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        # the caller's own arrays stay writable
+        z0[0, 0] = y0[0, 0] = 1.0
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_every_forward_reads_the_same_products(self, tag):
+        v, ops, z0, y0 = self.built(tag)
+        params = seeded_params(default_dims(3, 2), v, seed=2)
+        inputs = ForwardInputs(ops, z0, y0)
+        runs = [forward(ops, params, inputs, v, rng=np.random.default_rng(0), training=True),
+                forward(ops, params, inputs, v)]
+        for state in runs:
+            assert state.z[0] is inputs.z0 and state.agg_z[0] is inputs.agg_z0
+            if v.coupled:
+                assert state.y[0] is inputs.y0
+        # and give the floats that fresh inputs give
+        fresh = forward(ops, params, ForwardInputs(ops, z0.copy(), y0.copy()), v)
+        for got, want in zip(runs[1].z + runs[1].agg_z + runs[1].y + runs[1].agg_y,
+                             fresh.z + fresh.agg_z + fresh.y + fresh.agg_y):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_bad_shapes_rejected(self, tag):
+        v, ops, z0, y0 = self.built(tag)
+        n, m = z0.shape[0], y0.shape[0]
+        with pytest.raises(DataError, match="z0"):
+            ForwardInputs(ops, np.zeros((n + 1, 3)), y0)
+        with pytest.raises(DataError, match="z0"):
+            ForwardInputs(ops, np.zeros(n), y0)
+        params = seeded_params(default_dims(3, 1), v)
+        with pytest.raises(DataError, match=r"W\(0\) input dim"):
+            forward(ops, params, ForwardInputs(ops, np.zeros((n, 5)), np.zeros((m, 5))), v)
+        bad_y0 = [np.zeros((m + 1, 3)), np.zeros((m, 5)), np.zeros(m), None]
+        for y in bad_y0:
+            if v.coupled:
+                with pytest.raises(DataError, match="y0"):
+                    ForwardInputs(ops, z0, y)
+            else:
+                assert ForwardInputs(ops, z0, y).y0 is None
+
+
+@pytest.mark.usefixtures("chains_forced")
+class TestForwardInputsChained(TestForwardInputs):
+    """The inputs checks again, with every product applied as a chain."""
 
 
 def _embed(z, sets, psi, sigma="tanh"):
@@ -487,12 +582,13 @@ class TestExportEmbeddingSet:
     def fitted(self, triangle):
         v = VariantKind()
         params = seeded_params(default_dims(2, 2), v, seed=3)
-        state = forward(
-            build_operators(triangle, v), params,
+        ops = build_operators(triangle, v)
+        inputs = ForwardInputs(
+            ops,
             np.random.default_rng(5).standard_normal((3, 2)),
             np.random.default_rng(6).standard_normal((3, 2)),
-            v,
         )
+        state = forward(ops, params, inputs, v)
         rows, _, _ = dependent_embeddings(state.z_final, triangle.edges, params, v, None, False)
         return triangle, state, params, v, rows
 
@@ -522,7 +618,8 @@ class TestExportEmbeddingSet:
         g = build_hypergraph([(0, 1)], 3)
         v = VariantKind(tag="wt")
         params = seeded_params(default_dims(2, 1), v)
-        state = forward(build_operators(g, v), params, np.ones((3, 2)), None, v)
+        ops = build_operators(g, v)
+        state = forward(ops, params, ForwardInputs(ops, np.ones((3, 2))), v)
         rows, _, _ = dependent_embeddings(state.z_final, g.edges, params, v, None, False)
         assert rows.shape == (2, params.psi.shape[1])
         assert 2 not in g.edges.idx

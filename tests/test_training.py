@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from hyperemb import (
     ConfigError,
     DataError,
+    ForwardInputs,
     HypergraphWarning,
     NumericError,
     TrainConfig,
@@ -27,7 +29,7 @@ from hyperemb import (
     score_sets,
     train,
 )
-from hyperemb import model
+from hyperemb import model, training
 from hyperemb.model import ACTIVATION_TAGS, RRELU_RANGE, VARIANT_TAGS
 from hyperemb.training import (
     TASKS,
@@ -36,6 +38,7 @@ from hyperemb.training import (
     _score_examples,
     backward,
     init_optimizer,
+    input_features,
     optimizer_step,
     score_maxmin_grad,
     score_mean_pairwise_grad,
@@ -471,7 +474,8 @@ def _grad_setup(tag, act, seed=202, n_classes=None, layers=2):
 def _training_forward(ops, params, z0, y0, variant):
     # fresh identically-seeded generator per call: rrelu redraws the same
     # slopes, so finite differences see a fixed piecewise-linear function
-    return forward(ops, params, z0, y0, variant, rng=np.random.default_rng(777), training=True)
+    inputs = ForwardInputs(ops, z0, y0)
+    return forward(ops, params, inputs, variant, rng=np.random.default_rng(777), training=True)
 
 
 class TestBackwardAgainstFiniteDifferences:
@@ -499,7 +503,7 @@ class TestBackwardAgainstFiniteDifferences:
             caches, d_scores, st.z_final.shape, cfg, params
         )
         grads = dict(
-            backward(st, ops, params, variant, d_z, d_psi=d_psi).named_arrays()
+            backward(st, ops, params, d_z, d_psi=d_psi).named_arrays()
         )
         for name, arr in params.named_arrays():
             numeric = finite_diff(loss_value, arr)
@@ -523,7 +527,6 @@ class TestBackwardAgainstFiniteDifferences:
                 st,
                 ops,
                 params,
-                variant,
                 d_logits @ params.head.T,
                 d_head=st.z_final.T @ d_logits,
             ).named_arrays()
@@ -554,7 +557,7 @@ class TestBackwardAgainstFiniteDifferences:
         )
         assert d_psi is not None and np.abs(d_psi).max() > 0
         grads = dict(
-            backward(st, ops, params, variant, d_z, d_psi=d_psi).named_arrays()
+            backward(st, ops, params, d_z, d_psi=d_psi).named_arrays()
         )
         for name, arr in params.named_arrays():
             numeric = finite_diff(loss_value, arr)
@@ -570,7 +573,7 @@ class TestBackwardAgainstFiniteDifferences:
             return float((_training_forward(ops, params, z0, y0, variant).z_final * c_z).sum())
 
         st = _training_forward(ops, params, z0, y0, variant)
-        grads = backward(st, ops, params, variant, c_z)
+        grads = backward(st, ops, params, c_z)
         for k, arr in enumerate(params.w_e[:-1]):
             assert np.abs(grads.w_e[k]).max() > 0, k
             assert rel_err(grads.w_e[k], finite_diff(loss_value, arr)) < 1e-4, k
@@ -580,8 +583,8 @@ class TestBackwardAgainstFiniteDifferences:
 
     def test_zero_upstream_gives_zero_grads(self):
         variant, ops, params, z0, y0 = _grad_setup("base", "tanh")
-        st = forward(ops, params, z0, y0, variant)
-        grads = backward(st, ops, params, variant, np.zeros_like(z0))
+        st = forward(ops, params, ForwardInputs(ops, z0, y0), variant)
+        grads = backward(st, ops, params, np.zeros_like(z0))
         for _, arr in grads.named_arrays():
             assert_allclose(arr, 0.0)
 
@@ -597,10 +600,10 @@ class TestBackwardAgainstFiniteDifferences:
         params = ModelParams(w=[w.copy()], w_e=[w_e.copy()], psi=np.zeros((2, 1)))
         z0 = np.array([[0.9]])
         y0 = np.array([[0.4]])
-        st = forward(ops, params, z0, y0, variant)
+        st = forward(ops, params, ForwardInputs(ops, z0, y0), variant)
         s_v = float(ops.s_v.toarray()[0, 0])
         pre = s_v * 0.9 * 0.7
-        grads = backward(st, ops, params, variant, np.ones((1, 1)))
+        grads = backward(st, ops, params, np.ones((1, 1)))
         assert_allclose(grads.w[0], [[(1 - math.tanh(pre) ** 2) * s_v * 0.9]], atol=1e-12)
         assert_allclose(grads.w_e[0], 0.0)  # decoupled: loss never sees Y
 
@@ -629,6 +632,14 @@ class _Counted:
         return self.op @ x
 
 
+class _CountedForward(_Counted):
+    """An operator that logs its own applications but not its transpose's."""
+
+    @property
+    def T(self):
+        return self.op.T
+
+
 OPERATOR_NAMES = ("s_v", "s_e", "b_v", "b_e")
 # the pruned backward's operator applications for 1, 2 and 3 layers
 PRUNED_APPLICATIONS = {
@@ -650,7 +661,7 @@ class TestBackwardPrunesUnreadAdjoints:
         up = np.random.default_rng(layers)
         d_z = up.standard_normal(z0.shape)
         d_psi, d_head = up.standard_normal(params.psi.shape), up.standard_normal(params.head.shape)
-        grads = backward(st, ops, params, variant, d_z, d_psi=d_psi, d_head=d_head)
+        grads = backward(st, ops, params, d_z, d_psi=d_psi, d_head=d_head)
         full_w, full_we = full_backward(st, ops, params, d_z)
         for k in range(layers):
             assert np.array_equal(grads.w[k], full_w[k]), k
@@ -666,9 +677,9 @@ class TestBackwardPrunesUnreadAdjoints:
         st = _training_forward(ops, params, z0, y0, variant)
         counted, tally = _counting(monkeypatch, ops)
         pruned = PRUNED_APPLICATIONS["base" if variant.coupled else "decoupled"][layers - 1]
-        assert tally(lambda: backward(st, counted, params, variant, np.ones_like(z0))) == pruned
-        # the full pass undoes every update the forward ran
-        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0))) == _forward_applications(
+        assert tally(lambda: backward(st, counted, params, np.ones_like(z0))) == pruned
+        # the full pass undoes every update of all L layers, layer 0's products included
+        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0))) == _layer_applications(
             variant, layers)
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
@@ -676,11 +687,15 @@ class TestBackwardPrunesUnreadAdjoints:
     def test_spmm_calls_per_forward(self, monkeypatch, tag, layers):
         variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
         counted, tally = _counting(monkeypatch, ops)
-        y0 = y0 if variant.coupled else None
+        inputs = ForwardInputs(counted, z0, y0)
+        # the first forward on the inputs forms layer 0's products, once
+        assert tally(lambda: forward(counted, params, inputs, variant)) == _layer_applications(variant, layers)
+        # base at L = 1 runs no Y update, so it never forms S_e Y(0)
+        assert ("s_e_y0" in vars(inputs)) == (variant.coupled and layers > 1)
         for training in (False, True):
             states = []
             counts = tally(lambda: states.append(
-                forward(counted, params, z0, y0, variant, rng=np.random.default_rng(0), training=training)))
+                forward(counted, params, inputs, variant, rng=np.random.default_rng(0), training=training)))
             assert counts == _forward_applications(variant, layers), training
             st = states[0]
             assert len(st.z) == layers + 1 and len(st.agg_z) == len(st.deriv_z) == layers
@@ -688,12 +703,36 @@ class TestBackwardPrunesUnreadAdjoints:
             assert len(st.y) == n_y and len(st.agg_y) == len(st.deriv_y) == max(n_y - 1, 0)
 
 
-def _forward_applications(variant, layers):
-    """Operator applications of one forward: all L Z updates and base's L - 1 Y updates."""
-    counts = {"s_v": layers}
+def _input_applications(variant, layers):
+    """Operator applications of one ``ForwardInputs``: S_v Z(0) (+ B_v Y(0)), and
+    base's S_e Y(0) when a Y update reads it."""
+    counts = Counter(s_v=1)
     if variant.coupled:
-        counts.update(b_v=layers, s_e=layers - 1, b_e=layers - 1)
-    return {name: n for name, n in counts.items() if n}
+        counts.update(b_v=1, s_e=int(layers > 1))
+    return +counts
+
+
+def _forward_applications(variant, layers):
+    """Operator applications of one forward past layer 0's products: the Z updates
+    of layers 1..L-1 and, for base, the B_e Z(k+1) of its L - 1 Y updates and the
+    S_e Y(k) of all but the first."""
+    counts = Counter(s_v=layers - 1)
+    if variant.coupled:
+        counts.update(b_v=layers - 1, s_e=layers - 2, b_e=layers - 1)
+    return +counts
+
+
+def _layer_applications(variant, layers):
+    """Operator applications of all L layers: one inputs object plus one forward."""
+    return _input_applications(variant, layers) + _forward_applications(variant, layers)
+
+
+def _logged(ops, log, counted=_Counted):
+    """``ops`` with every operator wrapped in ``counted``, logging to ``log``."""
+    return dataclasses.replace(ops, **{
+        name: counted(getattr(ops, name), name, log)
+        for name in OPERATOR_NAMES if getattr(ops, name) is not None
+    })
 
 
 def _counting(monkeypatch, ops):
@@ -701,10 +740,7 @@ def _counting(monkeypatch, ops):
     applied, spmm_calls = [], []
     spmm = model.spmm
     monkeypatch.setattr(model, "spmm", lambda a, x: spmm_calls.append(1) or spmm(a, x))
-    counted = dataclasses.replace(ops, **{
-        name: _Counted(getattr(ops, name), name, applied)
-        for name in OPERATOR_NAMES if getattr(ops, name) is not None
-    })
+    counted = _logged(ops, applied)
 
     def tally(run):
         applied.clear()
@@ -926,6 +962,57 @@ class TestTrain:
             assert np.array_equal(got, want)
 
 
+def _toy_data(task):
+    """(labels, mask) of the toy graph's two clusters for node classification, else None."""
+    return (np.arange(8) // 4, np.arange(8) % 2 == 0) if task == "node-class" else None
+
+
+class TestTrainSharesLayerZero:
+    """``train`` forms layer 0's products once per trial, and every forward reads them."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_operator_applications_per_trial(self, monkeypatch, layers, tag, task):
+        applied, epochs = [], 3
+        build = training.build_operators
+        monkeypatch.setattr(training, "build_operators",
+                            lambda g, variant: _logged(build(g, variant), applied, _CountedForward))
+        cfg = TrainConfig(variant=VariantKind(tag=tag), layers=layers, epochs=epochs, feature_rank=4, seed=1)
+        train(toy_clustered_graph(), cfg, task=task, data=_toy_data(task))
+        counts = Counter(applied)
+        # E training forwards and the final eval forward share one inputs object
+        assert counts["s_v"] == 1 + (epochs + 1) * (layers - 1)
+        per_forward = _forward_applications(cfg.variant, layers)
+        assert counts == _input_applications(cfg.variant, layers) + Counter(
+            {name: (epochs + 1) * n for name, n in per_forward.items()})
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_every_forward_reads_one_set_of_products(self, monkeypatch, tag, task):
+        states = []
+        run_forward = training.forward
+        monkeypatch.setattr(training, "forward", lambda *a, **kw: states.append(run_forward(*a, **kw)) or states[-1])
+        g = toy_clustered_graph()
+        cfg = TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e="rrelu"),
+                          epochs=4, feature_rank=4, seed=6)
+        state = train(g, cfg, task=task, data=_toy_data(task))
+        assert len(states) == cfg.epochs + 1 and states[-1] is state.final
+        agg_z0 = states[0].agg_z[0]
+        assert all(st.agg_z[0] is agg_z0 and st.z[0] is states[0].z[0] for st in states)
+        with pytest.raises(ValueError, match="read-only"):
+            agg_z0[0, 0] = 0.0
+        # the final state equals a fresh forward on freshly built inputs, bit for bit
+        z0, y0 = input_features(g, cfg.variant, cfg.feature_rank, np.random.default_rng(cfg.seed))
+        ops = build_operators(g, cfg.variant)
+        fresh = forward(ops, state.params, ForwardInputs(ops, z0, y0), cfg.variant)
+        final = state.final
+        for name in ("z", "y", "agg_z", "agg_y", "deriv_z", "deriv_y"):
+            got, want = getattr(final, name), getattr(fresh, name)
+            assert len(got) == len(want), name
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+
+
 DECOUPLED_TAGS = [tag for tag in VARIANT_TAGS if not VariantKind(tag=tag).coupled]
 
 
@@ -950,13 +1037,14 @@ class TestDecoupledTrainingSkipsY:
         def oracle_z():
             return dense_forward(GRAD_EDGES, GRAD_NODES, params.w, params.w_e, z0, y0, tag, act, act)[0]
 
-        st = forward(ops, params, z0, None, variant, training=True)
+        inputs = ForwardInputs(ops, z0)
+        st = forward(ops, params, inputs, variant, training=True)
         assert st.y == st.agg_y == st.deriv_y == []
-        assert np.array_equal(st.z_final, forward(ops, params, z0, None, variant).z_final)
+        assert np.array_equal(st.z_final, forward(ops, params, inputs, variant).z_final)
         assert_allclose(st.z_final, oracle_z(), atol=1e-10)
         _, caches, d_scores, d_logits = loss(st.z_final)
         d_z, d_psi = _distribute_score_grads(caches, d_scores, z0.shape, cfg, params)
-        grads = backward(st, ops, params, variant, d_z + d_logits @ params.head.T,
+        grads = backward(st, ops, params, d_z + d_logits @ params.head.T,
                          d_psi=d_psi, d_head=st.z_final.T @ d_logits)
         for (name, arr), (_, grad) in zip(params.named_arrays(), grads.named_arrays()):
             numeric = finite_diff(lambda: loss(oracle_z())[0], arr)
@@ -970,7 +1058,7 @@ class TestDecoupledTrainingSkipsY:
         # sigma_v = rrelu draws slopes after every Z update, so a Y activation that
         # drew its own (sigma_e = rrelu) would shift every later Z
         g = toy_clustered_graph()
-        data = (np.arange(8) // 4, np.arange(8) % 2 == 0) if task == "node-class" else None
+        data = _toy_data(task)
         runs = {
             act: train(g, TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e=act),
                                       epochs=3, feature_rank=4, seed=2), task=task, data=data)
