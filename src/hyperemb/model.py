@@ -27,6 +27,18 @@ S_v Z(0) (+ B_v Y(0)) and base's S_e Y(0), formed once per (operators,
 features) pair.  ``training.train`` builds one per trial, and all of its
 forwards, the final eval pass included, read layer 0 from it.
 
+Node order.  A graph of at least ``REORDER_MIN_NODES`` nodes is propagated
+in reverse Cuthill-McKee order (``PropagationOperators.order``), so the
+gathers of S_v Z and S_v^T dZ read rows that lie close together.  The
+operators' node axes are relabelled without re-sorting any row, and the
+dense state stays in that storage order for the whole trial: ``forward``
+returns Z(L) in node order and ``training.backward`` takes its adjoint in
+node order.  Every forward float is the one the node-order pass gives, bit
+for bit, rrelu's training slopes included.  The W gradients sum over nodes
+in the new order, through W's aggregate and through the transposed
+operators, so they, and every weight trained from them, move in the last
+bits.  Smaller graphs keep their own order and their floats.
+
 Every sparse-times-dense product of the forward pass, and of the backward
 pass in ``training``, goes through ``spmm``.  When the BLAS runs one thread,
 a large product is split by the dense operand's columns over the CPUs of
@@ -52,7 +64,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, DataError
 from .features import RngLike, as_rng
-from .hypergraph import Hypergraph, canonical
+from .hypergraph import Hypergraph, canonical, node_adjacency
 
 VARIANT_TAGS = ("base", "p2", "plusplus", "wt", "h2")
 ACTIVATION_TAGS = ("tanh", "leaky-relu", "gelu", "selu", "rrelu")
@@ -171,13 +183,16 @@ def activate(
     x: np.ndarray,
     rng: Optional[np.random.Generator] = None,
     training: bool = False,
+    order: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the tagged nonlinearity; return (value, elementwise derivative).
 
     The derivative is evaluated at x and cached by the caller for the
     backward pass.  rrelu draws per-element negative slopes uniformly from
     ``RRELU_RANGE`` with ``rng`` in training mode and uses the range's
-    midpoint in eval mode.
+    midpoint in eval mode.  When x's rows are nodes in storage order
+    ``order``, the slopes are drawn for node-order rows and gathered, so each
+    node gets the slopes it would get in node order.
     """
     if tag == "tanh":
         t = np.tanh(x)
@@ -202,6 +217,8 @@ def activate(
             if rng is None:
                 raise ConfigError("rrelu in training mode needs a random generator")
             slope = rng.uniform(lo, hi, size=x.shape)
+            if order is not None:
+                slope = slope[order]
         else:
             slope = (lo + hi) / 2.0
         pos = x >= 0
@@ -262,11 +279,13 @@ class Operator:
     indptr = property(lambda self: self._stored("indptr"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationOperators:
     """The propagation operators for one (graph, variant) pair.
 
     s_e, b_v and b_e are None for the decoupled variants, which have no Y stream.
+    ``order`` is the storage order of the node axes: storage row j is node
+    ``order[j]``.  It is None when nodes keep their own order.
     """
 
     tag: str
@@ -274,6 +293,7 @@ class PropagationOperators:
     s_e: Optional[Operator]
     b_v: Optional[Operator] = None
     b_e: Optional[Operator] = None
+    order: Optional[np.ndarray] = None
 
     @property
     def num_nodes(self) -> int:
@@ -288,6 +308,15 @@ class PropagationOperators:
 # p2's P_e P_e (5.8) lost, 19.3 -> 22.6 ms, and S_v and P P (11.3) won alone,
 # 54.7 -> 24.7 ms, which 16 leaves unclaimed so that dblp keeps its operators
 CHAIN_MIN_RATIO = 16
+
+# a graph of at least this many nodes is propagated in reverse Cuthill-McKee order.
+# At 16,384 nodes a width-32 float64 operand is 4 MiB, the two 2 MiB L2s of the
+# 2-vCPU benchmark host, where ``spmm`` gives each core a 16-column half; a smaller
+# graph's gathers hit the cache in any order: on the seed-1 citeseer-size graph one
+# S_v Z took 1.59 -> 1.52 ms reordered for base and 2.71 -> 2.73 ms for p2.  In seed-1 dblp-size node-class trials (43,413 nodes,
+# one BLAS thread, split in two), p2's S_v Z went from 46-70 ms per product to 24.5 ms
+# and S_v^T dZ from 38-59 ms to 23.5 ms, for about 0.035 s of H H^T and ordering per build
+REORDER_MIN_NODES = 16_384
 
 
 def _plan_counts(chain: Sequence[sparse.sparray]) -> tuple[int, int]:
@@ -340,13 +369,85 @@ def _plan(terms: Sequence[tuple]) -> Operator:
     return Operator(tuple(stored + chains))
 
 
+def _node_order(g: Hypergraph) -> Optional[np.ndarray]:
+    """Reverse Cuthill-McKee order of H H^T's pattern, or None below ``REORDER_MIN_NODES`` nodes."""
+    if g.num_nodes < REORDER_MIN_NODES:
+        return None
+    # imported here: the module costs 7 MB of RSS that smaller graphs need not pay
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    return reverse_cuthill_mckee(node_adjacency(g), symmetric_mode=True)
+
+
+def _relabel_factor(f: sparse.sparray, order: np.ndarray, inv: np.ndarray, rows: bool, cols: bool):
+    """``f`` with its node rows and/or columns renumbered into storage order.
+
+    Storage row j is old row ``order[j]``, moved whole, and old column c
+    becomes column ``inv[c]``, with no row re-sorted, so every output element
+    sums its terms in the order it did before.  The kernel of a CSC view
+    ``c.T`` adds each output row's terms in column order, so a view whose
+    columns are nodes is stored row-wise first; any other is relabelled
+    through ``c``.
+    """
+    if f.format == "csc":
+        if not cols:
+            return _relabel_factor(f.T, order, inv, False, rows).T
+        f = sparse.csr_array(f)
+    if rows:
+        f = f[order]
+    indices = inv[f.indices].astype(f.indices.dtype, copy=False) if cols else f.indices
+    return sparse.csr_array((f.data, indices, f.indptr), shape=f.shape)
+
+
+def _reordered(ops: PropagationOperators, order: np.ndarray) -> PropagationOperators:
+    """``ops`` with every node axis of every factor in storage order ``order``.
+
+    A chain's factors are incidence factors, each between nodes and
+    hyperedges, so its axes alternate between the two kinds.  A factor that
+    several terms share is relabelled once and stays shared.
+    """
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size, dtype=order.dtype)
+    done: dict = {}
+
+    def factor(f, rows, cols):
+        if not (rows or cols):
+            return f
+        key = (id(f), rows, cols)
+        if key not in done:
+            done[key] = _relabel_factor(f, order, inv, rows, cols)
+        return done[key]
+
+    def relabel(op, rows, cols):
+        if op is None:
+            return None
+        terms = []
+        for term in op.terms:
+            nodes = [rows, cols] if len(term) == 1 else [rows != bool(i % 2) for i in range(len(term) + 1)]
+            terms.append(tuple(factor(f, nodes[i], nodes[i + 1]) for i, f in enumerate(term)))
+        return Operator(tuple(terms))
+
+    return PropagationOperators(
+        ops.tag, relabel(ops.s_v, True, True), ops.s_e,
+        b_v=relabel(ops.b_v, True, False), b_e=relabel(ops.b_e, False, True), order=order,
+    )
+
+
 def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
     """Assemble the propagation operators for the given variant.
 
     Each operator is written as a sum of products over the scaled incidence
     factors and planned term by term (``_plan``); the result depends only on
-    the graph's nonzero counts, never on a timing.
+    the graph's nonzero counts, never on a timing.  From ``REORDER_MIN_NODES``
+    nodes on, the node axes are then put in reverse Cuthill-McKee order.
     """
+    order = _node_order(g)
+    ops = _operators(g, variant)
+    return ops if order is None else _reordered(ops, order)
+
+
+def _operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
+    """The operators of ``build_operators`` with nodes in their own order."""
     if isinstance(variant, str):
         variant = VariantKind(tag=variant)
     h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
@@ -468,6 +569,10 @@ class EmbeddingState:
     has a Y stream, and it ends at Y(L-1), the last Y the Z update reads:
     y holds L entries, agg_y and deriv_y L-1.  A decoupled variant's y,
     agg_y and deriv_y stay empty.
+
+    z[0..L-1], agg_z and deriv_z have their rows in the operators' storage
+    order (``PropagationOperators.order``); ``z_final`` = z[L] is in node
+    order.  The Y stream's rows are hyperedges, which are never reordered.
     """
 
     z: list[np.ndarray]
@@ -502,6 +607,11 @@ class ForwardInputs:
     inputs reuses them.  ``forward`` reads ``s_e_y0`` only when a Y update
     runs, so base at L = 1 never forms it.  Every array is read-only.  A
     decoupled variant has no Y stream, so its ``y0`` is dropped (None).
+
+    ``z0`` is given in node order and held in the operators' storage order,
+    as is ``agg_z0``.  When the operators reorder nodes, ``z0`` is a gathered
+    copy, and these inputs should be its only holder: a caller that keeps the
+    node-order array keeps a second N x F array alive.
     """
 
     ops: PropagationOperators
@@ -521,6 +631,8 @@ class ForwardInputs:
             if y0.shape[1] != z0.shape[1]:
                 raise DataError(f"y0 width {y0.shape[1]} does not match z0 width {z0.shape[1]}")
             y0 = _read_only(y0)
+        if ops.order is not None:
+            z0 = z0[ops.order]
         object.__setattr__(self, "z0", _read_only(z0))
         object.__setattr__(self, "y0", y0)
 
@@ -552,7 +664,9 @@ def forward(
     aggregates from ``inputs``, so a forward applies S_v (and base's B_v and
     B_e) L-1 times and base's S_e L-2 times, never at L = 1.  Only the
     coupled ``base`` variant runs the Y update, for k < L-1; a decoupled
-    variant runs the Z stream alone, in training and eval mode alike.
+    variant runs the Z stream alone, in training and eval mode alike.  The
+    layers run in the operators' storage order, and Z(L) is put back in node
+    order once, replacing the storage-order array.
     """
     if inputs.ops is not ops:
         raise ConfigError("inputs were built on other operators than the ones forward was given")
@@ -574,7 +688,7 @@ def forward(
                 agg_z = agg_z + ops.b_v @ state.y[k]
         else:
             agg_z = inputs.agg_z0
-        z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training)
+        z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training, ops.order)
         state.z.append(z_next)
         state.agg_z.append(agg_z)
         state.deriv_z.append(dz)
@@ -585,6 +699,10 @@ def forward(
         state.y.append(y_next)
         state.agg_y.append(agg_y)
         state.deriv_y.append(dy)
+    if ops.order is not None:
+        z_final = np.empty_like(z_next)
+        z_final[ops.order] = z_next
+        state.z[-1] = z_final
     return state
 
 

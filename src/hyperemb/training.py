@@ -382,6 +382,9 @@ def backward(
     Z(0) and Y(0), the fixed inputs, get none: layer 0 applies no S_v^T,
     B_v^T or S_e^T, only the B_e^T that feeds W(0).  The top layer's W_e,
     which nothing reads, and every decoupled W_e keep exactly zero gradients.
+
+    ``d_z_final`` is in node order, like ``state.z_final``; it is put in the
+    operators' storage order once, on entry.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
@@ -394,6 +397,8 @@ def backward(
         grads.head = np.asarray(d_head, dtype=np.float64)
 
     dz = np.asarray(d_z_final, dtype=np.float64)
+    if ops.order is not None:
+        dz = dz[ops.order]
     dy = None  # d(loss)/d Y(k+1), formed from layer k+1's B_v^T term on
     for k in reversed(range(params.layers)):
         if dy is not None:
@@ -596,6 +601,7 @@ def train(
     params = init_params(dims, variant, rng=rng, n_classes=n_classes)
     ops = build_operators(g, variant)
     inputs = ForwardInputs(ops, z0, y0)  # layer 0's products, shared by every forward below
+    del z0  # inputs hold Z(0), in the operators' storage order: keep no second copy
     opt = init_optimizer(cfg.optimizer, params)
     state = TrainState(params)
 

@@ -38,6 +38,17 @@ def chains_forced(monkeypatch):
     monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
 
 
+@pytest.fixture
+def reorder_forced(monkeypatch):
+    """Propagate every graph in reverse Cuthill-McKee node order, however small."""
+    monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
+
+
+def stored(ops, a):
+    """Rows of the node-order array ``a`` in the storage order of ``ops``."""
+    return a if ops.order is None else a[ops.order]
+
+
 def dataset_root() -> Path | None:
     """Directory with converted public datasets, if the env points at one."""
     root = os.environ.get("HYPEREMB_DATA")

@@ -137,6 +137,8 @@ def full_backward(state, ops, params, d_z_final):
     grads_w = [np.zeros_like(a) for a in params.w]
     grads_we = [np.zeros_like(a) for a in params.w_e]
     dz = np.asarray(d_z_final, dtype=np.float64)
+    if ops.order is not None:  # the state's node rows are in the operators' storage order
+        dz = dz[ops.order]
     dy = np.zeros_like(state.y[-1]) if state.y else None
     for k in reversed(range(params.layers)):
         if k < len(state.agg_y):
@@ -297,3 +299,11 @@ def random_hypergraph(rng, max_nodes=10, max_edges=6, min_size=2, connected_degr
             other = (i + 1) % n
             edges.append(tuple(sorted({i, other})))
     return edges, n
+
+
+def ringed_hypergraph(seed, n=40, m=30):
+    """(edges, n): ``m`` random hyperedges of 2-5 members plus a ring of pairs, so
+    every node is covered and a bandwidth-reducing order is far from the identity."""
+    rng = np.random.default_rng(seed)
+    edges = [tuple(rng.choice(n, size=int(rng.integers(2, 6)), replace=False)) for _ in range(m)]
+    return edges + [(i, (i + 7) % n) for i in range(n)], n

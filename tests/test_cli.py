@@ -499,6 +499,12 @@ def test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, scorer
     assert printed == {"task": task, "auc": report["metrics"]["auc"]["values"][-1]}
 
 
+@pytest.mark.usefixtures("reorder_forced")
+@pytest.mark.parametrize("task", ["hyperedge-pred", "node-class"])
+def test_eval_replays_a_reordered_trials_heldout_auc(tmp_path, capsys, task):
+    test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, [])
+
+
 def _write_features(text):
     return lambda data: (data / "features.tsv").write_text(text)
 

@@ -27,7 +27,7 @@ from hyperemb import model
 from hyperemb.hypergraph import FlatSets
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, spmm
 from hyperemb.training import dependent_embeddings
-from conftest import TRIANGLE_EDGES
+from conftest import TRIANGLE_EDGES, stored
 from oracles import (
     dense_forward,
     dense_operators,
@@ -35,6 +35,7 @@ from oracles import (
     oracle_activation,
     random_hypergraph,
     rel_err,
+    ringed_hypergraph,
 )
 
 
@@ -78,6 +79,14 @@ class TestActivations:
         neg = x < 0
         slopes = v1[neg] / x[neg]
         assert np.all((slopes > lo) & (slopes < hi))
+
+    def test_rrelu_slopes_follow_their_nodes(self, rng):
+        x = rng.standard_normal((6, 3))
+        order = np.array([4, 0, 5, 2, 1, 3])
+        want = activate("rrelu", x, rng=np.random.default_rng(7), training=True)
+        got = activate("rrelu", x[order], rng=np.random.default_rng(7), training=True, order=order)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b[order])
 
     def test_rrelu_eval_uses_midpoint(self):
         x = np.array([-2.0, -1.0, 3.0])
@@ -348,7 +357,8 @@ class TestForward:
         )
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         state = forward(ops, params, ForwardInputs(ops, z0), v)
-        assert_allclose(state.z_final, np.asarray(ops.s_v.toarray()) @ z0, atol=1e-12)
+        want = np.asarray(ops.s_v.toarray()) @ stored(ops, z0)
+        assert_allclose(stored(ops, state.z_final), want, atol=1e-12)
         assert state.y == []
 
     def test_zero_weights_give_zero_outputs(self, triangle):
@@ -462,6 +472,11 @@ class TestForwardChained(TestForward):
     """The forward checks again, with every product applied as a chain."""
 
 
+@pytest.mark.usefixtures("reorder_forced")
+class TestForwardReordered(TestForward):
+    """The forward checks again, with nodes in reverse Cuthill-McKee order."""
+
+
 class TestForwardInputs:
     """Z(0), Y(0) and the layer-0 products that every forward on them shares."""
 
@@ -480,6 +495,7 @@ class TestForwardInputs:
     def test_products_equal_the_layer_zero_expressions(self, tag):
         v, ops, z0, y0 = self.built(tag)
         inputs = ForwardInputs(ops, z0, y0)
+        z0 = stored(ops, z0)
         if v.coupled:
             assert np.array_equal(inputs.agg_z0, ops.s_v @ z0 + ops.b_v @ y0)
             assert np.array_equal(inputs.s_e_y0, ops.s_e @ y0)
@@ -542,6 +558,118 @@ class TestForwardInputs:
 @pytest.mark.usefixtures("chains_forced")
 class TestForwardInputsChained(TestForwardInputs):
     """The inputs checks again, with every product applied as a chain."""
+
+
+@pytest.mark.usefixtures("reorder_forced")
+class TestForwardInputsReordered(TestForwardInputs):
+    """The inputs checks again, with nodes in reverse Cuthill-McKee order."""
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_z0_is_a_gathered_copy(self, tag):
+        v, ops, z0, y0 = self.built(tag)
+        inputs = ForwardInputs(ops, z0, y0)
+        assert not np.shares_memory(inputs.z0, z0)
+        assert np.array_equal(inputs.z0, z0[ops.order])
+
+
+class TestNodeOrder:
+    """Graphs from ``REORDER_MIN_NODES`` nodes on run in reverse Cuthill-McKee order."""
+
+    def test_gate_counts_nodes(self, monkeypatch):
+        # a width-32 float64 operand of 16,384 rows is 4 MiB; citeseer size stays below
+        assert model.REORDER_MIN_NODES == 16_384 > 3327
+        edges, n = ringed_hypergraph(0)
+        g = build_hypergraph(edges, n)
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", n + 1)
+        assert all(build_operators(g, tag).order is None for tag in VARIANT_TAGS)
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", n)
+        for tag in VARIANT_TAGS:
+            order = build_operators(g, tag).order
+            assert np.array_equal(np.sort(order), np.arange(n))
+            assert not np.array_equal(order, np.arange(n))
+
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_below_the_gate_the_operators_are_the_node_order_ones(self, monkeypatch, tag, chained):
+        if chained:
+            monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
+        g = build_hypergraph(*ringed_hypergraph(1))
+        ops, natural = build_operators(g, tag), model._operators(g, tag)
+        assert ops.order is None
+        for name in ("s_v", "s_e", "b_v", "b_e"):
+            got, want = getattr(ops, name), getattr(natural, name)
+            if want is None:
+                assert got is None
+                continue
+            assert [len(t) for t in got.terms] == [len(t) for t in want.terms]
+            for a, b in zip(got.factors, want.factors):
+                assert a.format == b.format and a.shape == b.shape
+                for arr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(a, arr), getattr(b, arr)), (name, arr)
+
+    @pytest.mark.usefixtures("reorder_forced")
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_relabelled_operators_are_p_s_pt(self, monkeypatch, tag, chained):
+        if chained:
+            monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
+        for seed in range(3):
+            edges, n = ringed_hypergraph(seed)
+            ops = build_operators(build_hypergraph(edges, n), tag)
+            o = ops.order
+            s_v, s_e, b_v, b_e = dense_operators(edges, n, tag)
+            assert_allclose(ops.s_v.toarray(), s_v[np.ix_(o, o)], atol=1e-10)
+            assert_allclose(ops.s_v.T.toarray(), s_v[np.ix_(o, o)].T, atol=1e-10)
+            if tag == "base":
+                assert_allclose(ops.s_e.toarray(), s_e, atol=1e-10)
+                assert_allclose(ops.b_v.toarray(), b_v[o], atol=1e-10)
+                assert_allclose(ops.b_e.toarray(), b_e[:, o], atol=1e-10)
+
+    @pytest.mark.usefixtures("reorder_forced")
+    def test_rows_move_whole_and_columns_are_not_resorted(self):
+        edges, n = ringed_hypergraph(2)
+        g = build_hypergraph(edges, n)
+        ops, natural = build_operators(g, "p2"), model._operators(g, "p2")
+        [[got]], [[want]] = ops.s_v.terms, natural.s_v.terms
+        want = want[ops.order]
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.data, want.data)
+        assert np.array_equal(ops.order[got.indices], want.indices)
+        assert not got.has_sorted_indices  # each row keeps its node-order summation order
+
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_forward_is_bit_identical_to_node_order(self, monkeypatch, tag, layers, chained):
+        if chained:
+            monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
+        edges, n = ringed_hypergraph(layers)
+        g = build_hypergraph(edges, n)
+        feat = np.random.default_rng(layers + 10)
+        z0, y0 = feat.standard_normal((n, 4)), feat.standard_normal((len(edges), 4))
+        for act in ACTIVATION_TAGS:
+            v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
+            params = seeded_params(default_dims(4, layers), v, seed=layers)
+            runs = []
+            for gate in (n + 1, 0):
+                monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
+                ops = build_operators(g, v)
+                inputs = ForwardInputs(ops, z0, y0)
+                train_rng = np.random.default_rng(5)
+                runs.append((ops, [forward(ops, params, inputs, v),
+                                   forward(ops, params, inputs, v, rng=train_rng, training=True)]))
+            (natural_ops, natural), (ops, reordered) = runs
+            assert natural_ops.order is None and ops.order is not None
+            for want, got in zip(natural, reordered):
+                assert np.array_equal(got.z_final, want.z_final), act
+                # every cached node-indexed array is the node-order one in storage order
+                for name in ("agg_z", "deriv_z"):
+                    for a, b in zip(getattr(got, name), getattr(want, name)):
+                        assert np.array_equal(a, b[ops.order]), (act, name)
+                for a, b in zip(got.z[:-1], want.z[:-1]):
+                    assert np.array_equal(a, b[ops.order]), act
+                for name in ("y", "agg_y", "deriv_y"):
+                    for a, b in zip(getattr(got, name), getattr(want, name)):
+                        assert np.array_equal(a, b), (act, name)
 
 
 def _embed(z, sets, psi, sigma="tanh"):

@@ -1,7 +1,15 @@
 import dataclasses
+import gc
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import warnings
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +60,7 @@ from oracles import (
     finite_diff,
     full_backward,
     rel_err,
+    ringed_hypergraph,
 )
 
 
@@ -613,6 +622,11 @@ class TestBackwardChained(TestBackwardAgainstFiniteDifferences):
     """The gradient checks again, with every product applied as a chain."""
 
 
+@pytest.mark.usefixtures("reorder_forced")
+class TestBackwardReordered(TestBackwardAgainstFiniteDifferences):
+    """The gradient checks again, with nodes in reverse Cuthill-McKee order."""
+
+
 class _Counted:
     """An operator that logs its name each time it, or its transpose, is applied."""
 
@@ -757,6 +771,11 @@ def _counting(monkeypatch, ops):
 @pytest.mark.usefixtures("chains_forced")
 class TestBackwardPrunesUnreadAdjointsChained(TestBackwardPrunesUnreadAdjoints):
     """The same with every product applied as a chain, so one operator is several spmm calls."""
+
+
+@pytest.mark.usefixtures("reorder_forced")
+class TestBackwardPrunesUnreadAdjointsReordered(TestBackwardPrunesUnreadAdjoints):
+    """The same with nodes in reverse Cuthill-McKee order."""
 
 
 class TestOptimizers:
@@ -1070,3 +1089,108 @@ class TestDecoupledTrainingSkipsY:
             assert np.array_equal(run.final.z_final, first.final.z_final), act
             for (name, a), (_, b) in zip(run.params.named_arrays(), first.params.named_arrays()):
                 assert np.array_equal(a, b), (act, name)
+
+
+class TestReorderedTraining:
+    """``train`` on a graph propagated in reverse Cuthill-McKee order."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_first_epoch_is_bit_identical(self, monkeypatch, tag, task):
+        g = toy_clustered_graph()
+        cfg = TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e="rrelu"),
+                          epochs=3, feature_rank=4, seed=6)
+        runs = []
+        for gate in (g.num_nodes + 1, 0):
+            monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
+            runs.append(train(g, cfg, task=task, data=_toy_data(task)))
+        natural, reordered = runs
+        # the first forward reads the same weights; later ones read weights whose
+        # gradients summed over nodes in another order
+        assert reordered.log[0] == natural.log[0]
+        assert_allclose(reordered.log, natural.log, rtol=1e-9, atol=1e-12)
+        assert_allclose(reordered.final.z_final, natural.final.z_final, rtol=1e-9, atol=1e-12)
+
+    def test_below_the_gate_train_never_imports_csgraph(self):
+        # the module costs about 7 MB of RSS, so only graphs above the gate load it
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from hyperemb import TrainConfig, VariantKind, build_hypergraph, model, train
+            model.REORDER_MIN_NODES = int(sys.argv[1])
+            rng = np.random.default_rng(0)
+            g = build_hypergraph([tuple(rng.choice(60, size=3, replace=False)) for _ in range(80)], 60)
+            labels = (np.arange(60) % 3, np.arange(60) % 2 == 0)
+            for tag in model.VARIANT_TAGS:
+                train(g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4))
+                train(g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4),
+                      task="node-class", data=labels)
+            print("scipy.sparse.csgraph" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(training.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        imported = {}
+        for gate in (model.REORDER_MIN_NODES, 0):
+            run = subprocess.run([sys.executable, "-c", script, str(gate)], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            imported[gate] = run.stdout.split()[-1]
+        assert imported == {model.REORDER_MIN_NODES: "False", 0: "True"}
+
+    @pytest.mark.parametrize("gate, held", [(10**9, True), (0, False)])
+    def test_no_node_order_z0_outlives_the_inputs(self, monkeypatch, gate, held):
+        # reordered inputs hold a gathered Z(0), so train must drop the node-order one
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
+        refs, alive = [], []
+        features, run_forward = training.input_features, training.forward
+
+        def tracked_features(*args, **kw):
+            z0, y0 = features(*args, **kw)
+            refs.append(weakref.ref(z0))
+            return z0, y0
+
+        def forward_checking_z0(*args, **kw):
+            alive.append(refs[0]() is not None)
+            return run_forward(*args, **kw)
+
+        monkeypatch.setattr(training, "input_features", tracked_features)
+        monkeypatch.setattr(training, "forward", forward_checking_z0)
+        train(toy_clustered_graph(), TrainConfig(epochs=2, feature_rank=4), task="node-class",
+              data=_toy_data("node-class"))
+        # in node order the inputs' Z(0) is a view of it, so it lives on
+        assert alive == [held] * 3
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("tag", ["base", "p2"])
+    def test_epoch_peak_within_one_node_array(self, monkeypatch, tag, task):
+        # the reordered epoch may hold one more N x width array than the node-order
+        # one (d Z(L) in storage order, or Z(L) while it is put back in node order)
+        import scipy.sparse.csgraph  # noqa: F401  its import is not the epoch's
+        n, width = 3000, 16
+        g = build_hypergraph(*ringed_hypergraph(0, n=n, m=n))
+        g.pack  # derived once, outside both traced runs
+        data = (np.arange(n) % 3, np.arange(n) % 2 == 0) if task == "node-class" else None
+        cfg = TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=width, seed=1)
+        run_forward = training.forward
+        peaks = []
+
+        def forward_marking_the_epoch(*args, **kw):
+            if kw.get("training"):
+                tracemalloc.reset_peak()  # the training epoch starts here
+            else:
+                peaks.append(tracemalloc.get_traced_memory()[1])  # and ended before the eval pass
+            return run_forward(*args, **kw)
+
+        monkeypatch.setattr(training, "forward", forward_marking_the_epoch)
+        for gate in (n + 1, 0):
+            monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
+            gc.collect()
+            gc.disable()  # cyclic garbage is then freed at the same points in both runs
+            tracemalloc.start()
+            try:
+                train(g, cfg, task=task, data=data)
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        natural, reordered = peaks
+        assert reordered <= natural + n * width * 8, (natural, reordered)
