@@ -14,7 +14,6 @@ from .hypergraph import (
     incidence_matrix,
     node_adjacency,
     replace_edges,
-    transition_matrices,
 )
 from .features import (
     init_hyperedge_features,
@@ -44,8 +43,6 @@ from .training import (
     hyperedge_bce_loss,
     node_ce_loss,
     sample_negatives,
-    score_maxmin,
-    score_mean_pairwise,
     score_sets,
     train,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "ConfigError", "DataError", "HypergraphWarning", "NumericError",
     "FlatSets", "GraphPack", "Hypergraph", "build_hypergraph",
     "incidence_matrix", "node_adjacency", "replace_edges",
-    "transition_matrices",
     "init_hyperedge_features", "init_node_features", "randomized_svd",
     "svd_features",
     "EmbeddingState", "ForwardInputs", "ModelParams", "PropagationOperators", "VariantKind",
@@ -76,7 +72,7 @@ __all__ = [
     "init_params", "load_checkpoint", "save_checkpoint",
     "LabeledHyperedgeSet", "TrainConfig", "TrainState", "backward",
     "build_labeled_set", "hyperedge_bce_loss", "node_ce_loss",
-    "sample_negatives", "score_maxmin", "score_mean_pairwise", "score_sets", "train",
+    "sample_negatives", "score_sets", "train",
     "EvalReport", "auc", "baseline_rankers", "multiclass_auc",
     "rank_positions", "recommend", "split_hyperedges", "split_links",
     "Dataset", "load_dataset", "write_dataset",

@@ -36,7 +36,7 @@ from .evaluation import (
     split_hyperedges,
     split_links,
 )
-from .features import randomized_svd
+from .features import SVD_BOOTSTRAP, randomized_svd
 from .model import (
     ACTIVATION_TAGS,
     VARIANT_TAGS,
@@ -151,14 +151,15 @@ def config_from(values: dict) -> TrainConfig:
 def _feature_meta(features: Optional[np.ndarray], cfg: TrainConfig, mode: str) -> dict:
     """The checkpoint metadata naming a run's node feature source.
 
-    'auto' picks 'file' when the dataset has features, else 'svd'.  A file
-    source wider than the width override becomes 'file-compressed', which
-    keeps the base variant's width coupling intact.
+    'auto' picks 'file' when the dataset has features, else 'svd', which
+    also names the bootstrap algorithm.  A file source wider than the width
+    override becomes 'file-compressed', which keeps the base variant's width
+    coupling intact.
     """
     if mode == "auto":
         mode = "file" if features is not None else "svd"
     if mode == "svd":
-        return {"feature_source": "svd"}
+        return {"feature_source": "svd", "svd_bootstrap": SVD_BOOTSTRAP}
     if features is not None and cfg.width is not None and cfg.width < features.shape[1]:
         return {"feature_source": "file-compressed", "width": cfg.width, "feature_seed": cfg.seed}
     return {"feature_source": "file"}
@@ -167,9 +168,13 @@ def _feature_meta(features: Optional[np.ndarray], cfg: TrainConfig, mode: str) -
 def _given_features(features: Optional[np.ndarray], meta: dict) -> Optional[np.ndarray]:
     """The Z(0) a run's or a checkpoint's feature source takes from the dataset:
     the features, their seeded rank-``width`` SVD map, or None for the in-trial
-    SVD bootstrap of 'svd'."""
+    SVD bootstrap of 'svd', which the meta must name: a checkpoint written
+    before it did would replay other features."""
     source = meta.get("feature_source", "svd")
     if source == "svd":
+        if meta.get("svd_bootstrap") != SVD_BOOTSTRAP:
+            raise DataError(f"feature source 'svd' needs 'svd_bootstrap' {SVD_BOOTSTRAP!r} in the "
+                            "checkpoint meta; a checkpoint without it replays other features")
         return None
     if features is None:
         raise DataError(f"feature source {source!r} needs the dataset's features.tsv, which is missing")

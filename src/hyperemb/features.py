@@ -1,8 +1,12 @@
 """Bootstrap feature matrices for nodes and hyperedges.
 
 When a dataset ships no features, node features are the rank-``f``
-factorization of the co-membership matrix ``H H^T - D`` and hyperedge
+factorization of the co-membership matrix ``H H^T - D`` (``svd_features``:
+randomized subspace iteration on the symmetric matrix, CholeskyQR between
+its products and one Rayleigh-Ritz step, in numpy alone) and hyperedge
 features are a degree-normalized aggregation of member-node features.
+``randomized_svd`` is the general path, for dense or rectangular inputs
+such as compressed file features.
 """
 
 from __future__ import annotations
@@ -16,10 +20,14 @@ from .errors import ConfigError, DataError, HypergraphWarning
 from .hypergraph import Hypergraph, node_adjacency
 
 RngLike = Union[np.random.Generator, int, None]
-# randomized_svd's sketch: columns beyond the rank and power iterations of the
-# randomized subspace iteration of Halko, Martinsson & Tropp (SIAM Review 2011)
+# the sketch of randomized_svd and svd_features: columns beyond the rank and power
+# iterations of the randomized subspace iteration of Halko, Martinsson & Tropp
+# (SIAM Review 2011)
 SVD_OVERSAMPLE = 8
 SVD_POWER_ITERS = 4
+_EPS = np.finfo(np.float64).eps
+# names svd_features' algorithm in checkpoint meta; another algorithm gives another Z(0)
+SVD_BOOTSTRAP = "cholesky-qr-rayleigh-ritz"
 
 
 def as_rng(seed: RngLike) -> np.random.Generator:
@@ -54,8 +62,39 @@ def randomized_svd(m, rank: int, rng: RngLike = 0) -> tuple[np.ndarray, np.ndarr
     return u[:, :rank], s[:rank], vt[:rank]
 
 
+def _orthonormalize(x: np.ndarray, passes: int = 1) -> np.ndarray:
+    """An orthonormal basis of ``x``'s columns by ``passes`` rounds of CholeskyQR.
+
+    One round factors the Gram matrix x^T x = R^T R and returns x R^-1, two
+    BLAS-3 passes over ``x`` (two rounds are CholeskyQR2 of Fukaya et al.,
+    ScalA 2014).  A round whose Gram is not numerically positive definite,
+    because Cholesky fails or R's diagonal puts cond(x)^2 within a factor
+    of the row count of 1/eps, takes a Householder QR instead.
+    """
+    for _ in range(passes):
+        try:
+            r = np.linalg.cholesky(x.T @ x, upper=True)
+        except np.linalg.LinAlgError:
+            r = None
+        if r is None or (d := np.diag(r)).min() <= d.max() * np.sqrt(x.shape[0] * _EPS):
+            return np.linalg.qr(x)[0]
+        x = x @ np.linalg.inv(r)
+    return x
+
+
 def svd_features(m, f: int, rng: RngLike = 0) -> np.ndarray:
     """Rank-``f`` feature map of a square symmetric matrix: U diag(sqrt(s)).
+
+    The top-``f`` eigenpairs by |lambda| come from randomized subspace
+    iteration (Halko, Martinsson & Tropp, SIAM Review 2011, sections 4.5
+    and 5.3): one seeded Gaussian sketch with ``SVD_OVERSAMPLE`` extra
+    columns, then 2 * ``SVD_POWER_ITERS`` further products with ``m``, each
+    sketch orthonormalized by ``_orthonormalize`` (the last by two rounds),
+    then Rayleigh-Ritz on that basis Q: the eigenpairs of Q^T (m Q), ranked
+    by |lambda| with ties in eigh's order.  s = |lambda| and U = Q V, each
+    column's sign set so that its largest-magnitude entry is positive.  It
+    draws only the sketch from ``rng``.  ``m`` must be exactly symmetric;
+    it is never transposed.
 
     Columns beyond the numerical rank are zeroed and a diagnostic warning
     is emitted, so requesting more dimensions than the matrix supports is
@@ -64,8 +103,21 @@ def svd_features(m, f: int, rng: RngLike = 0) -> np.ndarray:
     n_rows, n_cols = m.shape
     if n_rows != n_cols:
         raise DataError(f"expected a square matrix, got shape {m.shape}")
-    u, s, _ = randomized_svd(m, f, rng=rng)
-    tol = max(m.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    if not 1 <= f <= n_rows:
+        raise ConfigError(f"rank must be in [1, {n_rows}], got {f}")
+    rng = as_rng(rng)
+    k = min(f + SVD_OVERSAMPLE, n_rows)
+    x = m @ rng.standard_normal((n_rows, k))
+    for _ in range(2 * SVD_POWER_ITERS):
+        x = m @ _orthonormalize(x)
+    q = _orthonormalize(x, passes=2)
+    lam, v = np.linalg.eigh(q.T @ (m @ q))
+    top = np.argsort(-np.abs(lam), kind="stable")[:f]
+    s = np.abs(lam[top])
+    u = q @ v[:, top]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(f)] < 0
+    u[:, flip] *= -1.0
+    tol = n_rows * _EPS * s[0]
     dead = s <= tol
     if np.any(dead):
         warnings.warn(

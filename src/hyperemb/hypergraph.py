@@ -213,11 +213,15 @@ def replace_edges(g: Hypergraph, new_edges: Sequence[Iterable[int]]) -> Hypergra
 
 
 def canonical(m: sparse.sparray) -> sparse.csr_array:
-    """Row-compressed form with summed duplicates, no explicit zeros, sorted indices."""
+    """Row-compressed form with summed duplicates, no explicit zeros, sorted indices,
+    whose arrays own exactly ``nnz`` slots."""
     m = sparse.csr_array(m)
     m.sum_duplicates()
     m.eliminate_zeros()
     m.sort_indices()
+    # a sum or difference keeps views into scipy's buffer sized for both operands
+    if m.data.base is not None or m.indices.base is not None:
+        m.data, m.indices = m.data.copy(), m.indices.copy()
     return m
 
 
@@ -233,16 +237,3 @@ def node_adjacency(g: Hypergraph) -> sparse.csr_array:
     """N x N co-membership counts: H H^T minus its diagonal (which equals d)."""
     pack = g.pack
     return canonical(pack.h @ pack.h.T - sparse.diags_array(pack.d))
-
-
-def transition_matrices(g: Hypergraph) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Column-stochastic random-walk operators over nodes (N x N) and hyperedges (M x M).
-
-    Nodes with zero hyperedges keep zero P rows/columns (see GraphPack).
-    """
-    h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
-    h_de = canonical(h.multiply(de_inv[np.newaxis, :]))  # H De^-1
-    ht_d = canonical(h.T.multiply(d_inv[np.newaxis, :]))  # (D^-1 H)^T
-    p = canonical(h_de @ ht_d)
-    p_e = canonical(ht_d @ h_de)
-    return p, p_e

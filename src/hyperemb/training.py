@@ -152,38 +152,6 @@ def _score_rows(src, col, pack, score_fn, normalize):
     raise ConfigError(f"unknown score_fn {score_fn!r}")
 
 
-def _score_one(embs, score_fn: str, normalize: bool = True, grad: bool = False):
-    """One set through the batched scorers: the score, or (score, d score / d embs)."""
-    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
-    pack = FlatSets(idx=np.arange(x.shape[0]), indptr=np.array([0, x.shape[0]]))
-    scores, backprop = _score_rows(x, pack.idx, pack, score_fn, normalize)
-    return (float(scores[0]), backprop(np.ones(1))) if grad else float(scores[0])
-
-
-def score_mean_pairwise(embs, normalize: bool = True) -> float:
-    """Mean pairwise similarity over all vector pairs of the set.
-
-    With ``normalize`` (default) each vector is scaled to unit length
-    first, so this is the mean pairwise cosine.
-    """
-    return _score_one(embs, "mean-pairwise", normalize)
-
-
-def score_mean_pairwise_grad(embs, normalize: bool = True) -> tuple[float, np.ndarray]:
-    """Score plus its gradient with respect to every input vector."""
-    return _score_one(embs, "mean-pairwise", normalize, grad=True)
-
-
-def score_maxmin(embs) -> float:
-    """Negated mean per-dimension range: tighter clusters score higher."""
-    return _score_one(embs, "max-min")
-
-
-def score_maxmin_grad(embs) -> tuple[float, np.ndarray]:
-    """Score plus a subgradient routed to the per-dimension argmax/argmin rows."""
-    return _score_one(embs, "max-min", grad=True)
-
-
 def score_sets(
     z_final: np.ndarray,
     examples: Sequence[Sequence[int]] | FlatSets,

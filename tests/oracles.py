@@ -3,13 +3,17 @@
 Everything here is written the slow, obvious way (loops, np.diag,
 np.linalg) and deliberately shares no code with the package, so the
 sparse/cached implementations have something honest to be checked
-against.
+against.  The exceptions are ``full_backward`` and the one-call forms at
+the end of the file, which run the package's own code.
 """
 
 import math
 
 import numpy as np
 from scipy.stats import norm, rankdata
+
+from hyperemb.hypergraph import FlatSets, canonical
+from hyperemb.training import _score_rows
 
 
 def brute_build_hypergraph(edges, n):
@@ -307,3 +311,71 @@ def ringed_hypergraph(seed, n=40, m=30):
     rng = np.random.default_rng(seed)
     edges = [tuple(rng.choice(n, size=int(rng.integers(2, 6)), replace=False)) for _ in range(m)]
     return edges + [(i, (i + 7) % n) for i in range(n)], n
+
+
+# --- one-call forms of package internals that no library code calls ---
+# Unlike the references above, these run the package's own code: the library
+# applies its scorers to whole batches of sets (``training._score_rows``) and
+# its walk steps inside ``model.build_operators``, and the tests check these
+# forms against the brute references.
+
+
+def transition_matrices(g):
+    """Column-stochastic random-walk operators over nodes (N x N) and hyperedges (M x M).
+
+    Nodes with zero hyperedges keep zero P rows/columns (see GraphPack).
+    """
+    h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
+    h_de = canonical(h.multiply(de_inv[np.newaxis, :]))  # H De^-1
+    ht_d = canonical(h.T.multiply(d_inv[np.newaxis, :]))  # (D^-1 H)^T
+    p = canonical(h_de @ ht_d)
+    p_e = canonical(ht_d @ h_de)
+    return p, p_e
+
+
+def _score_one(embs, score_fn, normalize=True, grad=False):
+    """One set through the batched scorers: the score, or (score, d score / d embs)."""
+    x = np.atleast_2d(np.asarray(embs, dtype=np.float64))
+    pack = FlatSets(idx=np.arange(x.shape[0]), indptr=np.array([0, x.shape[0]]))
+    scores, backprop = _score_rows(x, pack.idx, pack, score_fn, normalize)
+    return (float(scores[0]), backprop(np.ones(1))) if grad else float(scores[0])
+
+
+def score_mean_pairwise(embs, normalize=True):
+    """Mean pairwise similarity over all vector pairs of the set.
+
+    With ``normalize`` (default) each vector is scaled to unit length
+    first, so this is the mean pairwise cosine.
+    """
+    return _score_one(embs, "mean-pairwise", normalize)
+
+
+def score_mean_pairwise_grad(embs, normalize=True):
+    """Score plus its gradient with respect to every input vector."""
+    return _score_one(embs, "mean-pairwise", normalize, grad=True)
+
+
+def score_maxmin(embs):
+    """Negated mean per-dimension range: tighter clusters score higher."""
+    return _score_one(embs, "max-min")
+
+
+def score_maxmin_grad(embs):
+    """Score plus a subgradient routed to the per-dimension argmax/argmin rows."""
+    return _score_one(embs, "max-min", grad=True)
+
+
+def frozen_randomized_svd(m, rank, rng):
+    """``features.randomized_svd`` as the symmetric bootstrap left it, kept
+    verbatim so a test can pin the general path bit for bit."""
+    n_rows, n_cols = m.shape
+    k = min(rank + 8, min(n_rows, n_cols))
+    omega = rng.standard_normal((n_cols, k))
+    q, _ = np.linalg.qr(m @ omega)
+    for _ in range(4):
+        q, _ = np.linalg.qr(m.T @ q)
+        q, _ = np.linalg.qr(m @ q)
+    b = (m.T @ q).T
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    u = q @ ub
+    return u[:, :rank], s[:rank], vt[:rank]

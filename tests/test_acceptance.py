@@ -33,7 +33,6 @@ from hyperemb import (
     sample_negatives,
     split_hyperedges,
     train,
-    transition_matrices,
     write_dataset,
 )
 from hyperemb.cli import _ranking_metrics, main, run_trials
@@ -48,6 +47,7 @@ from oracles import (
     finite_diff,
     random_hypergraph,
     rel_err,
+    transition_matrices,
 )
 
 TRIALS = 10

@@ -25,6 +25,7 @@ from hyperemb import (
 )
 from hyperemb import cli, model, training
 from hyperemb.cli import build_parser, build_train_config, main
+from hyperemb.features import SVD_BOOTSTRAP
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
 from hyperemb.training import OPTIMIZERS, SCORE_FNS, SCORE_MODES, TASKS
 from test_data import write_pickle_dataset
@@ -465,6 +466,49 @@ class TestEvalCommand:
         save_checkpoint(ckpt, params, {**meta, "rrelu_lo": 1 / 8, "rrelu_hi": 1 / 3})
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == fresh
+
+
+def _without_bootstrap(ckpt) -> dict:
+    """Rewrite a checkpoint's meta as written before it named the svd bootstrap."""
+    params, meta = load_checkpoint(ckpt)
+    meta.pop("svd_bootstrap", None)
+    save_checkpoint(ckpt, params, meta)
+    return meta
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"],
+    ["embed", "--out", "{tmp}/e.tsv"],
+    ["recommend", "--candidate-type", "style", "--out", "{tmp}/r.json"],
+], ids=["eval", "embed", "recommend"])
+def test_svd_checkpoint_without_its_bootstrap_exits_two(tmp_path, capsys, command):
+    # its svd features came from another bootstrap, so a replay would report another AUC
+    data = make_typed_dataset(tmp_path / "ds")
+    ckpt = tmp_path / "run" / "model.npz"
+    assert main(["train", "--data", str(data), "--out", str(ckpt.parent), "--score-mode", "dependent",
+                 *FAST]) == 0
+    assert load_checkpoint(ckpt)[1]["svd_bootstrap"] == SVD_BOOTSTRAP
+    _without_bootstrap(ckpt)
+    capsys.readouterr()
+    argv = [arg.format(tmp=tmp_path) for arg in command]
+    assert main([*argv, "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    assert "needs 'svd_bootstrap'" in capsys.readouterr().err
+    assert not (tmp_path / "e.tsv").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("width, source", [(None, "file"), (3, "file-compressed")])
+def test_file_feature_checkpoint_needs_no_bootstrap(tmp_path, capsys, width, source):
+    data = make_typed_dataset(tmp_path / "ds")
+    rows = np.random.default_rng(0).standard_normal((8, 5))
+    (data / "features.tsv").write_text("".join("\t".join(map(repr, row.tolist())) + "\n" for row in rows))
+    run = tmp_path / "run"
+    flags = [] if width is None else ["--width", str(width)]
+    assert main(["train", "--data", str(data), "--out", str(run), "--features", "file", *flags, *FAST]) == 0
+    assert _without_bootstrap(run / "model.npz")["feature_source"] == source
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "model.npz"), "--data", str(data)]) == 0
+    report = json.loads((run / "report.json").read_text())
+    assert json.loads(capsys.readouterr().out)["auc"] == report["metrics"]["auc"]["values"][-1]
 
 
 def make_grouped_dataset(root, groups=4, size=10):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from hyperemb import (
     ConfigError,
@@ -13,8 +16,9 @@ from hyperemb import (
     randomized_svd,
     svd_features,
 )
+from hyperemb import features
 from conftest import TRIANGLE_EDGES
-from oracles import random_hypergraph
+from oracles import frozen_randomized_svd, random_hypergraph, ringed_hypergraph
 
 
 def random_symmetric(rng, n):
@@ -101,6 +105,153 @@ class TestSvdFeatures:
     def test_non_square_rejected(self, rng):
         with pytest.raises(DataError, match="square"):
             svd_features(rng.standard_normal((3, 4)), 2)
+
+
+def dense_top(a, f):
+    """(|lambda|, eigenvectors) of the dense symmetric ``a``, the top ``f`` by |lambda|."""
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(w), kind="stable")[:f]
+    return np.abs(w[order]), v[:, order]
+
+
+def cliques(sizes, isolated=0):
+    """Disjoint cliques, each one hyperedge, plus ``isolated`` nodes in none: A's
+    spectrum is s - 1 once and -1 s - 1 times per clique, and 0 per isolated node."""
+    edges, start = [], 0
+    for size in sizes:
+        edges.append(tuple(range(start, start + size)))
+        start += size
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypergraphWarning)
+        g = build_hypergraph(edges, start + isolated)
+        return node_adjacency(g)
+
+
+class TestSymmetricBootstrap:
+    """svd_features' subspace iteration, CholeskyQR and Rayleigh-Ritz against dense eigh."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dense_eigh_on_random_hypergraphs(self, seed):
+        # odd seeds leave nodes in no hyperedge, so A is rank-deficient and k > rank
+        rng = np.random.default_rng(seed)
+        edges, n = random_hypergraph(rng, max_nodes=14, max_edges=8, connected_degrees=seed % 2 == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypergraphWarning)
+            a = node_adjacency(build_hypergraph(edges, n))
+            lam, v = dense_top(a.toarray(), n)
+            tol = n * np.finfo(np.float64).eps * lam[0]
+            for f in range(1, n + 1):
+                x = svd_features(a, f, rng=seed)
+                want = np.where(lam[:f] <= tol, 0.0, lam[:f])
+                assert_allclose((x ** 2).sum(axis=0), want, atol=1e-9 * lam[0])
+                if f + features.SVD_OVERSAMPLE < n:
+                    continue
+                # the sketch spans every direction, so each cut between distinct |lambda|
+                # spans the eigenvectors' subspace
+                for j in range(1, f + 1):
+                    if lam[j - 1] > tol and (j == n or lam[j - 1] > lam[j] * (1 + 1e-6)):
+                        u = x[:, :j] / np.sqrt(lam[:j])
+                        assert_allclose(u @ u.T, v[:, :j] @ v[:, :j].T, atol=1e-9)
+
+    def test_sketch_narrower_than_the_matrix(self):
+        # k = f + 8 = 12 < 113 nodes, and |lambda| falls 39, 29, 19, 14, then 1
+        a = cliques([40, 30, 20, 15, 2, 2, 2, 2])
+        lam, v = dense_top(a.toarray(), 4)
+        x = svd_features(a, 4, rng=3)
+        assert_allclose((x ** 2).sum(axis=0), lam, rtol=1e-12)
+        assert_allclose(np.abs(x / np.sqrt(lam)), np.abs(v), atol=1e-10)
+
+    def test_rank_below_the_sketch_width(self):
+        # one triangle and 20 isolated nodes: rank 3 < k = 12, and |lambda| = 2, 1, 1
+        a = cliques([3], isolated=20)
+        with pytest.warns(HypergraphWarning, match="numerical rank 3"):
+            x = svd_features(a, 4, rng=0)
+        assert_allclose((x ** 2).sum(axis=0), [2.0, 1.0, 1.0, 0.0], atol=1e-12)
+        assert_allclose(x[3:], 0.0, atol=1e-12)
+        w, v = np.linalg.eigh(a.toarray())
+        assert_allclose(x @ x.T, v @ np.diag(np.abs(w)) @ v.T, atol=1e-12)  # |A|, tie included
+
+    def test_ill_conditioned_sketches_give_orthonormal_vectors(self, rng):
+        # every sketch has a condition number of about 4e6, below the fallback's
+        # threshold, so CholeskyQR orthonormalizes them all
+        lam = np.concatenate([[3e6, -1.5e6], np.linspace(1.0, 0.5, 38)])
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = (basis * lam) @ basis.T
+        a = (a + a.T) / 2.0
+        x = svd_features(a, 10, rng=0)
+        s = (x ** 2).sum(axis=0)
+        assert_allclose(s[:2], np.abs(lam[:2]), rtol=1e-12)
+        u = x / np.sqrt(s)
+        assert_allclose(u.T @ u, np.eye(10), atol=1e-12)
+
+    def test_cholesky_qr_orthonormalizes_without_householder(self, monkeypatch, rng):
+        # cond(x) = 1e5 in mixed directions (CholeskyQR is exact on scaled orthonormal columns)
+        left, _ = np.linalg.qr(rng.standard_normal((200, 12)))
+        right, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        x = (left * np.logspace(0, 5, 12)) @ right
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("Householder fallback taken"))
+        for passes, atol in ((1, 1e-4), (2, 1e-14)):
+            q = features._orthonormalize(x, passes=passes)
+            assert_allclose(q.T @ q, np.eye(12), atol=atol)
+            assert_allclose(q @ (q.T @ x), x, atol=1e-9 * np.abs(x).max())
+
+    @pytest.mark.parametrize("case", ["zero", "dependent", "ill-conditioned"])
+    def test_householder_fallback(self, monkeypatch, rng, case):
+        x = rng.standard_normal((50, 6))
+        if case == "zero":  # the Gram is zero: Cholesky fails
+            x[:] = 0.0
+        elif case == "dependent":  # two equal columns: the Gram is singular
+            x[:, 5] = x[:, 0]
+        else:  # cond(x) = 1e10: Cholesky succeeds, but R's diagonal gives it away
+            x = x @ np.diag(np.logspace(0, -10, 6))
+        taken = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: taken.append(a.shape) or qr(a, *args, **kw))
+        q = features._orthonormalize(x, passes=2)
+        assert taken == [(50, 6)]
+        assert_allclose(q.T @ q, np.eye(6), atol=1e-12)
+        if case == "ill-conditioned":
+            assert_allclose(q @ (q.T @ x), x, atol=1e-12)
+
+    def test_rank_deficient_inputs_take_the_fallback(self, monkeypatch):
+        taken = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: taken.append(a.shape) or qr(a, *args, **kw))
+        with pytest.warns(HypergraphWarning):
+            svd_features(np.diag([4.0, 1.0, 0.0, 0.0]), 4)
+        assert taken and all(shape == (4, 4) for shape in taken)
+
+    def test_signs_pinned_by_the_largest_entry(self):
+        # another seed draws another sketch, but the same eigenvectors come out signed the same way
+        a = cliques([40, 30, 20, 15, 2, 2, 2, 2])
+        xs = [svd_features(a, 4, rng=seed) for seed in (0, 1, 2)]
+        for x in xs:
+            peak = x[np.argmax(np.abs(x), axis=0), np.arange(4)]
+            assert np.all(peak > 0)
+            assert_allclose(x, xs[0], atol=1e-8)
+        assert np.array_equal(svd_features(a, 4, rng=1), xs[1])
+
+    @pytest.mark.parametrize("f", [1, 4, 9])
+    def test_generator_state_after_one_gaussian_draw(self, f):
+        g = build_hypergraph(*ringed_hypergraph(0))
+        rng = np.random.default_rng(5)
+        init_node_features(g, f, rng=rng)
+        ref = np.random.default_rng(5)
+        ref.standard_normal((g.num_nodes, f + features.SVD_OVERSAMPLE))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestRandomizedSvdUnchanged:
+    """The general path, for file-compressed features, keeps its floats bit for bit."""
+
+    @pytest.mark.parametrize("shape, rank", [((30, 12), 5), ((12, 30), 4), ((20, 20), 20)])
+    def test_bit_identical_to_the_frozen_copy(self, shape, rank):
+        m = np.random.default_rng(17).standard_normal(shape)
+        for x in (m, sparse.csr_array(np.where(np.abs(m) > 1.0, m, 0.0))):
+            got = randomized_svd(x, rank, rng=np.random.default_rng(3))
+            want = frozen_randomized_svd(x, rank, np.random.default_rng(3))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestInitNodeFeatures:

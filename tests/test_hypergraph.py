@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 import warnings
 
@@ -17,7 +18,6 @@ from hyperemb import (
     node_adjacency,
     replace_edges,
     train,
-    transition_matrices,
 )
 from hyperemb import hypergraph
 from conftest import TRIANGLE_EDGES
@@ -27,6 +27,7 @@ from oracles import (
     dense_incidence,
     dense_transitions,
     random_hypergraph,
+    transition_matrices,
 )
 
 
@@ -150,6 +151,20 @@ class TestMatrices:
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
             assert_allclose(incidence_matrix(g).toarray(), dense_incidence(edges, n))
+
+
+    def test_canonical_sum_owns_exactly_its_nonzeros(self, rng):
+        # scipy's sum keeps its arrays as views into a buffer sized for both operands
+        a = sparse.random_array((40, 40), density=0.3, format="csr", rng=rng)
+        b = 2.0 * a + sparse.random_array((40, 40), density=0.02, format="csr", rng=rng)
+        raw = a + b
+        assert raw.data.base is not None and raw.data.base.size > raw.nnz
+        raw.eliminate_zeros()
+        raw.sort_indices()
+        got = hypergraph.canonical(a + b)
+        for x, want in ((got.data, raw.data), (got.indices, raw.indices), (got.indptr, raw.indptr)):
+            assert np.array_equal(x, want)
+        assert got.data.base is None and got.indices.base is None
 
 
 class TestFlatSets:

@@ -672,6 +672,21 @@ class TestNodeOrder:
                         assert np.array_equal(a, b), (act, name)
 
 
+class TestCompactFactors:
+    """Every stored factor's arrays own exactly its nonzeros, summed ones included."""
+
+    @pytest.mark.parametrize("gate", [10**9, 0], ids=["node-order", "reordered"])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_every_factor_owns_exactly_nnz_slots(self, monkeypatch, tag, gate):
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
+        ops = build_operators(build_hypergraph(*ringed_hypergraph(1)), tag)
+        for name in ("s_v", "s_e", "b_v", "b_e"):
+            op = getattr(ops, name)
+            for f in [] if op is None else op.factors:
+                for a in (f.data, f.indices):
+                    assert (a if a.base is None else a.base).size == f.nnz, (name, f.format)
+
+
 def _embed(z, sets, psi, sigma="tanh"):
     """Eval-mode dependent embeddings of every member of ``sets``."""
     params = ModelParams(w=[], w_e=[], psi=psi)
