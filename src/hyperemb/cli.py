@@ -32,9 +32,9 @@ from .evaluation import (
     baseline_rankers,
     multiclass_auc,
     rank_positions,
-    recommend,
     split_hyperedges,
     split_links,
+    truth_ranks,
 )
 from .features import SVD_BOOTSTRAP, randomized_svd
 from .model import (
@@ -486,12 +486,7 @@ def cmd_recommend(args) -> int:
         else:
             _, final = _checkpoint_state(train_g, ds.features, checkpoint_params, checkpoint_meta, seed)
 
-        n_candidates = len(train_g.nodes_of_type(args.candidate_type))
-        model_ranks = []
-        for query, truth in pairs:
-            ranked = [c for c, _ in recommend(train_g, final, query, args.candidate_type, n_candidates)]
-            model_ranks.append(rank_positions(ranked, [truth])[0])
-        ranks = {"model": np.array(model_ranks)}
+        ranks = {"model": truth_ranks(train_g, final, pairs, args.candidate_type)}
         # each baseline ranking serves every query through one rank-position map
         truths = [truth for _, truth in pairs]
         for ranker, ranked in baseline_rankers(train_g, args.candidate_type, rng).items():

@@ -203,6 +203,34 @@ def recommend(
     return [(int(candidates[i]), float(scores[i])) for i in order[:k]]
 
 
+def truth_ranks(
+    g: Hypergraph,
+    state: EmbeddingState,
+    pairs: Sequence[tuple[int, int]],
+    candidate_type: str,
+) -> np.ndarray:
+    """1-based rank of each (query, truth) pair's truth in ``recommend``'s ranking of
+    every candidate for the query, without sorting one.
+
+    The candidate rows and norms are gathered once; each query's scores are
+    formed as ``recommend`` forms them, bit for bit, and the truth's rank is
+    1 + the candidates scoring higher + those scoring the same with a smaller id.
+    """
+    candidates = np.asarray(g.nodes_of_type(candidate_type), dtype=np.int64)  # ascending ids
+    z = state.z_final
+    rows = z[candidates]
+    row_norms = np.linalg.norm(rows, axis=1)
+    ranks = np.empty(len(pairs), dtype=np.int64)
+    for i, (query, truth) in enumerate(pairs):
+        at = int(np.searchsorted(candidates, truth))
+        if at == candidates.size or candidates[at] != truth:
+            raise DataError(f"truth item {truth} not among the {candidates.size} candidates")
+        norms = row_norms * np.linalg.norm(z[query])
+        scores = np.divide(rows @ z[query], norms, out=np.zeros(candidates.size), where=norms > 0)
+        ranks[i] = 1 + np.count_nonzero(scores > scores[at]) + np.count_nonzero(scores[:at] == scores[at])
+    return ranks
+
+
 def baseline_rankers(
     g: Hypergraph, candidate_type: str, rng: RngLike = 0
 ) -> dict[str, list[int]]:

@@ -7,11 +7,11 @@ The base layer couples the two streams:
 
 where the Y update reads the freshly computed Z(k+1).  Y reaches an output
 only through B_v Y(k) in the Z update, so the Y update runs for k < L-1
-alone: the stream holds Y(0..L-1), with Z's widths, and W_e(L-1) is drawn
-but never read.  The four variants (p2, plusplus, wt, h2) swap in a
+alone: the stream holds Y(0..L-1), with Z's widths, and W_e(0..L-2) are
+its only weights.  The four variants (p2, plusplus, wt, h2) swap in a
 different node operator and drop the cross-stream B terms.  Their Y would
 then never reach Z, and no loss or output reads it, so they have no Y
-stream at all: no S_e, no Y(0) and no Y update.  The hyperedge-dependent
+stream at all: no S_e, Y(0), Y update or W_e.  The hyperedge-dependent
 embedding of node i in hyperedge e, act([z_i ; mean of e's rows of Z(L)] @
 psi), is computed from Z(L) alone (``training.dependent_embeddings``).
 
@@ -482,7 +482,7 @@ def _operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperator
 
 @dataclass
 class ModelParams:
-    """Learned weights or their gradients: per-layer W / W_e, the psi projection, optional head."""
+    """Learned weights or their gradients: per-layer W, base's W_e(0..L-2), psi, optional head."""
 
     w: list[np.ndarray]
     w_e: list[np.ndarray]
@@ -502,14 +502,26 @@ class ModelParams:
             out.append(("head", self.head))
         return out
 
-    def zeros_like(self) -> "ModelParams":
-        """Zero arrays of the same shapes: the gradient holder of ``training.backward``."""
-        return ModelParams(
-            w=[np.zeros_like(a) for a in self.w],
-            w_e=[np.zeros_like(a) for a in self.w_e],
-            psi=np.zeros_like(self.psi),
-            head=None if self.head is None else np.zeros_like(self.head),
-        )
+    def check(self, coupled: bool) -> None:
+        """Raise DataError unless the arrays make one stack: W(k) chaining, base's
+        one width, each W_e shaped like its W, psi (2 d_L, d_L), head d_L rows."""
+        for name, a in self.named_arrays():
+            if a.ndim != 2:
+                raise DataError(f"{name} is {a.ndim}-d, not a matrix")
+        for k in range(1, self.layers):
+            if self.w[k].shape[0] != self.w[k - 1].shape[1]:
+                raise DataError(f"w_{k} is shaped {self.w[k].shape}, which does not chain onto "
+                                f"w_{k - 1} {self.w[k - 1].shape}")
+        if coupled and len({n for a in self.w for n in a.shape}) > 1:
+            raise DataError(f"base needs one width throughout, got {[a.shape for a in self.w]}")
+        for k, a in enumerate(self.w_e):
+            if a.shape != self.w[k].shape:
+                raise DataError(f"we_{k} is shaped {a.shape}, w_{k} {self.w[k].shape}")
+        d = self.w[-1].shape[1]
+        if self.psi.shape != (2 * d, d):
+            raise DataError(f"psi is shaped {self.psi.shape}; Z(L) of width {d} needs ({2 * d}, {d})")
+        if self.head is not None and self.head.shape[0] != d:
+            raise DataError(f"head is shaped {self.head.shape}; Z(L) of width {d} needs ({d}, *)")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -548,7 +560,7 @@ def init_params(
         raise ConfigError(f"base variant needs one width throughout, got dims {list(dims)}")
     layers = len(dims) - 1
     w = [_glorot(rng, dims[k], dims[k + 1]) for k in range(layers)]
-    w_e = [_glorot(rng, dims[k], dims[k + 1]) for k in range(layers)]
+    w_e = [_glorot(rng, dims[k], dims[k + 1]) for k in range(layers - 1 if variant.coupled else 0)]
     psi = _glorot(rng, 2 * dims[-1], dims[-1])
     head = None
     if n_classes is not None:
@@ -672,6 +684,8 @@ def forward(
         raise ConfigError("inputs were built on other operators than the ones forward was given")
     if variant.tag != ops.tag:
         raise ConfigError(f"operators built for {ops.tag!r} but forward asked for {variant.tag!r}")
+    if len(params.w_e) != (params.layers - 1 if variant.coupled else 0):
+        raise DataError(f"{variant.tag} reads W_e(0..L-2) for base, none otherwise; got {len(params.w_e)}")
     z0 = inputs.z0
     if z0.shape[1] != params.w[0].shape[0]:
         raise DataError(
@@ -720,7 +734,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Bit-exact inverse of save_checkpoint."""
+    """Bit-exact inverse of save_checkpoint, with the arrays' shapes checked.  The
+    ``we_K`` the meta's variant never reads, which checkpoints of every variant
+    stored for all L layers before W_e was trimmed, are skipped."""
     try:
         blob = np.load(path)
     except FileNotFoundError:
@@ -735,11 +751,19 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             if version != 1:
                 raise DataError(f"unsupported checkpoint version {version}")
             layers = int(blob["layer_count"])
+            if layers < 1:
+                raise DataError(f"checkpoint {path} has layer_count {layers}; it needs at least 1")
+            meta = json.loads(bytes(blob["meta_json"]).decode("utf-8"))
+            coupled = meta["variant"] == "base" if "variant" in meta else "we_0" in blob.files
             w = [blob[f"w_{k}"] for k in range(layers)]
-            w_e = [blob[f"we_{k}"] for k in range(layers)]
+            w_e = [blob[f"we_{k}"] for k in range(layers - 1 if coupled else 0)]
             psi = blob["psi"]
             head = blob["head"] if "head" in blob.files else None
-            meta = json.loads(bytes(blob["meta_json"]).decode("utf-8"))
         except KeyError as exc:
             raise DataError(f"checkpoint {path} is not a hyperemb checkpoint: {exc.args[0]}")
-    return ModelParams(w=w, w_e=w_e, psi=psi, head=head), meta
+    params = ModelParams(w=w, w_e=w_e, psi=psi, head=head)
+    try:
+        params.check(coupled)
+    except DataError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
+    return params, meta

@@ -348,21 +348,22 @@ def backward(
     Only adjoints that reach a weight are formed.  The Y adjoint starts at
     the top layer's B_v^T term, and the loop ends at W(0)'s gradient, so
     Z(0) and Y(0), the fixed inputs, get none: layer 0 applies no S_v^T,
-    B_v^T or S_e^T, only the B_e^T that feeds W(0).  The top layer's W_e,
-    which nothing reads, and every decoupled W_e keep exactly zero gradients.
+    B_v^T or S_e^T, only the B_e^T that feeds W(0).
 
     ``d_z_final`` is in node order, like ``state.z_final``; it is put in the
     operators' storage order once, on entry.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
-    grads = params.zeros_like()
-    if d_psi is not None:
-        grads.psi = np.asarray(d_psi, dtype=np.float64)
-    if d_head is not None:
-        if params.head is None:
-            raise DataError("head gradient supplied but params have no head")
-        grads.head = np.asarray(d_head, dtype=np.float64)
+    if d_head is not None and params.head is None:
+        raise DataError("head gradient supplied but params have no head")
+    grads = ModelParams(
+        w=[None] * params.layers,
+        w_e=[None] * len(params.w_e),
+        psi=np.zeros_like(params.psi) if d_psi is None else np.asarray(d_psi, dtype=np.float64),
+        head=None if params.head is None else (
+            np.zeros_like(params.head) if d_head is None else np.asarray(d_head, dtype=np.float64)),
+    )
 
     dz = np.asarray(d_z_final, dtype=np.float64)
     if ops.order is not None:

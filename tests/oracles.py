@@ -118,15 +118,36 @@ def oracle_activation(tag, x):
     raise ValueError(tag)
 
 
-def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e):
-    """Straight-line dense re-implementation of the layer stack (eval mode)."""
+def _held_we(tag, layers, we_count):
+    """Raise unless there are W_e(0..L-2) for base and none otherwise, the weights a
+    forward reads, so that no loop over them can stop short of the last layer."""
+    want = layers - 1 if tag == "base" else 0
+    if we_count != want:
+        raise ValueError(f"{tag} at {layers} layer(s) holds {want} W_e, got {we_count}")
+
+
+def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e, full_y_stream=False):
+    """Straight-line dense re-implementation of the layer stack (eval mode): (Z(L), last Y).
+
+    ``we_list`` holds the W_e a forward reads, so base's Y update runs for
+    k < L-1 and returns Y(L-1), and a decoupled variant runs none.  With
+    ``full_y_stream`` every variant runs the Y update at all L layers, as the
+    layer equations write it, and ``we_list`` holds L matrices.
+    """
+    if full_y_stream:
+        if len(we_list) != len(w_list):
+            raise ValueError(f"the full Y stream needs {len(w_list)} W_e, got {len(we_list)}")
+    else:
+        _held_we(tag, len(w_list), len(we_list))
     s_v, s_e, b_v, b_e = dense_operators(edges, n, tag)
-    z, y = np.asarray(z0, dtype=float), np.asarray(y0, dtype=float)
-    for w, w_e in zip(w_list, we_list):
+    z = np.asarray(z0, dtype=float)
+    y = None if y0 is None else np.asarray(y0, dtype=float)
+    for k, w in enumerate(w_list):
         u = s_v @ z if b_v is None else s_v @ z + b_v @ y
         z_next = oracle_activation(sigma_v, u @ w)
-        v = s_e @ y if b_e is None else s_e @ y + b_e @ z_next
-        y = oracle_activation(sigma_e, v @ w_e)
+        if k < len(we_list):
+            v = s_e @ y if b_e is None else s_e @ y + b_e @ z_next
+            y = oracle_activation(sigma_e, v @ we_list[k])
         z = z_next
     return z, y
 
@@ -134,10 +155,12 @@ def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e):
 def full_backward(state, ops, params, d_z_final):
     """Reverse mode through every adjoint, pruning nothing: the W and W_e gradients.
 
-    The Y adjoint starts at zeros, every Y update the state cached is undone,
-    and layer 0 still propagates into Z(0) and Y(0).  ``training.backward``
-    must give the same floats while skipping what no weight reads.
+    ``params`` hold W_e(0..L-2) for base and none otherwise.  The Y adjoint
+    starts at zeros, every Y update the state cached is undone, and layer 0
+    still propagates into Z(0) and Y(0).  ``training.backward`` must give the
+    same floats while skipping what no weight reads.
     """
+    _held_we(ops.tag, params.layers, len(params.w_e))
     grads_w = [np.zeros_like(a) for a in params.w]
     grads_we = [np.zeros_like(a) for a in params.w_e]
     dz = np.asarray(d_z_final, dtype=np.float64)

@@ -549,6 +549,62 @@ def test_eval_replays_a_reordered_trials_heldout_auc(tmp_path, capsys, task):
     test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, [])
 
 
+def _rewrite_arrays(ckpt, **changes):
+    """Rewrite a checkpoint's arrays with np.savez; ``changes`` sets or replaces them by key."""
+    with np.load(ckpt) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    np.savez(ckpt, **{**arrays, **changes})
+    return arrays
+
+
+def _trained_checkpoint(tmp_path, *flags):
+    """(dataset, checkpoint, reported held-out AUC) of a one-trial training run."""
+    data = make_dataset(tmp_path / "ds")
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), *FAST, *flags]) == 0
+    report = json.loads((run / "report.json").read_text())
+    return data, run / "model.npz", report["metrics"]["auc"]["values"][-1]
+
+
+@pytest.mark.parametrize("task, changes, message", [
+    ("hyperedge-pred", {"layer_count": np.asarray(0)}, "layer_count 0"),
+    ("hyperedge-pred", {"w_1": np.zeros((3, 4))}, "does not chain"),
+    ("hyperedge-pred", {"we_0": np.zeros((4, 3))}, "we_0 is shaped (4, 3)"),
+    ("hyperedge-pred", {"psi": np.zeros((8, 3))}, "psi is shaped (8, 3)"),
+    ("node-class", {"head": np.zeros((3, 2))}, "head is shaped (3, 2)"),
+    ("hyperedge-pred", {"w_0": np.zeros((4, 3)), "we_0": np.zeros((4, 3)), "w_1": np.zeros((3, 3)),
+                        "psi": np.zeros((6, 3))}, "one width throughout"),
+], ids=["no-layers", "w-chain", "we-shape", "psi-shape", "head-rows", "base-width"])
+def test_malformed_checkpoint_weights_exit_two(tmp_path, capsys, task, changes, message):
+    data, ckpt, _ = _trained_checkpoint(tmp_path, "--task", task)
+    _rewrite_arrays(ckpt, **changes)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "model.npz" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["base", "p2"])
+def test_checkpoint_with_every_layers_w_e_still_loads(tmp_path, capsys, variant):
+    # checkpoints stored one W_e per layer for every variant before the unread ones were dropped
+    flags = ["--variant", variant, "--score-mode", "dependent", "--trials", "2"]
+    data, ckpt, trained_auc = _trained_checkpoint(tmp_path, *flags)
+    embed = ["embed", "--checkpoint", str(ckpt), "--data", str(data), "--out"]
+    assert main([*embed, str(tmp_path / "now.tsv")]) == 0
+    with np.load(ckpt) as blob:
+        held = {key: blob[key] for key in blob.files if key.startswith("we_")}
+    assert sorted(held) == (["we_0"] if variant == "base" else [])
+    # the unread W_e of the old layout: all of p2's, base's top layer
+    _rewrite_arrays(ckpt, **{f"we_{k}": np.full((4, 4), 0.5) for k in range(2) if f"we_{k}" not in held})
+    params, _ = load_checkpoint(ckpt)
+    assert len(params.w_e) == len(held) and all(np.array_equal(a, held[f"we_{k}"]) for k, a in enumerate(params.w_e))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["auc"] == trained_auc
+    assert main([*embed, str(tmp_path / "old.tsv")]) == 0
+    assert (tmp_path / "old.tsv").read_text() == (tmp_path / "now.tsv").read_text()
+
+
 def _write_features(text):
     return lambda data: (data / "features.tsv").write_text(text)
 

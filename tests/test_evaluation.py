@@ -25,6 +25,7 @@ from hyperemb import (
     split_links,
 )
 from hyperemb.cli import _ranking_metrics
+from hyperemb.evaluation import truth_ranks
 from oracles import brute_auc, per_class_auc
 
 
@@ -311,7 +312,7 @@ class TestRecommend:
         types = ["frag", "style", "style", "style"]
         g = build_hypergraph([(0, 1), (0, 2), (0, 3)], 4, node_type=types)
         v = VariantKind(tag="wt")
-        params = ModelParams(w=[np.eye(2)], w_e=[np.eye(2)], psi=np.zeros((4, 2)))
+        params = ModelParams(w=[np.eye(2)], w_e=[], psi=np.zeros((4, 2)))
         ops = build_operators(g, v)
         state = forward(ops, params, ForwardInputs(ops, np.zeros((4, 2))), v)
         return g, state, v
@@ -364,6 +365,33 @@ class TestRecommend:
         g, state = self._with_embeddings(z)
         out = dict(recommend(g, state, 0, "style", 3))
         assert out[1] == 0.0
+
+
+class TestTruthRanks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranks_equal_recommend_then_rank_positions(self, seed):
+        # few distinct values, so scores tie often, and zero rows among queries and candidates
+        rng = np.random.default_rng(seed)
+        n = 40
+        types = rng.choice(["frag", "style"], size=n).tolist()
+        g = build_hypergraph([(i, (i + 1) % n) for i in range(n)], n, node_type=types)
+        v = VariantKind(tag="wt")
+        params = ModelParams(w=[np.eye(3)], w_e=[], psi=np.zeros((6, 3)))
+        ops = build_operators(g, v)
+        state = forward(ops, params, ForwardInputs(ops, np.zeros((n, 3))), v)
+        z = rng.integers(-1, 2, size=(n, 3)).astype(np.float64) * rng.choice([1.0, 2.0, 0.5], size=(n, 1))
+        z[rng.choice(n, size=6, replace=False)] = 0.0
+        state.z[-1][:] = z
+        styles = g.nodes_of_type("style")
+        pairs = [(int(q), int(t)) for q, t in zip(rng.integers(0, n, 30), rng.choice(styles, 30))]
+        want = [rank_positions([c for c, _ in recommend(g, state, q, "style", len(styles))], [t])[0]
+                for q, t in pairs]
+        assert truth_ranks(g, state, pairs, "style").tolist() == want
+
+    def test_truth_outside_the_candidates_rejected(self):
+        g, state = TestRecommend()._with_embeddings(np.ones((4, 2)))
+        with pytest.raises(DataError, match="truth item 0 not among the 3 candidates"):
+            truth_ranks(g, state, [(1, 0)], "style")
 
 
 class TestBaselineRankers:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import sys
@@ -353,7 +354,7 @@ class TestForward:
         v = VariantKind(tag="p2", sigma_v="leaky-relu", sigma_e="leaky-relu")
         ops = build_operators(triangle, v)
         params = ModelParams(
-            w=[np.eye(2)], w_e=[np.eye(2)], psi=np.zeros((4, 2))
+            w=[np.eye(2)], w_e=[], psi=np.zeros((4, 2))
         )
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         state = forward(ops, params, ForwardInputs(ops, z0), v)
@@ -367,7 +368,7 @@ class TestForward:
                 v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
                 ops = build_operators(triangle, v)
                 params = ModelParams(
-                    w=[np.zeros((2, 2))] * 2, w_e=[np.zeros((2, 2))] * 2, psi=np.zeros((4, 2))
+                    w=[np.zeros((2, 2))] * 2, w_e=[np.zeros((2, 2))] * v.coupled, psi=np.zeros((4, 2))
                 )
                 z0 = np.random.default_rng(2).standard_normal((3, 2))
                 state = forward(ops, params, ForwardInputs(ops, z0, z0.copy()), v)
@@ -389,12 +390,10 @@ class TestForward:
                 y0 = rng.standard_normal((len(edges), 3))
                 ops = build_operators(g, v)
                 state = forward(ops, params, ForwardInputs(ops, z0, y0), v)
-                z_ref = dense_forward(edges, n, params.w, params.w_e, z0, y0, tag, act, act)[0]
-                # the oracle runs every variant's Y stream; only base's reaches an output,
-                # and only up to Y(L-1), the last Y its Z update reads
+                z_ref, y_ref = dense_forward(edges, n, params.w, params.w_e, z0, y0, tag, act, act)
+                # only base has a Y stream, and it runs up to Y(L-1), the last Y its Z update reads
                 assert_allclose(state.z_final, z_ref, atol=1e-10)
                 if v.coupled:
-                    y_ref = dense_forward(edges, n, params.w[:-1], params.w_e[:-1], z0, y0, tag, act, act)[1]
                     assert_allclose(state.y[-1], y_ref, atol=1e-10)
                     assert len(state.y) == 2 and len(state.agg_y) == len(state.deriv_y) == 1
                 else:
@@ -408,10 +407,13 @@ class TestForward:
         y0 = rng.standard_normal((3, 2))
         ops = build_operators(triangle, v)
         state = forward(ops, params, ForwardInputs(ops, z0, y0), v)
-        z_ref = dense_forward(TRIANGLE_EDGES, 3, params.w, params.w_e, z0, y0, "base", "tanh", "tanh")[0]
-        y_ref = dense_forward(TRIANGLE_EDGES, 3, params.w[:1], params.w_e[:1], z0, y0, "base", "tanh", "tanh")[1]
+        z_ref, y_ref = dense_forward(TRIANGLE_EDGES, 3, params.w, params.w_e, z0, y0, "base", "tanh", "tanh")
         assert_allclose(state.z_final, z_ref, atol=1e-10)
         assert_allclose(state.y[-1], y_ref, atol=1e-10)
+        # the oracle takes W_e(0..L-2) alone, rather than stopping its layer loop at the shorter list
+        for w_e in ([], params.w_e * 2):
+            with pytest.raises(ValueError, match="W_e"):
+                dense_forward(TRIANGLE_EDGES, 3, params.w, w_e, z0, y0, "base", "tanh", "tanh")
 
     def test_cross_stream_coupling_only_in_base(self, rng):
         edges, n = random_hypergraph(rng)
@@ -452,6 +454,22 @@ class TestForward:
             forward(ops, params, inputs, VariantKind(tag="wt"))
         with pytest.raises(ConfigError, match="other operators"):
             forward(build_operators(triangle, v), params, inputs, v)
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_only_read_w_e_accepted(self, triangle, tag):
+        # base reads W_e(0..L-2) and a decoupled variant none; forward refuses any other count
+        v = VariantKind(tag=tag)
+        ops = build_operators(triangle, v)
+        inputs = ForwardInputs(ops, np.ones((3, 2)), np.ones((3, 2)))
+        params = seeded_params(default_dims(2, 2), v)
+        assert len(params.w_e) == (1 if v.coupled else 0)
+        for extra in ([np.eye(2)], [np.eye(2)] * 2):
+            wrong = dataclasses.replace(params, w_e=params.w_e + extra)
+            with pytest.raises(DataError, match="W_e"):
+                forward(ops, wrong, inputs, v)
+        if v.coupled:
+            with pytest.raises(DataError, match="W_e"):
+                forward(ops, dataclasses.replace(params, w_e=[]), inputs, v)
 
     def test_state_caches_complete(self, triangle):
         v = VariantKind()
@@ -794,6 +812,13 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         assert loaded.head is None
         assert meta == {}
+
+    @pytest.mark.parametrize("tag", ["base", "p2"])
+    def test_meta_without_variant_loads_the_stored_w_e(self, tmp_path, tag):
+        params = seeded_params(default_dims(3, 3), VariantKind(tag=tag))
+        save_checkpoint(tmp_path / "m.npz", params)
+        loaded, _ = load_checkpoint(tmp_path / "m.npz")
+        assert [n for n, _ in loaded.named_arrays()] == [n for n, _ in params.named_arrays()]
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import math
@@ -583,12 +584,13 @@ class TestBackwardAgainstFiniteDifferences:
 
         st = _training_forward(ops, params, z0, y0, variant)
         grads = backward(st, ops, params, c_z)
-        for k, arr in enumerate(params.w_e[:-1]):
+        # Y stops at Y(L-1), so base holds no top-layer W_e
+        assert len(params.w_e) == len(grads.w_e) == 2
+        for k, arr in enumerate(params.w_e):
             assert np.abs(grads.w_e[k]).max() > 0, k
             assert rel_err(grads.w_e[k], finite_diff(loss_value, arr)) < 1e-4, k
         for k, arr in enumerate(params.w):
             assert rel_err(grads.w[k], finite_diff(loss_value, arr)) < 1e-4, k
-        assert not grads.w_e[-1].any()
 
     def test_zero_upstream_gives_zero_grads(self):
         variant, ops, params, z0, y0 = _grad_setup("base", "tanh")
@@ -603,10 +605,9 @@ class TestBackwardAgainstFiniteDifferences:
         variant = VariantKind(tag="wt", sigma_v="tanh", sigma_e="tanh")
         ops = build_operators(g, variant)
         w = np.array([[0.7]])
-        w_e = np.array([[0.3]])
         from hyperemb import ModelParams
 
-        params = ModelParams(w=[w.copy()], w_e=[w_e.copy()], psi=np.zeros((2, 1)))
+        params = ModelParams(w=[w.copy()], w_e=[], psi=np.zeros((2, 1)))
         z0 = np.array([[0.9]])
         y0 = np.array([[0.4]])
         st = forward(ops, params, ForwardInputs(ops, z0, y0), variant)
@@ -614,7 +615,7 @@ class TestBackwardAgainstFiniteDifferences:
         pre = s_v * 0.9 * 0.7
         grads = backward(st, ops, params, np.ones((1, 1)))
         assert_allclose(grads.w[0], [[(1 - math.tanh(pre) ** 2) * s_v * 0.9]], atol=1e-12)
-        assert_allclose(grads.w_e[0], 0.0)  # decoupled: loss never sees Y
+        assert grads.w_e == []  # decoupled: no Y stream, so no W_e
 
 
 @pytest.mark.usefixtures("chains_forced")
@@ -679,10 +680,11 @@ class TestBackwardPrunesUnreadAdjoints:
         full_w, full_we = full_backward(st, ops, params, d_z)
         for k in range(layers):
             assert np.array_equal(grads.w[k], full_w[k]), k
+        # Y stops at Y(L-1), so no top-layer W_e is held, and a decoupled variant holds none
+        assert len(grads.w_e) == len(full_we) == len(params.w_e) == (layers - 1 if variant.coupled else 0)
+        for k in range(len(params.w_e)):
             assert np.array_equal(grads.w_e[k], full_we[k]), k
         assert np.array_equal(grads.psi, d_psi) and np.array_equal(grads.head, d_head)
-        # Y stops at Y(L-1), so the top layer's W_e has no reader
-        assert not grads.w_e[-1].any()
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -783,10 +785,10 @@ class TestOptimizers:
         return init_params([2, 2], VariantKind(), rng=np.random.default_rng(seed))
 
     def _grads(self, params, scale=1.0):
-        g = params.zeros_like()
+        g = copy.deepcopy(params)
         rng = np.random.default_rng(99)
         for _, arr in g.named_arrays():
-            arr += scale * rng.standard_normal(arr.shape)
+            arr[...] = scale * rng.standard_normal(arr.shape)
         return g
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
@@ -1041,8 +1043,10 @@ class TestDecoupledTrainingSkipsY:
     @pytest.mark.parametrize("tag", DECOUPLED_TAGS)
     @pytest.mark.parametrize("act", [a for a in ACTIVATION_TAGS if a != "rrelu"])
     def test_z_and_grads_match_the_full_y_stream(self, tag, act):
-        # the dense oracle runs the Y stream in full, as the layer equations write it
+        # the dense oracle runs the Y stream in full, as the layer equations write it, with
+        # W_e drawn here: the decoupled variant holds none, and any W_e gives the same Z
         variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3)
+        w_e = [np.random.default_rng(9).uniform(-1.0, 1.0, a.shape) for a in params.w]
         cfg = TrainConfig(variant=variant, score_mode="dependent")
         labels, mask = np.array([0, 1, 2, 1, 0]), np.ones(GRAD_NODES, dtype=bool)
 
@@ -1054,7 +1058,7 @@ class TestDecoupledTrainingSkipsY:
             return bce + ce, caches, d_scores, d_logits
 
         def oracle_z():
-            return dense_forward(GRAD_EDGES, GRAD_NODES, params.w, params.w_e, z0, y0, tag, act, act)[0]
+            return dense_forward(GRAD_EDGES, GRAD_NODES, params.w, w_e, z0, y0, tag, act, act, full_y_stream=True)[0]
 
         inputs = ForwardInputs(ops, z0)
         st = forward(ops, params, inputs, variant, training=True)
@@ -1068,7 +1072,7 @@ class TestDecoupledTrainingSkipsY:
         for (name, arr), (_, grad) in zip(params.named_arrays(), grads.named_arrays()):
             numeric = finite_diff(lambda: loss(oracle_z())[0], arr)
             assert rel_err(grad, numeric) < 1e-4, name
-        assert not any(g.any() for g in grads.w_e)
+        assert params.w_e == grads.w_e == []
         assert np.abs(grads.psi).max() > 0 and np.abs(grads.head).max() > 0
 
     @pytest.mark.parametrize("task", TASKS)
@@ -1089,6 +1093,41 @@ class TestDecoupledTrainingSkipsY:
             assert np.array_equal(run.final.z_final, first.final.z_final), act
             for (name, a), (_, b) in zip(run.params.named_arrays(), first.params.named_arrays()):
                 assert np.array_equal(a, b), (act, name)
+
+
+class TestWeightInventory:
+    """Every variant holds, updates and saves only the weights a forward reads:
+    W(0..L-1), base's W_e(0..L-2), psi, and the head for node classification."""
+
+    @pytest.mark.parametrize("task, score_mode", [
+        ("hyperedge-pred", "plain"), ("hyperedge-pred", "dependent"), ("node-class", "plain")])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_held_updated_and_saved_weights(self, tmp_path, monkeypatch, layers, tag, task, score_mode):
+        variant = VariantKind(tag=tag)
+        names = [f"w_{k}" for k in range(layers)]
+        names += [f"we_{k}" for k in range(layers - 1 if variant.coupled else 0)]
+        names += ["psi"] + (["head"] if task == "node-class" else [])
+        steps = []
+        monkeypatch.setattr(training, "backward", lambda *a, **kw: steps.append(backward(*a, **kw)) or steps[-1])
+        moments = []
+        monkeypatch.setattr(training, "init_optimizer", lambda *a: moments.append(init_optimizer(*a)) or moments[-1])
+        cfg = TrainConfig(variant=variant, layers=layers, epochs=1, feature_rank=4, seed=3, score_mode=score_mode)
+        params = train(toy_clustered_graph(), cfg, task=task, data=_toy_data(task)).params
+
+        assert [name for name, _ in params.named_arrays()] == names
+        [opt] = moments
+        assert list(opt.m) == list(opt.v) == names
+        [grads] = steps
+        assert [name for name, _ in grads.named_arrays()] == names
+        for name, grad in grads.named_arrays():
+            if name != "psi" or score_mode == "dependent":
+                assert np.abs(grad).max() > 0, name
+        model.save_checkpoint(tmp_path / "m.npz", params, {"variant": tag})
+        with np.load(tmp_path / "m.npz") as blob:
+            assert sorted(blob.files) == sorted(names + ["format_version", "layer_count", "meta_json"])
+        loaded, _ = model.load_checkpoint(tmp_path / "m.npz")
+        assert [name for name, _ in loaded.named_arrays()] == names
 
 
 class TestReorderedTraining:
