@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import softmax
 
 from .convert import convert_hypergcn, generate_node_splits
 from .data import Dataset, load_dataset, unique_path
@@ -56,6 +55,7 @@ from .training import (
     build_labeled_set,
     dependent_embeddings,
     input_features,
+    row_softmax,
     score_sets,
     train,
 )
@@ -267,8 +267,7 @@ def _heldout_auc(task: str, z_final, params, cfg: TrainConfig, data, held) -> fl
     """Held-out AUC of a trial's final embeddings on its ``_trial_data``."""
     if task == "hyperedge-pred":
         return auc(score_sets(z_final, held.pack, cfg, params, cfg.variant), held.labels)
-    probs = softmax(z_final @ params.head, axis=1)
-    return multiclass_auc(probs, data[0], held)
+    return multiclass_auc(row_softmax(z_final @ params.head), data[0], held)
 
 
 def run_trials(

@@ -90,6 +90,8 @@ class GraphPack:
     """Incidence matrix H (CSR, N x M), node degrees ``d`` = H 1, hyperedge sizes
     ``d_e`` = H^T 1, and their inverses.  Every adjacency, walk operator, variant
     operator and hyperedge feature map reads these instead of rebuilding H.
+    ``adjacency``, H H^T - D, is derived on first read and kept, so the SVD
+    feature bootstrap and the node order of one graph share one copy.
 
     A node in no hyperedge gets ``d_inv`` 0 (its rows and columns of the walk
     operators stay zero) and one warning per graph; hyperedges are nonempty by
@@ -102,6 +104,14 @@ class GraphPack:
     d_e: np.ndarray
     d_inv: np.ndarray
     de_inv: np.ndarray
+
+    @cached_property
+    def adjacency(self) -> sparse.csr_array:
+        """N x N co-membership counts, H H^T minus its diagonal (which equals d), read-only."""
+        a = canonical(self.h @ self.h.T - sparse.diags_array(self.d))
+        for arr in (a.data, a.indices, a.indptr):
+            _readonly(arr)
+        return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +244,6 @@ def incidence_matrix(g: Hypergraph) -> sparse.csr_array:
 
 
 def node_adjacency(g: Hypergraph) -> sparse.csr_array:
-    """N x N co-membership counts: H H^T minus its diagonal (which equals d)."""
-    pack = g.pack
-    return canonical(pack.h @ pack.h.T - sparse.diags_array(pack.d))
+    """N x N co-membership counts: H H^T minus its diagonal (which equals d).
+    The graph's one read-only copy, ``GraphPack.adjacency``."""
+    return g.pack.adjacency

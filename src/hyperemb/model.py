@@ -43,9 +43,17 @@ Every sparse-times-dense product of the forward pass, and of the backward
 pass in ``training``, goes through ``spmm``.  When the BLAS runs one thread,
 a large product is split by the dense operand's columns over the CPUs of
 the process's affinity mask; each output element is still summed in the
-same order, so the result is bit-identical to a one-CPU run.  The module
-also holds the activations, seeded weight initialisation and the
-checkpoint format.
+same order, so the result is bit-identical to a one-CPU run.
+
+Row-wise work.  Each layer's ``agg @ W`` is one GEMM, and ``activate``
+writes its value and derivative into two preallocated arrays one row block
+of at most ``ROW_BLOCK`` elements at a time, so a block's temporaries stay
+in cache.  Every element goes through the same operations as in the
+whole-array expression, so every float is the whole-array one.  The GEMM
+itself is not cut into row blocks: OpenBLAS's kernels sum a narrow
+product's rows in an order that depends on the block (30,000 x 33 by
+33 x 3 in 2,048-row blocks differs in the last bits).  The module also
+holds seeded weight initialisation and the checkpoint format.
 """
 
 from __future__ import annotations
@@ -104,6 +112,18 @@ SPMM_SPLIT_MIN = 2_000_000
 # 7.8 -> 10.6 ms at 7.7 per row and 12.3 -> 9.3 ms at 11.6; base's b_v at dblp
 # size (1.65 per row) went 9.5 -> 10.1 ms
 SPMM_SPLIT_MIN_ROW_NNZ = 8
+
+# an activation and its derivative run in row blocks of at most this many elements
+# (256 KiB of float64), so a block's temporaries stay in a core's 2 MiB L2.  Random
+# float64 arrays on the 2-vCPU benchmark host, one BLAS thread, median of 25 calls of
+# ``activate``, whole array -> blocks of 2^15: at 43,413 x 32 (dblp size) tanh 12.5
+# -> 9.3 ms, gelu 60.7 -> 46.3, selu 44.3 -> 27.5; at 3,327 x 32 (citeseer size) tanh
+# 0.53 -> 0.48, gelu 3.07 -> 2.94.  Blocks of 2^14 read the same and 2^16-2^17 up to
+# 20% slower at dblp size.  Spreading the blocks over both vCPUs gained nothing in an
+# earlier probe at either size (dblp size: tanh 3.5 -> 4.0 ms, gelu 27.4 -> 31.2; two
+# threads each running tanh took twice one thread's time), so they run on the calling
+# thread
+ROW_BLOCK = 1 << 15
 
 _POOL: ThreadPoolExecutor
 
@@ -178,6 +198,44 @@ class VariantKind:
         return self.tag == "base"
 
 
+def row_blocks(rows: int, row_size: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds that cut ``rows`` rows of ``row_size`` elements into the
+    fewest even blocks of at most ``ROW_BLOCK`` elements, or of one row each
+    when a row is larger; an array of at most ``ROW_BLOCK`` elements is one block."""
+    blocks = -(-rows // max(1, ROW_BLOCK // max(row_size, 1)))
+    bounds = [rows * i // blocks for i in range(blocks + 1)] if blocks else [0]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _activation_block(tag: str, x: np.ndarray, value: np.ndarray, deriv: np.ndarray, slope) -> None:
+    """Write tag(x) into ``value`` and its derivative at x into ``deriv``.
+
+    Every float is the one the whole-array expression gives: each element
+    goes through the same elementwise operations in the same order.
+    """
+    if tag == "tanh":
+        np.tanh(x, out=value)
+        np.subtract(1.0, value * value, out=deriv)
+    elif tag == "leaky-relu":
+        pos = x > 0
+        deriv[...] = np.where(pos, 1.0, LEAKY_SLOPE)
+        value[...] = np.where(pos, x, LEAKY_SLOPE * x)
+    elif tag == "gelu":
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        np.multiply(x, cdf, out=value)
+        np.add(cdf, x * pdf, out=deriv)
+    elif tag == "selu":
+        pos = x > 0
+        ex = np.exp(np.minimum(x, 0.0))
+        np.multiply(SELU_LAMBDA, np.where(pos, x, SELU_ALPHA * (ex - 1.0)), out=value)
+        np.multiply(SELU_LAMBDA, np.where(pos, 1.0, SELU_ALPHA * ex), out=deriv)
+    else:  # rrelu
+        pos = x >= 0
+        value[...] = np.where(pos, x, slope * x)
+        deriv[...] = np.where(pos, 1.0, slope)
+
+
 def activate(
     tag: str,
     x: np.ndarray,
@@ -192,25 +250,14 @@ def activate(
     ``RRELU_RANGE`` with ``rng`` in training mode and uses the range's
     midpoint in eval mode.  When x's rows are nodes in storage order
     ``order``, the slopes are drawn for node-order rows and gathered, so each
-    node gets the slopes it would get in node order.
+    node gets the slopes it would get in node order.  The slopes are drawn
+    whole; then both outputs are allocated and written one row block
+    (``row_blocks``) at a time, so a block's temporaries stay in cache.
     """
-    if tag == "tanh":
-        t = np.tanh(x)
-        return t, 1.0 - t * t
-    if tag == "leaky-relu":
-        pos = x > 0
-        deriv = np.where(pos, 1.0, LEAKY_SLOPE)
-        return np.where(pos, x, LEAKY_SLOPE * x), deriv
-    if tag == "gelu":
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return x * cdf, cdf + x * pdf
-    if tag == "selu":
-        pos = x > 0
-        ex = np.exp(np.minimum(x, 0.0))
-        value = SELU_LAMBDA * np.where(pos, x, SELU_ALPHA * (ex - 1.0))
-        deriv = SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * ex)
-        return value, deriv
+    if tag not in ACTIVATION_TAGS:
+        raise ConfigError(f"unknown activation {tag!r}")
+    x = np.asarray(x, dtype=np.float64)
+    slope = None
     if tag == "rrelu":
         lo, hi = RRELU_RANGE
         if training:
@@ -221,10 +268,12 @@ def activate(
                 slope = slope[order]
         else:
             slope = (lo + hi) / 2.0
-        pos = x >= 0
-        deriv = np.where(pos, 1.0, slope)
-        return np.where(pos, x, slope * x), deriv
-    raise ConfigError(f"unknown activation {tag!r}")
+    value, deriv = np.empty_like(x), np.empty_like(x)
+    rows = x.shape[0]
+    for lo, hi in row_blocks(rows, x.size // max(rows, 1)):
+        block_slope = slope[lo:hi] if isinstance(slope, np.ndarray) else slope
+        _activation_block(tag, x[lo:hi], value[lo:hi], deriv[lo:hi], block_slope)
+    return value, deriv
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.special import expit, logsumexp, softmax
+from scipy.special import expit, logsumexp
 
 from .errors import ConfigError, DataError, HypergraphWarning, NumericError
 from .evaluation import auc, multiclass_auc
@@ -303,8 +303,36 @@ def hyperedge_bce_loss(scores, labels) -> tuple[float, np.ndarray]:
     return float(per_example.mean()), grad
 
 
-def node_ce_loss(logits, labels, mask) -> tuple[float, np.ndarray]:
-    """Masked softmax cross-entropy over labeled nodes; gradient is zero elsewhere."""
+def row_softmax(logits) -> np.ndarray:
+    """``scipy.special.softmax(logits, axis=1)``, bit for bit, as an F-ordered view.
+
+    The work runs column-major, on a C x N copy: the row maxima, the shift
+    and exp, and the sums are passes over N contiguous values each, not N
+    reductions over C.  A row's sum must add its terms in numpy's order for a
+    contiguous row: one after another below 8 terms, which the column-major
+    passes repeat, and pairwise from 8 on, which only a row-major sum gives.
+    """
+    t = np.array(logits, dtype=np.float64).T.copy()
+    if t.ndim != 2:
+        raise DataError(f"logits must be 2-d, got shape {t.T.shape}")
+    t -= np.maximum.reduce(t, axis=0)
+    np.exp(t, out=t)
+    if t.shape[0] < 8:
+        total = t[0].copy()
+        for row in t[1:]:
+            total += row
+    else:
+        total = np.ascontiguousarray(t.T).sum(axis=1)
+    t /= total
+    return t.T
+
+
+def node_ce_loss(logits, labels, mask, probs=None) -> tuple[float, np.ndarray]:
+    """Masked softmax cross-entropy over labeled nodes; gradient is zero elsewhere.
+
+    ``probs``, ``row_softmax(logits)``, is formed from the masked rows when not
+    given; a caller that needs it anyway passes it in.
+    """
     z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
@@ -318,11 +346,13 @@ def node_ce_loss(logits, labels, mask) -> tuple[float, np.ndarray]:
     y = labels[mask]
     if y.min() < 0 or y.max() >= z.shape[1]:
         raise DataError(f"labels must be in [0, {z.shape[1]}), got range [{y.min()}, {y.max()}]")
+    if probs is not None and probs.shape != z.shape:
+        raise DataError(f"probs shaped {probs.shape} for logits shaped {z.shape}")
     sub = z[mask]
     lse = logsumexp(sub, axis=1)
     loss = float((lse - sub[np.arange(n_l), y]).mean())
     grad = np.zeros_like(z)
-    sub_grad = softmax(sub, axis=1)
+    sub_grad = row_softmax(sub) if probs is None else probs[mask]
     sub_grad[np.arange(n_l), y] -= 1.0
     grad[mask] = sub_grad / n_l
     return loss, grad
@@ -366,17 +396,19 @@ def backward(
     )
 
     dz = np.asarray(d_z_final, dtype=np.float64)
+    owned = dz is not d_z_final  # a caller's array is never written
     if ops.order is not None:
-        dz = dz[ops.order]
+        dz, owned = dz[ops.order], True
     dy = None  # d(loss)/d Y(k+1), formed from layer k+1's B_v^T term on
     for k in reversed(range(params.layers)):
         if dy is not None:
-            gy = dy * state.deriv_y[k]
+            gy = np.multiply(dy, state.deriv_y[k], out=dy)
             grads.w_e[k] = state.agg_y[k].T @ gy
             dv = gy @ params.w_e[k].T
             dy = ops.s_e.T @ dv if k else None
             dz = dz + ops.b_e.T @ dv
-        gz = dz * state.deriv_z[k]
+        gz = np.multiply(dz, state.deriv_z[k], out=dz if owned else None)
+        owned = True  # every later dz is a fresh product
         grads.w[k] = state.agg_z[k].T @ gz
         if not k:
             break
@@ -596,12 +628,13 @@ def train(
                 metric = auc(eval_scores, eval_data.labels)
         else:
             logits = st.z_final @ params.head
-            loss, d_logits = node_ce_loss(logits, labels, mask)
+            probs = row_softmax(logits)  # read by the loss's gradient and the metric
+            loss, d_logits = node_ce_loss(logits, labels, mask, probs)
             _check_finite(loss, epoch, state)
             d_z = d_logits @ params.head.T
             d_head = st.z_final.T @ d_logits
             grads = backward(st, ops, params, d_z, d_head=d_head)
-            metric = multiclass_auc(softmax(logits, axis=1), labels, metric_mask)
+            metric = multiclass_auc(probs, labels, metric_mask)
         optimizer_step(opt, params, grads, cfg.lr)
         # free this epoch's caches before the next forward allocates its own
         del st, grads

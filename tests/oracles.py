@@ -3,13 +3,15 @@
 Everything here is written the slow, obvious way (loops, np.diag,
 np.linalg) and deliberately shares no code with the package, so the
 sparse/cached implementations have something honest to be checked
-against.  The exceptions are ``full_backward`` and the one-call forms at
-the end of the file, which run the package's own code.
+against.  The exceptions are ``whole_forward`` and ``full_backward``,
+which apply the package's operators, and the one-call forms at the end of
+the file, which run the package's own code.
 """
 
 import math
 
 import numpy as np
+from scipy.special import erf
 from scipy.stats import norm, rankdata
 
 from hyperemb.hypergraph import FlatSets, canonical
@@ -150,6 +152,70 @@ def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e, full
             y = oracle_activation(sigma_e, v @ we_list[k])
         z = z_next
     return z, y
+
+
+_GELU_ROOT2, _GELU_PDF_NORM = np.sqrt(2.0), np.sqrt(2.0 * np.pi)
+
+
+def whole_activation(tag, x, rng=None, training=False, order=None):
+    """(value, derivative) of the tagged activation as whole-array expressions, one
+    fresh array per operation; rrelu's training slopes come from ``rng`` the way
+    ``model.activate`` draws them.  The package must give these floats
+    bit for bit, whatever row blocks it cuts."""
+    if tag == "tanh":
+        t = np.tanh(x)
+        return t, 1.0 - t * t
+    if tag == "leaky-relu":
+        pos = x > 0
+        return np.where(pos, x, 0.01 * x), np.where(pos, 1.0, 0.01)
+    if tag == "gelu":
+        cdf = 0.5 * (1.0 + erf(x / _GELU_ROOT2))
+        pdf = np.exp(-0.5 * x * x) / _GELU_PDF_NORM
+        return x * cdf, cdf + x * pdf
+    if tag == "selu":
+        lam, alpha = 1.0507009873554805, 1.6732632423543772
+        pos = x > 0
+        ex = np.exp(np.minimum(x, 0.0))
+        return lam * np.where(pos, x, alpha * (ex - 1.0)), lam * np.where(pos, 1.0, alpha * ex)
+    if tag == "rrelu":
+        lo, hi = 1.0 / 8.0, 1.0 / 3.0
+        if training:
+            slope = rng.uniform(lo, hi, size=x.shape)
+            if order is not None:
+                slope = slope[order]
+        else:
+            slope = (lo + hi) / 2.0
+        pos = x >= 0
+        return np.where(pos, x, slope * x), np.where(pos, 1.0, slope)
+    raise ValueError(tag)
+
+
+def whole_forward(ops, params, inputs, variant, rng=None, training=False):
+    """The layer loop of ``model.forward`` with each layer's ``agg @ W``, activation
+    and derivative as whole-array expressions (``whole_activation``): a dict of
+    the state's lists, Z(L) put back in node order."""
+    _held_we(ops.tag, params.layers, len(params.w_e))
+    st = {"z": [inputs.z0], "y": [inputs.y0] if variant.coupled else [],
+          "agg_z": [], "agg_y": [], "deriv_z": [], "deriv_y": []}
+    for k, w in enumerate(params.w):
+        agg_z = inputs.agg_z0 if k == 0 else ops.s_v @ st["z"][k]
+        if k and ops.b_v is not None:
+            agg_z = agg_z + ops.b_v @ st["y"][k]
+        z_next, dz = whole_activation(variant.sigma_v, agg_z @ w, rng, training, ops.order)
+        st["z"].append(z_next)
+        st["agg_z"].append(agg_z)
+        st["deriv_z"].append(dz)
+        if k < len(params.w_e):
+            agg_y = (ops.s_e @ st["y"][k] if k else inputs.s_e_y0) + ops.b_e @ z_next
+            y_next, dy = whole_activation(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
+            st["y"].append(y_next)
+            st["agg_y"].append(agg_y)
+            st["deriv_y"].append(dy)
+    if ops.order is not None:
+        z_final = np.empty_like(st["z"][-1])
+        z_final[ops.order] = st["z"][-1]
+        st["z"][-1] = z_final
+    return st
 
 
 def full_backward(state, ops, params, d_z_final):

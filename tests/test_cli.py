@@ -23,7 +23,7 @@ from hyperemb import (
     split_links,
     write_dataset,
 )
-from hyperemb import cli, model, training
+from hyperemb import cli, evaluation, model, training
 from hyperemb.cli import build_parser, build_train_config, main
 from hyperemb.features import SVD_BOOTSTRAP
 from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS
@@ -547,6 +547,18 @@ def test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, scorer
 @pytest.mark.parametrize("task", ["hyperedge-pred", "node-class"])
 def test_eval_replays_a_reordered_trials_heldout_auc(tmp_path, capsys, task):
     test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, [])
+
+
+def test_heldout_auc_reads_scipys_softmax_bits():
+    from scipy.special import softmax
+
+    rng = np.random.default_rng(4)
+    z, head = rng.standard_normal((300, 8)), rng.standard_normal((8, 5)) * 3.0
+    params = model.ModelParams(w=[], w_e=[], psi=np.zeros((16, 8)), head=head)
+    labels, held = np.arange(300) % 5, np.arange(300) % 4 == 0
+    got = cli._heldout_auc("node-class", z, params, None, (labels, ~held), held)
+    assert got == evaluation.multiclass_auc(softmax(z @ head, axis=1), labels, held)
+    assert not hasattr(cli, "softmax")  # one row softmax in the package: training.row_softmax
 
 
 def _rewrite_arrays(ckpt, **changes):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from hyperemb import (
     FlatSets,
     HypergraphWarning,
     TrainConfig,
+    VariantKind,
     build_hypergraph,
     build_operators,
     incidence_matrix,
@@ -19,7 +22,7 @@ from hyperemb import (
     replace_edges,
     train,
 )
-from hyperemb import hypergraph
+from hyperemb import hypergraph, model
 from conftest import TRIANGLE_EDGES
 from oracles import (
     brute_build_hypergraph,
@@ -273,6 +276,28 @@ class TestGraphPack:
         for tag in ("base", "p2", "plusplus", "wt", "h2"):
             build_operators(g, tag)
         assert calls == [g]
+
+    def test_adjacency_is_one_read_only_copy(self, triangle):
+        a = node_adjacency(triangle)
+        assert a is triangle.pack.adjacency is node_adjacency(triangle)
+        for arr in (a.data, a.indices, a.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_reordered_svd_training_derives_the_adjacency_once(self, monkeypatch):
+        built = []
+        derive = hypergraph.GraphPack.adjacency.func
+        counted = functools.cached_property(lambda pack: built.append(pack) or derive(pack))
+        counted.__set_name__(hypergraph.GraphPack, "adjacency")
+        monkeypatch.setattr(hypergraph.GraphPack, "adjacency", counted)
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
+        g = build_hypergraph([(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)], 6)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        for epochs in (1, 2):
+            train(g, TrainConfig(variant=VariantKind(tag="p2"), epochs=epochs, feature_rank=3),
+                  "node-class", data=(labels, np.ones(6, dtype=bool)))
+        # the SVD features and the node order of both trials read one copy
+        assert built == [g.pack]
 
     def test_isolated_node_warns_once_per_graph(self):
         g = build_hypergraph([(0, 1, 2), (1, 3)], 5)  # node 4 isolated

@@ -26,17 +26,20 @@ from hyperemb import (
 )
 from hyperemb import model
 from hyperemb.hypergraph import FlatSets
-from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, spmm
-from hyperemb.training import dependent_embeddings
+from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, row_blocks, spmm
+from hyperemb.training import backward, dependent_embeddings
 from conftest import TRIANGLE_EDGES, stored
 from oracles import (
     dense_forward,
     dense_operators,
     finite_diff,
+    full_backward,
     oracle_activation,
     random_hypergraph,
     rel_err,
     ringed_hypergraph,
+    whole_activation,
+    whole_forward,
 )
 
 
@@ -688,6 +691,119 @@ class TestNodeOrder:
                 for name in ("y", "agg_y", "deriv_y"):
                     for a, b in zip(getattr(got, name), getattr(want, name)):
                         assert np.array_equal(a, b), (act, name)
+
+
+def _block_rows(width):
+    """Rows of one full row block at ``width`` columns."""
+    return model.ROW_BLOCK // width
+
+
+def _row_counts(width):
+    """One row, one row short of a block, one block, one row over, and several blocks."""
+    block = _block_rows(width)
+    return [1, block - 1, block, block + 1, 3 * block + 5]
+
+
+def _laced_graph(n):
+    """n nodes in n hyperedges {i, i+1, i+7} (mod n), so the Y stream has Z's row count."""
+    if n == 1:
+        return build_hypergraph([(0,)], 1)
+    return build_hypergraph([(i, (i + 1) % n, (i + 7) % n) for i in range(n)], n)
+
+
+def _spiky(rng, shape):
+    """Normal draws with exact zeros, ties and large magnitudes mixed in."""
+    x = rng.standard_normal(shape) * 3.0
+    x.flat[::5] = 0.0
+    x.flat[3::11] = 40.0
+    x.flat[4::13] = -40.0
+    return x
+
+
+class TestRowBlocks:
+    """Row-wise work cut into ``ROW_BLOCK``-sized row blocks gives the whole-array floats."""
+
+    @pytest.mark.parametrize("width", [1, 7, 32, model.ROW_BLOCK + 1])
+    def test_blocks_tile_the_rows_evenly(self, width):
+        for rows in [0, 1, 2, 1023, 1024, 1025, 5000]:
+            blocks = row_blocks(rows, width)
+            assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+            if not rows:
+                assert blocks == []
+                continue
+            assert blocks[0][0] == 0 and blocks[-1][1] == rows
+            sizes = {hi - lo for lo, hi in blocks}
+            assert max(sizes) - min(sizes) <= 1
+            cap = max(1, model.ROW_BLOCK // width)
+            assert max(sizes) <= cap and len(blocks) == -(-rows // cap)
+
+    @pytest.mark.parametrize("width", [7, 32])
+    @pytest.mark.parametrize("tag", ACTIVATION_TAGS)
+    def test_activation_equals_the_whole_array_expressions(self, tag, width):
+        rng = np.random.default_rng(width)
+        for rows in _row_counts(width):
+            x = _spiky(rng, (rows, width))
+            for training in (False, True):
+                got_rng, want_rng = np.random.default_rng(rows), np.random.default_rng(rows)
+                order = rng.permutation(rows)
+                got = activate(tag, x, got_rng, training, order)
+                want = whole_activation(tag, x, want_rng, training, order)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (rows, training)
+                # rrelu draws its slopes whole, so the generator moves on the same stream
+                assert got_rng.random() == want_rng.random()
+
+    def test_activation_leaves_its_input_alone(self, rng):
+        x = _spiky(rng, (3 * _block_rows(4) + 1, 4))
+        kept = x.copy()
+        for tag in ACTIVATION_TAGS:
+            activate(tag, x)
+            assert np.array_equal(x, kept), tag
+
+    def test_blocks_run_on_the_calling_thread(self, monkeypatch, pool_calls):
+        # two threads gained nothing on this dense work, so only spmm's split uses the pool
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 10**18)
+        rows = 3 * _block_rows(8) + 5
+        g = _laced_graph(rows)
+        v = VariantKind(tag="base", sigma_v="gelu", sigma_e="rrelu")
+        ops = build_operators(g, v)
+        feat = np.random.default_rng(0)
+        inputs = ForwardInputs(ops, feat.standard_normal((rows, 8)), feat.standard_normal((rows, 8)))
+        st = forward(ops, seeded_params(default_dims(8, 2), v), inputs, v, rng=feat, training=True)
+        assert len(row_blocks(rows, 8)) == 4 and st.z_final.shape == (rows, 8) and not pool_calls
+
+    @pytest.mark.parametrize("gate", [10**9, 0], ids=["node-order", "reordered"])
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("act", ACTIVATION_TAGS)
+    def test_forward_and_backward_equal_the_whole_array_expressions(self, monkeypatch, act, parts, gate):
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
+        monkeypatch.setattr(model, "SPMM_PARTS", parts)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        width = 32
+        for rows in _row_counts(width):
+            g = _laced_graph(rows)
+            feat = np.random.default_rng(rows)
+            z0, y0 = feat.standard_normal((rows, width)), feat.standard_normal((rows, width))
+            d_z = feat.standard_normal((rows, width))
+            for tag in ("base", "p2"):
+                v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
+                params = seeded_params(default_dims(width, 3), v, seed=rows)
+                ops = build_operators(g, v)
+                inputs = ForwardInputs(ops, z0, y0)
+                for training in (False, True):
+                    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+                    got = forward(ops, params, inputs, v, rng=got_rng, training=training)
+                    want = whole_forward(ops, params, inputs, v, rng=want_rng, training=training)
+                    for name, arrays in want.items():
+                        held = getattr(got, name)
+                        assert len(held) == len(arrays), (rows, tag, name)
+                        for k, (a, b) in enumerate(zip(held, arrays)):
+                            assert np.array_equal(a, b), (rows, tag, training, name, k)
+                    assert got_rng.random() == want_rng.random()
+                grads = backward(got, ops, params, d_z)
+                want_w, want_we = full_backward(got, ops, params, d_z)
+                for a, b in zip(grads.w + grads.w_e, want_w + want_we):
+                    assert np.array_equal(a, b), (rows, tag)
 
 
 class TestCompactFactors:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import softmax
 
 from hyperemb import (
     ConfigError,
@@ -47,6 +48,7 @@ from hyperemb.training import (
     init_optimizer,
     input_features,
     optimizer_step,
+    row_softmax,
 )
 from oracles import (
     brute_maxmin,
@@ -462,6 +464,45 @@ class TestCeLoss:
             node_ce_loss(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(3, dtype=bool))
         with pytest.raises(DataError, match="labels must be in"):
             node_ce_loss(np.zeros((2, 2)), np.array([0, 2]), np.array([True, True]))
+
+
+class TestRowSoftmax:
+    """``row_softmax`` gives scipy's row softmax bit for bit, computed column-major."""
+
+    @pytest.mark.parametrize("classes", [*range(1, 19), 127, 128, 129, 300])
+    def test_equals_scipy_bitwise(self, rng, classes):
+        logits = rng.standard_normal((257, classes)) * 4.0
+        logits[::3, -1] = logits[::3, 0]  # ties, the maximum among them on every ninth row
+        logits[::9] = np.maximum(logits[::9], 0.0)
+        logits[1::10] = 700.0 * np.sign(logits[1::10])
+        logits[2::10] = -700.0 * np.abs(logits[2::10])
+        logits[3::10] = 1e300 * logits[3::10]
+        logits[4::10] = 0.0
+        got = row_softmax(logits)
+        assert got.shape == logits.shape
+        assert np.array_equal(got, softmax(logits, axis=1))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DataError, match="2-d"):
+            row_softmax(np.zeros(3))
+
+    def test_loss_reads_the_given_probabilities(self, rng):
+        logits = rng.standard_normal((40, 6))
+        labels, mask = np.arange(40) % 6, np.arange(40) % 3 > 0
+        want = node_ce_loss(logits, labels, mask)
+        got = node_ce_loss(logits, labels, mask, row_softmax(logits))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        with pytest.raises(DataError, match="probs shaped"):
+            node_ce_loss(logits, labels, mask, row_softmax(logits[:5]))
+
+    def test_one_softmax_per_node_class_epoch(self, monkeypatch):
+        calls = []
+        run = training.row_softmax
+        monkeypatch.setattr(training, "row_softmax", lambda x: calls.append(x.shape) or run(x))
+        n = toy_clustered_graph().num_nodes
+        train(toy_clustered_graph(), TrainConfig(epochs=3, feature_rank=4), task="node-class",
+              data=_toy_data("node-class"))
+        assert calls == [(n, 2)] * 3
 
 
 GRAD_EDGES = [(0, 1, 2), (1, 2, 3), (0, 3), (2, 4), (0, 1, 4)]
@@ -1236,3 +1277,89 @@ class TestReorderedTraining:
                 gc.enable()
         natural, reordered = peaks
         assert reordered <= natural + n * width * 8, (natural, reordered)
+
+    @pytest.mark.parametrize("task, act", [("node-class", "tanh"), ("node-class", "gelu"),
+                                           ("hyperedge-pred", "tanh")])
+    def test_row_blocks_hold_no_more_than_whole_arrays(self, monkeypatch, task, act):
+        # an activation in row blocks keeps only block-sized temporaries, so the epoch
+        # peaks no higher than one that runs each row-wise pass on the whole array.  The
+        # SpMMs are not split: a pool thread may drop a product's operand a moment after
+        # the product returns, which moves the peak by a node array either way
+        import scipy.sparse.csgraph  # noqa: F401  its import is not the epoch's
+        n, width = 3000, 16
+        g = build_hypergraph(*ringed_hypergraph(0, n=n, m=n))
+        g.pack.adjacency  # derived once, outside the traced runs
+        data = (np.arange(n) % 3, np.arange(n) % 2 == 0) if task == "node-class" else None
+        cfg = TrainConfig(variant=VariantKind(tag="p2", sigma_v=act), epochs=1, feature_rank=width, seed=1)
+        run_forward = training.forward
+        peaks = []
+
+        def forward_marking_the_epoch(*args, **kw):
+            if kw.get("training"):
+                tracemalloc.reset_peak()
+            else:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return run_forward(*args, **kw)
+
+        monkeypatch.setattr(training, "forward", forward_marking_the_epoch)
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
+        monkeypatch.setattr(model, "SPMM_PARTS", 1)
+        # a warm-up run, then one block per array, then blocks of 100 rows
+        for block in (n * width, n * width, 100 * width):
+            monkeypatch.setattr(model, "ROW_BLOCK", block)
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                train(g, cfg, task=task, data=data)
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        _, whole, blocked = peaks
+        # the interpreter's own allocations move the peak by a few hundred bytes between
+        # runs; one more node array would be n * width * 8 = 384,000
+        assert blocked <= whole + 4096, (whole, blocked)
+
+
+class TestOneCpuRun:
+    """A process pinned to one CPU splits nothing; its training floats are the split run's."""
+
+    SCRIPT = textwrap.dedent("""
+        import os, sys
+        if sys.argv[2] == "pinned":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        import numpy as np
+        from hyperemb import TrainConfig, VariantKind, build_hypergraph, model, train
+        submits = []
+        submit = model._POOL.submit
+        model._POOL.submit = lambda *a, **kw: submits.append(1) or submit(*a, **kw)
+        n = 6000
+        rng = np.random.default_rng(3)
+        edges = [tuple(rng.choice(n, size=int(rng.integers(2, 9)), replace=False)) for _ in range(n)]
+        g = build_hypergraph(edges + [(i, (i + 1) % n) for i in range(n)], n)
+        labels, mask = np.arange(n) % 4, np.arange(n) % 3 > 0
+        state = train(g, TrainConfig(variant=VariantKind(tag="p2"), epochs=3, seed=2),
+                      task="node-class", data=(labels, mask), eval_data=~mask)
+        arrays = dict(state.params.named_arrays(), log=np.asarray(state.log), z=state.final.z_final)
+        np.savez(sys.argv[1], cpus=model.CPUS, parts=model.SPMM_PARTS, submits=len(submits), **arrays)
+    """)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs an affinity mask of at least 2 CPUs")
+    def test_pinned_run_is_bit_identical(self, tmp_path):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(training.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        runs = {}
+        for mode in ("pinned", "free"):
+            path = tmp_path / f"{mode}.npz"
+            run = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path), mode], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            with np.load(path) as blob:
+                runs[mode] = {name: blob[name] for name in blob.files}
+        pinned, free = runs["pinned"], runs["free"]
+        assert (pinned["cpus"], pinned["parts"], pinned["submits"]) == (1, 1, 0)
+        assert free["parts"] >= 2 and free["submits"] > 0  # the products did split
+        for name in pinned:
+            if name not in ("cpus", "parts", "submits"):
+                assert np.array_equal(pinned[name], free[name]), name
