@@ -52,7 +52,6 @@ from .evaluation import (
     baseline_rankers,
     multiclass_auc,
     rank_positions,
-    recommend,
     split_hyperedges,
     split_links,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "build_labeled_set", "hyperedge_bce_loss", "node_ce_loss",
     "sample_negatives", "score_sets", "train",
     "EvalReport", "auc", "baseline_rankers", "multiclass_auc",
-    "rank_positions", "recommend", "split_hyperedges", "split_links",
+    "rank_positions", "split_hyperedges", "split_links",
     "Dataset", "load_dataset", "write_dataset",
     "convert_hypergcn", "generate_node_splits",
 ]

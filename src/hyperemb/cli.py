@@ -41,7 +41,6 @@ from .model import (
     VARIANT_TAGS,
     ForwardInputs,
     VariantKind,
-    build_operators,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -57,6 +56,7 @@ from .training import (
     input_features,
     row_softmax,
     score_sets,
+    shared_operators,
     train,
 )
 
@@ -219,7 +219,7 @@ def _checkpoint_state(g, features, params, meta: dict, seed: int):
     cfg = config_from({key: meta[key] for key in MODEL_META})
     z0 = _given_features(features, meta)
     z0, y0 = input_features(g, cfg.variant, cfg.feature_rank, np.random.default_rng(seed), z0)
-    ops = build_operators(g, cfg.variant)
+    ops = shared_operators(g, cfg.variant)
     return cfg.variant, forward(ops, params, ForwardInputs(ops, z0, y0), cfg.variant, training=False)
 
 
@@ -304,7 +304,9 @@ def run_trials(
             if t == trials - 1:
                 meta = _checkpoint_meta(cfg, task, t, trials, feat_meta)
                 save_checkpoint(unique_path(out_dir / "model.npz"), state.params, meta)
-        del state  # its final embeddings hold Z(0) and every layer; free them before the next trial
+        # the final embeddings hold Z(0) and every layer, and a split train graph holds its
+        # shared operators: free both before the next trial
+        del state, train_g
     return EvalReport(task=task, seeds=seeds, per_trial={"auc": values})
 
 

@@ -172,48 +172,18 @@ def split_links(
     return replace_edges(g, train_edges), pairs
 
 
-def recommend(
-    g: Hypergraph,
-    state: EmbeddingState,
-    fragment: int,
-    candidate_type: str,
-    k: int,
-) -> list[tuple[int, float]]:
-    """Top-k candidates of the given type by cosine similarity to the fragment node.
-
-    Descending score, ascending candidate index on ties; zero vectors score 0.
-    """
-    if not 0 <= fragment < g.num_nodes:
-        raise DataError(f"fragment {fragment} outside [0, {g.num_nodes})")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    candidates = g.nodes_of_type(candidate_type)
-    if not candidates:
-        warnings.warn(
-            f"no candidates of type {candidate_type!r}",
-            HypergraphWarning,
-            stacklevel=2,
-        )
-        return []
-    z = state.z_final
-    rows = z[candidates]
-    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(z[fragment])
-    scores = np.divide(rows @ z[fragment], norms, out=np.zeros(len(candidates)), where=norms > 0)
-    order = np.lexsort((np.asarray(candidates), -scores))
-    return [(int(candidates[i]), float(scores[i])) for i in order[:k]]
-
-
 def truth_ranks(
     g: Hypergraph,
     state: EmbeddingState,
     pairs: Sequence[tuple[int, int]],
     candidate_type: str,
 ) -> np.ndarray:
-    """1-based rank of each (query, truth) pair's truth in ``recommend``'s ranking of
-    every candidate for the query, without sorting one.
+    """1-based rank of each (query, truth) pair's truth among every candidate of
+    ``candidate_type``, ranked by cosine similarity to the query's Z(L) row
+    (descending score, ascending id on ties; a zero vector scores 0), without
+    sorting a ranking.
 
-    The candidate rows and norms are gathered once; each query's scores are
-    formed as ``recommend`` forms them, bit for bit, and the truth's rank is
+    The candidate rows and norms are gathered once, and the truth's rank is
     1 + the candidates scoring higher + those scoring the same with a smaller id.
     """
     candidates = np.asarray(g.nodes_of_type(candidate_type), dtype=np.int64)  # ascending ids

@@ -16,10 +16,12 @@ embedding of node i in hyperedge e, act([z_i ; mean of e's rows of Z(L)] @
 psi), is computed from Z(L) alone (``training.dependent_embeddings``).
 
 Every operator is an ``Operator``: a sum of products of the scaled incidence
-factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, built once per
-(graph, variant) and reused for every epoch.  ``build_operators`` decides
-from nonzero counts alone which products to multiply out into one CSR and
-which to apply factor by factor.
+factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes.  ``build_operators``
+decides from nonzero counts alone which products to multiply out into one CSR
+and which to apply factor by factor, and returns read-only arrays.  Training
+and checkpoint replays take them from ``training.shared_operators``, so each
+(graph, variant) is built once and shared by every epoch, trial, sweep cell
+and replay on that graph, and one set stays alive with the graph.
 
 Before W(0), layer 0 only aggregates fixed inputs through fixed operators.
 So a ``ForwardInputs`` holds Z(0), Y(0) and their layer-0 products,
@@ -159,6 +161,10 @@ def spmm(a, x: np.ndarray) -> np.ndarray:
     Splitting columns, unlike rows, leaves the order of every output
     element's sum unchanged, also for the CSC scatter, so the result equals
     ``a @ x`` exactly.
+
+    The parts read the operands from a list that is emptied once every part
+    has returned: a pool worker drops its work item only after the result is
+    set, so a part that held ``x`` itself could keep it alive past the return.
     """
     width = x.shape[1]
     parts = _split_parts(a.nnz, a.shape[0], width)
@@ -166,13 +172,17 @@ def spmm(a, x: np.ndarray) -> np.ndarray:
         return a @ x
     out = np.empty((a.shape[0], width), dtype=np.result_type(a.dtype, x.dtype))
     bounds = [width * i // parts for i in range(parts + 1)]
-
-    def part(lo: int, hi: int) -> None:
-        out[:, lo:hi] = a @ x[:, lo:hi]
-
-    for future in [_POOL.submit(part, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
+    operands = [a, x, out]
+    for future in [_POOL.submit(_spmm_part, operands, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
         future.result()
+    operands.clear()
     return out
+
+
+def _spmm_part(operands: list, lo: int, hi: int) -> None:
+    """Columns lo:hi of one split ``spmm`` product."""
+    a, x, out = operands
+    out[:, lo:hi] = a @ x[:, lo:hi]
 
 
 @dataclass(frozen=True)
@@ -489,10 +499,19 @@ def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOpe
     factors and planned term by term (``_plan``); the result depends only on
     the graph's nonzero counts, never on a timing.  From ``REORDER_MIN_NODES``
     nodes on, the node axes are then put in reverse Cuthill-McKee order.
+    Every call returns new objects, whose arrays are read-only, because
+    ``training.shared_operators`` hands one set to every trial on the graph.
     """
     order = _node_order(g)
     ops = _operators(g, variant)
-    return ops if order is None else _reordered(ops, order)
+    if order is not None:
+        ops = _reordered(ops, order)
+        order.setflags(write=False)
+    for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e):
+        for f in op.factors if op is not None else ():
+            for a in (f.data, f.indices, f.indptr):
+                a.setflags(write=False)
+    return ops
 
 
 def _operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:

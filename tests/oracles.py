@@ -9,11 +9,13 @@ the file, which run the package's own code.
 """
 
 import math
+import warnings
 
 import numpy as np
 from scipy.special import erf
 from scipy.stats import norm, rankdata
 
+from hyperemb.errors import ConfigError, DataError, HypergraphWarning
 from hyperemb.hypergraph import FlatSets, canonical
 from hyperemb.training import _score_rows
 
@@ -352,6 +354,32 @@ def per_class_auc(probs, labels, mask):
             rank_sum = float(rankdata(sub[:, c])[pos].sum())
             per_class.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     return float(np.mean(per_class))
+
+
+def recommend(g, state, fragment, candidate_type, k):
+    """Top-k candidates of the given type by cosine similarity to the fragment node,
+    sorted: the reference for ``evaluation.truth_ranks``, which counts instead.
+
+    Descending score, ascending candidate index on ties; zero vectors score 0.
+    """
+    if not 0 <= fragment < g.num_nodes:
+        raise DataError(f"fragment {fragment} outside [0, {g.num_nodes})")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    candidates = g.nodes_of_type(candidate_type)
+    if not candidates:
+        warnings.warn(
+            f"no candidates of type {candidate_type!r}",
+            HypergraphWarning,
+            stacklevel=2,
+        )
+        return []
+    z = state.z_final
+    rows = z[candidates]
+    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(z[fragment])
+    scores = np.divide(rows @ z[fragment], norms, out=np.zeros(len(candidates)), where=norms > 0)
+    order = np.lexsort((np.asarray(candidates), -scores))
+    return [(int(candidates[i]), float(scores[i])) for i in order[:k]]
 
 
 def finite_diff(loss_fn, arr, eps=1e-5):

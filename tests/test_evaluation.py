@@ -20,13 +20,12 @@ from hyperemb import (
     forward,
     multiclass_auc,
     rank_positions,
-    recommend,
     split_hyperedges,
     split_links,
 )
 from hyperemb.cli import _ranking_metrics
 from hyperemb.evaluation import truth_ranks
-from oracles import brute_auc, per_class_auc
+from oracles import brute_auc, per_class_auc, recommend
 
 
 def _metric(name, ranked, truth, k):

@@ -2,7 +2,9 @@ import dataclasses
 import os
 import signal
 import sys
+import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -266,6 +268,37 @@ class TestSpmm:
                 x = rng.standard_normal((op.shape[1], width))
                 assert np.array_equal(spmm(op, x), op @ x)
         assert len(pool_calls) == sum(2 * min(parts, width) for width in (2, 7, 32))
+
+    def test_operands_released_on_return(self, rng, monkeypatch):
+        # a worker runs a future's callbacks after the caller's result() has returned and
+        # before it drops the work item, so holding it there shows what the item keeps
+        monkeypatch.setattr(model, "SPMM_PARTS", 2)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        release, items = threading.Event(), []
+        pool = ThreadPoolExecutor(max_workers=2)  # a worker per part, however many CPUs
+        submit = pool.submit
+
+        def held_submit(fn, *args):
+            attached = threading.Event()  # the part waits until its callback is in place
+            future = submit(lambda *a: attached.wait(10) and fn(*a), *args)
+            future.add_done_callback(lambda _: release.wait(10))
+            attached.set()
+            items.append(future)
+            return future
+
+        monkeypatch.setattr(pool, "submit", held_submit)
+        monkeypatch.setattr(model, "_POOL", pool)
+        a = _csr(rng, 300, 200, 4000)
+        x = rng.standard_normal((200, 8))
+        x_ref = weakref.ref(x)
+        try:
+            out = spmm(a, x)
+            assert len(items) == 2 and np.array_equal(out, a @ x)
+            del x
+            assert x_ref() is None
+        finally:
+            release.set()
+            pool.shutdown()
 
     def test_fill_bound_products_stay_whole(self, rng, monkeypatch, pool_calls):
         monkeypatch.setattr(model, "SPMM_PARTS", 2)

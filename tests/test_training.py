@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,9 @@ from hyperemb import (
     score_sets,
     train,
 )
-from hyperemb import model, training
+from hyperemb import cli, model, training
+from hyperemb.data import Dataset
+from hyperemb.evaluation import split_hyperedges
 from hyperemb.model import ACTIVATION_TAGS, RRELU_RANGE, VARIANT_TAGS
 from hyperemb.training import (
     TASKS,
@@ -1075,6 +1080,137 @@ class TestTrainSharesLayerZero:
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
 
 
+class TestSharedOperators:
+    """``train`` and checkpoint replays take a graph's operators from one per-graph memo."""
+
+    @staticmethod
+    def _counted_builds(monkeypatch):
+        built = []
+        build = training.build_operators
+        monkeypatch.setattr(training, "build_operators",
+                            lambda g, variant: built.append(variant.tag) or build(g, variant))
+        return built
+
+    def test_one_build_per_graph_and_key(self, monkeypatch):
+        built = self._counted_builds(monkeypatch)
+        g = toy_clustered_graph()
+        data = _toy_data("node-class")
+        p2 = TrainConfig(variant=VariantKind(tag="p2"), epochs=1, feature_rank=4)
+        for seed in (1, 2):
+            train(g, dataclasses.replace(p2, seed=seed), task="node-class", data=data)
+        assert built == ["p2"]
+        ops = training.shared_operators(g, p2.variant)
+        assert training.shared_operators(g, VariantKind(tag="p2", sigma_v="gelu")) is ops
+        train(g, dataclasses.replace(p2, variant=VariantKind(tag="base")), task="node-class", data=data)
+        assert built == ["p2", "base"]
+        # a gate the graph stays below either way changes nothing; one it crosses rebuilds
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", g.num_nodes + 1)
+        base = training.shared_operators(g, VariantKind(tag="base"))
+        assert built == ["p2", "base"]
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", g.num_nodes)
+        reordered = training.shared_operators(g, VariantKind(tag="base"))
+        assert built == ["p2", "base", "base"] and reordered.order is not None and base.order is None
+        monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
+        chained = training.shared_operators(g, VariantKind(tag="base"))
+        assert built == ["p2", "base", "base", "base"]
+        assert len(chained.s_v.terms[0]) > 1 and len(reordered.s_v.terms[0]) == 1
+
+    def test_node_class_trials_share_one_build(self, monkeypatch):
+        built = self._counted_builds(monkeypatch)
+        g = toy_clustered_graph()
+        labels = np.arange(8) // 4
+        cfg = TrainConfig(variant=VariantKind(tag="p2"), epochs=1, feature_rank=4, seed=3)
+        cli.run_trials(Dataset(graph=g, labels=labels), cfg, "node-class", 3)
+        assert built == ["p2"]
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_entry_dies_with_its_graph(self, monkeypatch, tag):
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)  # the entry holds a node order too
+        g = build_hypergraph(*ringed_hypergraph(2))
+        train_g, _ = split_hyperedges(g, 0.8, np.random.default_rng(0))
+        train(train_g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4))
+        graph_ref = weakref.ref(train_g)
+        ops_ref = weakref.ref(training.shared_operators(train_g, VariantKind(tag=tag)))
+        assert train_g in training._SHARED_OPS
+        del train_g
+        gc.collect()
+        assert graph_ref() is None and ops_ref() is None
+
+    def test_hedge_trial_frees_its_split_graph_before_the_next(self, monkeypatch):
+        # the next trial splits and samples its negatives with the last one's graph gone
+        graphs = []
+        trial_data = cli._trial_data
+
+        def trial_data_checking_earlier_graphs(*args):
+            gc.collect()
+            assert all(ref() is None for ref in graphs)
+            out = trial_data(*args)
+            graphs.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(cli, "_trial_data", trial_data_checking_earlier_graphs)
+        g = build_hypergraph(*ringed_hypergraph(1))
+        cli.run_trials(Dataset(graph=g), TrainConfig(epochs=1, feature_rank=4), "hyperedge-pred", 3)
+        gc.collect()
+        assert len(graphs) == 3 and all(ref() is None for ref in graphs)
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_shared_arrays_refuse_writes(self, monkeypatch, tag):
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
+        ops = training.shared_operators(toy_clustered_graph(), VariantKind(tag=tag))
+        arrays = [ops.order] + [a for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e) if op is not None
+                                for f in op.factors + op.T.factors for a in (f.data, f.indices, f.indptr)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+    def test_concurrent_trials_share_one_build(self, monkeypatch):
+        built = []
+        build = training.build_operators
+        both_waiting = threading.Barrier(2)
+
+        def slow_build(g, variant):
+            built.append(variant.tag)
+            time.sleep(0.2)  # the other thread asks for the operators meanwhile
+            return build(g, variant)
+
+        monkeypatch.setattr(training, "build_operators", slow_build)
+        g = toy_clustered_graph()
+        cfg = TrainConfig(variant=VariantKind(tag="p2"), epochs=2, feature_rank=4)
+        logs = [None, None]
+
+        def run(i):
+            both_waiting.wait()
+            logs[i] = train(g, cfg, task="node-class", data=_toy_data("node-class")).log
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert built == ["p2"] and logs[0] == logs[1] is not None
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_warm_trial_equals_a_cold_one(self, monkeypatch, tmp_path, task):
+        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
+        g = build_hypergraph(*ringed_hypergraph(3))
+        data = (np.arange(g.num_nodes) % 3, np.arange(g.num_nodes) % 2 == 0) if task == "node-class" else None
+        cfg = TrainConfig(variant=VariantKind(tag="base", sigma_v="rrelu", sigma_e="rrelu"),
+                          epochs=3, feature_rank=4, seed=5)
+        cold = train(g, cfg, task=task, data=data)
+        assert g in training._SHARED_OPS
+        warm = train(g, cfg, task=task, data=data)
+        assert cold.log == warm.log
+        for name in ("z", "y", "agg_z", "agg_y", "deriv_z", "deriv_y"):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(cold.final, name), getattr(warm.final, name)))
+        for state, side in ((cold, "cold"), (warm, "warm")):
+            model.save_checkpoint(tmp_path / f"{side}.npz", state.params)
+        cold_params, _ = model.load_checkpoint(tmp_path / "cold.npz")
+        warm_params, _ = model.load_checkpoint(tmp_path / "warm.npz")
+        for (name, a), (_, b) in zip(cold_params.named_arrays(), warm_params.named_arrays()):
+            assert np.array_equal(a, b), name
+
+
 DECOUPLED_TAGS = [tag for tag in VARIANT_TAGS if not VariantKind(tag=tag).coupled]
 
 
@@ -1278,13 +1414,17 @@ class TestReorderedTraining:
         natural, reordered = peaks
         assert reordered <= natural + n * width * 8, (natural, reordered)
 
-    @pytest.mark.parametrize("task, act", [("node-class", "tanh"), ("node-class", "gelu"),
-                                           ("hyperedge-pred", "tanh")])
-    def test_row_blocks_hold_no_more_than_whole_arrays(self, monkeypatch, task, act):
+    @pytest.mark.parametrize("task, act, parts", [
+        pytest.param(task, act, parts, id=f"{task}-{act}" + ("-split" if parts > 1 else ""))
+        for parts in (1, 2) for task, act in [("node-class", "tanh"), ("node-class", "gelu"),
+                                               ("hyperedge-pred", "tanh")]])
+    def test_row_blocks_hold_no_more_than_whole_arrays(self, monkeypatch, task, act, parts):
         # an activation in row blocks keeps only block-sized temporaries, so the epoch
-        # peaks no higher than one that runs each row-wise pass on the whole array.  The
-        # SpMMs are not split: a pool thread may drop a product's operand a moment after
-        # the product returns, which moves the peak by a node array either way
+        # peaks no higher than one that runs each row-wise pass on the whole array.  With
+        # the SpMMs split, every product must also let go of its operands on return: a
+        # pool thread that still held one would move the peak by a node array.  One
+        # worker runs the parts in turn, since two parts' temporaries held at once also
+        # add a node array, or not, as the threads happen to overlap
         import scipy.sparse.csgraph  # noqa: F401  its import is not the epoch's
         n, width = 3000, 16
         g = build_hypergraph(*ringed_hypergraph(0, n=n, m=n))
@@ -1303,7 +1443,11 @@ class TestReorderedTraining:
 
         monkeypatch.setattr(training, "forward", forward_marking_the_epoch)
         monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
-        monkeypatch.setattr(model, "SPMM_PARTS", 1)
+        monkeypatch.setattr(model, "SPMM_PARTS", parts)
+        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+        pool, parts_run = ThreadPoolExecutor(max_workers=1), []
+        monkeypatch.setattr(model, "_POOL", pool)
+        monkeypatch.setattr(pool, "submit", lambda *a, submit=pool.submit: parts_run.append(1) or submit(*a))
         # a warm-up run, then one block per array, then blocks of 100 rows
         for block in (n * width, n * width, 100 * width):
             monkeypatch.setattr(model, "ROW_BLOCK", block)
@@ -1315,7 +1459,9 @@ class TestReorderedTraining:
             finally:
                 tracemalloc.stop()
                 gc.enable()
+        pool.shutdown()
         _, whole, blocked = peaks
+        assert bool(parts_run) == (parts > 1)
         # the interpreter's own allocations move the peak by a few hundred bytes between
         # runs; one more node array would be n * width * 8 = 384,000
         assert blocked <= whole + 4096, (whole, blocked)
