@@ -41,6 +41,7 @@ from .model import (
     VARIANT_TAGS,
     ForwardInputs,
     VariantKind,
+    build_operators,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -56,7 +57,6 @@ from .training import (
     input_features,
     row_softmax,
     score_sets,
-    shared_operators,
     train,
 )
 
@@ -219,7 +219,7 @@ def _checkpoint_state(g, features, params, meta: dict, seed: int):
     cfg = config_from({key: meta[key] for key in MODEL_META})
     z0 = _given_features(features, meta)
     z0, y0 = input_features(g, cfg.variant, cfg.feature_rank, np.random.default_rng(seed), z0)
-    ops = shared_operators(g, cfg.variant)
+    ops = build_operators(g, cfg.variant)
     return cfg.variant, forward(ops, params, ForwardInputs(ops, z0, y0), cfg.variant, training=False)
 
 

@@ -90,8 +90,8 @@ class GraphPack:
     """Incidence matrix H (CSR, N x M), node degrees ``d`` = H 1, hyperedge sizes
     ``d_e`` = H^T 1, and their inverses.  Every adjacency, walk operator, variant
     operator and hyperedge feature map reads these instead of rebuilding H.
-    ``adjacency``, H H^T - D, is derived on first read and kept, so the SVD
-    feature bootstrap and the node order of one graph share one copy.
+    ``adjacency``, H H^T - D, is derived on first read and kept, so every SVD
+    feature bootstrap on one graph reads one copy.
 
     A node in no hyperedge gets ``d_inv`` 0 (its rows and columns of the walk
     operators stay zero) and one warning per graph; hyperedges are nonempty by

@@ -16,36 +16,17 @@ embedding of node i in hyperedge e, act([z_i ; mean of e's rows of Z(L)] @
 psi), is computed from Z(L) alone (``training.dependent_embeddings``).
 
 Every operator is an ``Operator``: a sum of products of the scaled incidence
-factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes.  ``build_operators``
-decides from nonzero counts alone which products to multiply out into one CSR
-and which to apply factor by factor, and returns read-only arrays.  Training
-and checkpoint replays take them from ``training.shared_operators``, so each
-(graph, variant) is built once and shared by every epoch, trial, sweep cell
-and replay on that graph, and one set stays alive with the graph.
+factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, as the paper
+writes them, applied factor by factor.  No product is multiplied out, so
+every stored factor has one nonzero per incidence, and a build is three
+scalings of H and one transpose.  ``build_operators`` returns read-only
+arrays; ``train`` and each checkpoint replay build their own.
 
 Before W(0), layer 0 only aggregates fixed inputs through fixed operators.
 So a ``ForwardInputs`` holds Z(0), Y(0) and their layer-0 products,
 S_v Z(0) (+ B_v Y(0)) and base's S_e Y(0), formed once per (operators,
 features) pair.  ``training.train`` builds one per trial, and all of its
 forwards, the final eval pass included, read layer 0 from it.
-
-Node order.  A graph of at least ``REORDER_MIN_NODES`` nodes is propagated
-in reverse Cuthill-McKee order (``PropagationOperators.order``), so the
-gathers of S_v Z and S_v^T dZ read rows that lie close together.  The
-operators' node axes are relabelled without re-sorting any row, and the
-dense state stays in that storage order for the whole trial: ``forward``
-returns Z(L) in node order and ``training.backward`` takes its adjoint in
-node order.  Every forward float is the one the node-order pass gives, bit
-for bit, rrelu's training slopes included.  The W gradients sum over nodes
-in the new order, through W's aggregate and through the transposed
-operators, so they, and every weight trained from them, move in the last
-bits.  Smaller graphs keep their own order and their floats.
-
-Every sparse-times-dense product of the forward pass, and of the backward
-pass in ``training``, goes through ``spmm``.  When the BLAS runs one thread,
-a large product is split by the dense operand's columns over the CPUs of
-the process's affinity mask; each output element is still summed in the
-same order, so the result is bit-identical to a one-CPU run.
 
 Row-wise work.  Each layer's ``agg @ W`` is one GEMM, and ``activate``
 writes its value and derivative into two preallocated arrays one row block
@@ -63,8 +44,6 @@ from __future__ import annotations
 import functools
 import json
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,7 +53,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, DataError
 from .features import RngLike, as_rng
-from .hypergraph import Hypergraph, canonical, node_adjacency
+from .hypergraph import Hypergraph, canonical
 
 VARIANT_TAGS = ("base", "p2", "plusplus", "wt", "h2")
 ACTIVATION_TAGS = ("tanh", "leaky-relu", "gelu", "selu", "rrelu")
@@ -84,36 +63,6 @@ SELU_ALPHA = 1.6732632423543772
 LEAKY_SLOPE = 0.01
 RRELU_RANGE = (1.0 / 8.0, 1.0 / 3.0)
 
-
-def _spmm_parts(cpus: int, environ=os.environ) -> int:
-    """One part per CPU if the environment tells the BLAS to run one thread, else 1.
-
-    The variables are read in OpenBLAS's order, and the first one set wins.
-    With OpenBLAS on two threads, splitting lost in 10 alternating pairs per
-    workload on a 2-vCPU VM: on backward at dblp size (median 3.02 -> 3.37 s)
-    and on the whole citeseer-size hedge trial (1.16 -> 1.28 s).
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return cpus if int(value) == 1 else 1
-    return 1
-
-
-# the CPUs the process may run on (`taskset -c 0` makes it 1)
-if hasattr(os, "sched_getaffinity"):
-    CPUS = len(os.sched_getaffinity(0))
-else:  # pragma: no cover - no affinity masks outside Linux
-    CPUS = os.cpu_count() or 1
-SPMM_PARTS = _spmm_parts(CPUS)
-# below this nnz x width a product stays one call: at citeseer size the width-32
-# b_v/b_e products (13.6k nnz, 4.4e5) went from 0.3 to 0.6 ms when split in two
-SPMM_SPLIT_MIN = 2_000_000
-# below this many nonzeros per output row a product is bound by writing its output,
-# and splitting lost: random CSR at dblp shape, width 32, one BLAS thread, went
-# 7.8 -> 10.6 ms at 7.7 per row and 12.3 -> 9.3 ms at 11.6; base's b_v at dblp
-# size (1.65 per row) went 9.5 -> 10.1 ms
-SPMM_SPLIT_MIN_ROW_NNZ = 8
 
 # an activation and its derivative run in row blocks of at most this many elements
 # (256 KiB of float64), so a block's temporaries stay in a core's 2 MiB L2.  Random
@@ -126,64 +75,6 @@ SPMM_SPLIT_MIN_ROW_NNZ = 8
 # threads each running tanh took twice one thread's time), so they run on the calling
 # thread
 ROW_BLOCK = 1 << 15
-
-_POOL: ThreadPoolExecutor
-
-
-def _new_pool() -> None:
-    """Make the one process-wide pool, so concurrent callers (sweep cells) share the cores.
-
-    It starts no thread until the first split product.  A forked child gets a
-    new one: the pool it inherits has no live threads and would never run a part.
-    """
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="hyperemb-spmm")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
-def _split_parts(nnz: int, rows: int, width: int) -> int:
-    """How many column blocks ``spmm`` cuts a product with ``rows`` output rows into."""
-    if nnz * width < SPMM_SPLIT_MIN or nnz < SPMM_SPLIT_MIN_ROW_NNZ * rows:
-        return 1
-    return min(SPMM_PARTS, width)
-
-
-def spmm(a, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a sparse ``a`` (CSR, or the CSC view ``.T`` of one) and a 2-d dense ``x``.
-
-    A large product that is not bound by writing its output runs as one
-    column block of ``x`` per CPU on a shared thread pool (scipy's kernel
-    releases the GIL), each block writing its own columns of one output.
-    Splitting columns, unlike rows, leaves the order of every output
-    element's sum unchanged, also for the CSC scatter, so the result equals
-    ``a @ x`` exactly.
-
-    The parts read the operands from a list that is emptied once every part
-    has returned: a pool worker drops its work item only after the result is
-    set, so a part that held ``x`` itself could keep it alive past the return.
-    """
-    width = x.shape[1]
-    parts = _split_parts(a.nnz, a.shape[0], width)
-    if parts < 2:
-        return a @ x
-    out = np.empty((a.shape[0], width), dtype=np.result_type(a.dtype, x.dtype))
-    bounds = [width * i // parts for i in range(parts + 1)]
-    operands = [a, x, out]
-    for future in [_POOL.submit(_spmm_part, operands, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
-        future.result()
-    operands.clear()
-    return out
-
-
-def _spmm_part(operands: list, lo: int, hi: int) -> None:
-    """Columns lo:hi of one split ``spmm`` product."""
-    a, x, out = operands
-    out[:, lo:hi] = a @ x[:, lo:hi]
-
 
 @dataclass(frozen=True)
 class VariantKind:
@@ -251,18 +142,15 @@ def activate(
     x: np.ndarray,
     rng: Optional[np.random.Generator] = None,
     training: bool = False,
-    order: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the tagged nonlinearity; return (value, elementwise derivative).
 
     The derivative is evaluated at x and cached by the caller for the
     backward pass.  rrelu draws per-element negative slopes uniformly from
     ``RRELU_RANGE`` with ``rng`` in training mode and uses the range's
-    midpoint in eval mode.  When x's rows are nodes in storage order
-    ``order``, the slopes are drawn for node-order rows and gathered, so each
-    node gets the slopes it would get in node order.  The slopes are drawn
-    whole; then both outputs are allocated and written one row block
-    (``row_blocks``) at a time, so a block's temporaries stay in cache.
+    midpoint in eval mode.  The slopes are drawn whole; then both outputs
+    are allocated and written one row block (``row_blocks``) at a time, so a
+    block's temporaries stay in cache.
     """
     if tag not in ACTIVATION_TAGS:
         raise ConfigError(f"unknown activation {tag!r}")
@@ -274,8 +162,6 @@ def activate(
             if rng is None:
                 raise ConfigError("rrelu in training mode needs a random generator")
             slope = rng.uniform(lo, hi, size=x.shape)
-            if order is not None:
-                slope = slope[order]
         else:
             slope = (lo + hi) / 2.0
     value, deriv = np.empty_like(x), np.empty_like(x)
@@ -291,11 +177,10 @@ class Operator:
     """A sum of sparse products, applied without multiplying them out.
 
     Each term is a tuple of sparse factors (CSR, or the CSC view ``.T`` of
-    one) applied right to left, one ``spmm`` per factor; the terms' results
-    are summed in order.  A materialized operator is one term of one factor,
-    so ``op @ x`` is then exactly ``spmm(factor, x)``.  ``data``, ``indices``
-    and ``indptr`` are the stored factors' arrays, concatenated when there
-    are several, so their ``nbytes`` count what the operator stores.
+    one) applied right to left, one ``f @ y`` per factor; the terms' results
+    are summed in order.  ``data``, ``indices`` and ``indptr`` are the
+    factors' arrays, concatenated when there are several, so their
+    ``nbytes`` count what the operator reads per application.
     """
 
     terms: tuple[tuple[sparse.sparray, ...], ...]
@@ -322,8 +207,11 @@ class Operator:
         for term in self.terms:
             y = x
             for f in reversed(term):
-                y = spmm(f, y)
-            out = y if out is None else out + y
+                y = f @ y
+            if out is None:
+                out = y
+            else:  # the first term's result is a fresh product, so it takes the sum
+                out += y
         return out
 
     def toarray(self) -> np.ndarray:
@@ -343,8 +231,6 @@ class PropagationOperators:
     """The propagation operators for one (graph, variant) pair.
 
     s_e, b_v and b_e are None for the decoupled variants, which have no Y stream.
-    ``order`` is the storage order of the node axes: storage row j is node
-    ``order[j]``.  It is None when nodes keep their own order.
     """
 
     tag: str
@@ -352,170 +238,20 @@ class PropagationOperators:
     s_e: Optional[Operator]
     b_v: Optional[Operator] = None
     b_e: Optional[Operator] = None
-    order: Optional[np.ndarray] = None
 
     @property
     def num_nodes(self) -> int:
         return self.s_v.shape[0]
 
 
-# a product stays a chain of factors when the row-wise bound on its multiplied-out
-# nonzeros is at least this many times the chain's work, sum(factor nnz + factor
-# rows).  Probe, one width-32 product at one BLAS thread on the seed-1 planted
-# graphs: on the citeseer-size train split base's S_v and S_e (ratios 27.7 and
-# 29.4) went 12.6 -> 1.5 and 15.2 -> 1.8 ms as chains; at dblp size base's S_e and
-# p2's P_e P_e (5.8) lost, 19.3 -> 22.6 ms, and S_v and P P (11.3) won alone,
-# 54.7 -> 24.7 ms, which 16 leaves unclaimed so that dblp keeps its operators
-CHAIN_MIN_RATIO = 16
-
-# a graph of at least this many nodes is propagated in reverse Cuthill-McKee order.
-# At 16,384 nodes a width-32 float64 operand is 4 MiB, the two 2 MiB L2s of the
-# 2-vCPU benchmark host, where ``spmm`` gives each core a 16-column half; a smaller
-# graph's gathers hit the cache in any order: on the seed-1 citeseer-size graph one
-# S_v Z took 1.59 -> 1.52 ms reordered for base and 2.71 -> 2.73 ms for p2.  In seed-1 dblp-size node-class trials (43,413 nodes,
-# one BLAS thread, split in two), p2's S_v Z went from 46-70 ms per product to 24.5 ms
-# and S_v^T dZ from 38-59 ms to 23.5 ms, for about 0.035 s of H H^T and ordering per build
-REORDER_MIN_NODES = 16_384
-
-
-def _plan_counts(chain: Sequence[sparse.sparray]) -> tuple[int, int]:
-    """(bound, work) of a product of sparse factors, from their patterns alone.
-
-    ``bound`` caps the product's nonzeros: the last factor's row counts are
-    pushed through the other factors' patterns as sparse mat-vecs, each row
-    capped at the column count.  ``work`` is what applying the factors one by
-    one reads and writes per dense column: every factor's nonzeros and rows.
-    """
-    cols = chain[-1].shape[1]
-    rows = np.ones(cols)
-    for f in reversed(chain):
-        pattern = type(f)((np.ones(f.nnz), f.indices, f.indptr), shape=f.shape)
-        rows = np.minimum(pattern @ rows, cols)
-    return int(rows.sum()), sum(f.nnz + f.shape[0] for f in chain)
-
-
-@dataclass(frozen=True, eq=False)
-class _Walk:
-    """One random-walk step, P = H De^-1 (D^-1 H)^T or P_e = (D^-1 H)^T H De^-1:
-    two factors, multiplied out once when a materialized term uses it."""
-
-    factors: tuple[sparse.csr_array, sparse.csr_array]
-
-    @functools.cached_property
-    def matrix(self) -> sparse.csr_array:
-        return canonical(self.factors[0] @ self.factors[1])
-
-
-def _plan(terms: Sequence[tuple]) -> Operator:
-    """One Operator from a sum of products of factors and walk steps, in expression order.
-
-    A product whose ``_plan_counts`` ratio reaches ``CHAIN_MIN_RATIO`` stays a
-    chain of its factors.  The others are multiplied out left to right and
-    summed in order into one CSR, which leads the terms.
-    """
-    chains, summed = [], None
-    for term in terms:
-        chain = tuple(f for item in term for f in (item.factors if isinstance(item, _Walk) else (item,)))
-        bound, work = _plan_counts(chain)
-        if bound >= CHAIN_MIN_RATIO * work:
-            chains.append(chain)
-            continue
-        product = functools.reduce(
-            operator.matmul, (item.matrix if isinstance(item, _Walk) else item for item in term)
-        )
-        summed = product if summed is None else summed + product
-    stored = [] if summed is None else [(canonical(summed),)]
-    return Operator(tuple(stored + chains))
-
-
-def _node_order(g: Hypergraph) -> Optional[np.ndarray]:
-    """Reverse Cuthill-McKee order of H H^T's pattern, or None below ``REORDER_MIN_NODES`` nodes."""
-    if g.num_nodes < REORDER_MIN_NODES:
-        return None
-    # imported here: the module costs 7 MB of RSS that smaller graphs need not pay
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    return reverse_cuthill_mckee(node_adjacency(g), symmetric_mode=True)
-
-
-def _relabel_factor(f: sparse.sparray, order: np.ndarray, inv: np.ndarray, rows: bool, cols: bool):
-    """``f`` with its node rows and/or columns renumbered into storage order.
-
-    Storage row j is old row ``order[j]``, moved whole, and old column c
-    becomes column ``inv[c]``, with no row re-sorted, so every output element
-    sums its terms in the order it did before.  The kernel of a CSC view
-    ``c.T`` adds each output row's terms in column order, so a view whose
-    columns are nodes is stored row-wise first; any other is relabelled
-    through ``c``.
-    """
-    if f.format == "csc":
-        if not cols:
-            return _relabel_factor(f.T, order, inv, False, rows).T
-        f = sparse.csr_array(f)
-    if rows:
-        f = f[order]
-    indices = inv[f.indices].astype(f.indices.dtype, copy=False) if cols else f.indices
-    return sparse.csr_array((f.data, indices, f.indptr), shape=f.shape)
-
-
-def _reordered(ops: PropagationOperators, order: np.ndarray) -> PropagationOperators:
-    """``ops`` with every node axis of every factor in storage order ``order``.
-
-    A chain's factors are incidence factors, each between nodes and
-    hyperedges, so its axes alternate between the two kinds.  A factor that
-    several terms share is relabelled once and stays shared.
-    """
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size, dtype=order.dtype)
-    done: dict = {}
-
-    def factor(f, rows, cols):
-        if not (rows or cols):
-            return f
-        key = (id(f), rows, cols)
-        if key not in done:
-            done[key] = _relabel_factor(f, order, inv, rows, cols)
-        return done[key]
-
-    def relabel(op, rows, cols):
-        if op is None:
-            return None
-        terms = []
-        for term in op.terms:
-            nodes = [rows, cols] if len(term) == 1 else [rows != bool(i % 2) for i in range(len(term) + 1)]
-            terms.append(tuple(factor(f, nodes[i], nodes[i + 1]) for i, f in enumerate(term)))
-        return Operator(tuple(terms))
-
-    return PropagationOperators(
-        ops.tag, relabel(ops.s_v, True, True), ops.s_e,
-        b_v=relabel(ops.b_v, True, False), b_e=relabel(ops.b_e, False, True), order=order,
-    )
-
-
 def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
     """Assemble the propagation operators for the given variant.
 
-    Each operator is written as a sum of products over the scaled incidence
-    factors and planned term by term (``_plan``); the result depends only on
-    the graph's nonzero counts, never on a timing.  From ``REORDER_MIN_NODES``
-    nodes on, the node axes are then put in reverse Cuthill-McKee order.
-    Every call returns new objects, whose arrays are read-only, because
-    ``training.shared_operators`` hands one set to every trial on the graph.
+    Each operator is a sum of products of the scaled incidence factors, kept
+    as chains of those factors; P = H De^-1 (D^-1 H)^T and
+    P_e = (D^-1 H)^T H De^-1 are written as their two factors.  The factors'
+    arrays are read-only.
     """
-    order = _node_order(g)
-    ops = _operators(g, variant)
-    if order is not None:
-        ops = _reordered(ops, order)
-        order.setflags(write=False)
-    for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e):
-        for f in op.factors if op is not None else ():
-            for a in (f.data, f.indices, f.indptr):
-                a.setflags(write=False)
-    return ops
-
-
-def _operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
-    """The operators of ``build_operators`` with nodes in their own order."""
     if isinstance(variant, str):
         variant = VariantKind(tag=variant)
     h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
@@ -524,28 +260,30 @@ def _operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperator
     hde = canonical(h.multiply(de_inv[np.newaxis, :]))  # H De^-1
     hdd = canonical(hd.multiply(de_inv[np.newaxis, :]))  # D^-1 H De^-1
     dt = canonical(hd.T)  # (D^-1 H)^T, stored row-wise
-    p, p_e = _Walk((hde, dt)), _Walk((dt, hde))
+    p, p_e = (hde, dt), (dt, hde)
 
     tag = variant.tag
     if tag == "base":
-        return PropagationOperators(
+        ops = PropagationOperators(
             tag,
-            _plan([(hd, p_e, hdd.T)]),
-            _plan([(hde.T, p, hdd)]),
-            b_v=_plan([(hd,)]),
-            b_e=_plan([(hde.T,)]),
+            Operator(((hd, *p_e, hdd.T),)),
+            Operator(((hde.T, *p, hdd),)),
+            b_v=Operator(((hd,),)),
+            b_e=Operator(((hde.T,),)),
         )
-    if tag == "p2":
-        s_v = [(hdd, hd.T), (p,), (p, p)]
-    elif tag == "plusplus":
-        s_v = [(hd, p_e, hdd.T), (p,)]
-    elif tag == "wt":
-        s_v = [(hd, p_e, hd.T)]
-    elif tag == "h2":
-        s_v = [(h, h.T), (p,)]
-    else:  # pragma: no cover - guarded by VariantKind
-        raise ConfigError(f"unknown variant {tag!r}")
-    return PropagationOperators(tag, _plan(s_v), None)
+    else:
+        s_v = {
+            "p2": ((hdd, hd.T), p, (*p, *p)),
+            "plusplus": ((hd, *p_e, hdd.T), p),
+            "wt": ((hd, *p_e, hd.T),),
+            "h2": ((h, h.T), p),
+        }[tag]
+        ops = PropagationOperators(tag, Operator(s_v), None)
+    for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e):
+        for f in op.factors if op is not None else ():
+            for a in (f.data, f.indices, f.indptr):
+                a.setflags(write=False)
+    return ops
 
 
 @dataclass
@@ -649,10 +387,6 @@ class EmbeddingState:
     has a Y stream, and it ends at Y(L-1), the last Y the Z update reads:
     y holds L entries, agg_y and deriv_y L-1.  A decoupled variant's y,
     agg_y and deriv_y stay empty.
-
-    z[0..L-1], agg_z and deriv_z have their rows in the operators' storage
-    order (``PropagationOperators.order``); ``z_final`` = z[L] is in node
-    order.  The Y stream's rows are hyperedges, which are never reordered.
     """
 
     z: list[np.ndarray]
@@ -687,11 +421,7 @@ class ForwardInputs:
     inputs reuses them.  ``forward`` reads ``s_e_y0`` only when a Y update
     runs, so base at L = 1 never forms it.  Every array is read-only.  A
     decoupled variant has no Y stream, so its ``y0`` is dropped (None).
-
-    ``z0`` is given in node order and held in the operators' storage order,
-    as is ``agg_z0``.  When the operators reorder nodes, ``z0`` is a gathered
-    copy, and these inputs should be its only holder: a caller that keeps the
-    node-order array keeps a second N x F array alive.
+    A float64 ``z0`` is held as a read-only view of the given array, not a copy.
     """
 
     ops: PropagationOperators
@@ -711,8 +441,6 @@ class ForwardInputs:
             if y0.shape[1] != z0.shape[1]:
                 raise DataError(f"y0 width {y0.shape[1]} does not match z0 width {z0.shape[1]}")
             y0 = _read_only(y0)
-        if ops.order is not None:
-            z0 = z0[ops.order]
         object.__setattr__(self, "z0", _read_only(z0))
         object.__setattr__(self, "y0", y0)
 
@@ -744,9 +472,7 @@ def forward(
     aggregates from ``inputs``, so a forward applies S_v (and base's B_v and
     B_e) L-1 times and base's S_e L-2 times, never at L = 1.  Only the
     coupled ``base`` variant runs the Y update, for k < L-1; a decoupled
-    variant runs the Z stream alone, in training and eval mode alike.  The
-    layers run in the operators' storage order, and Z(L) is put back in node
-    order once, replacing the storage-order array.
+    variant runs the Z stream alone, in training and eval mode alike.
     """
     if inputs.ops is not ops:
         raise ConfigError("inputs were built on other operators than the ones forward was given")
@@ -770,7 +496,7 @@ def forward(
                 agg_z = agg_z + ops.b_v @ state.y[k]
         else:
             agg_z = inputs.agg_z0
-        z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training, ops.order)
+        z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training)
         state.z.append(z_next)
         state.agg_z.append(agg_z)
         state.deriv_z.append(dz)
@@ -781,10 +507,6 @@ def forward(
         state.y.append(y_next)
         state.agg_y.append(agg_y)
         state.deriv_y.append(dy)
-    if ops.order is not None:
-        z_final = np.empty_like(z_next)
-        z_final[ops.order] = z_next
-        state.z[-1] = z_final
     return state
 
 

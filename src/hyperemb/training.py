@@ -8,10 +8,8 @@ activation, and loss combination against them.
 from __future__ import annotations
 
 import math
-import threading
 import time
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +17,6 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, logsumexp
 
-from . import model
 from .errors import ConfigError, DataError, HypergraphWarning, NumericError
 from .evaluation import auc, multiclass_auc
 from .features import RngLike, as_rng, init_hyperedge_features, init_node_features
@@ -382,9 +379,6 @@ def backward(
     the top layer's B_v^T term, and the loop ends at W(0)'s gradient, so
     Z(0) and Y(0), the fixed inputs, get none: layer 0 applies no S_v^T,
     B_v^T or S_e^T, only the B_e^T that feeds W(0).
-
-    ``d_z_final`` is in node order, like ``state.z_final``; it is put in the
-    operators' storage order once, on entry.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
@@ -400,8 +394,6 @@ def backward(
 
     dz = np.asarray(d_z_final, dtype=np.float64)
     owned = dz is not d_z_final  # a caller's array is never written
-    if ops.order is not None:
-        dz, owned = dz[ops.order], True
     dy = None  # d(loss)/d Y(k+1), formed from layer k+1's B_v^T term on
     for k in reversed(range(params.layers)):
         if dy is not None:
@@ -558,32 +550,6 @@ def input_features(
     return z0, init_hyperedge_features(g, z0) if variant.coupled else None
 
 
-# per graph, the key of shared_operators' last build and its operators; an entry dies
-# with its graph, so a trial's split graph takes its operators with it
-_SHARED_OPS: "weakref.WeakKeyDictionary[Hypergraph, tuple[tuple, PropagationOperators]]" = (
-    weakref.WeakKeyDictionary())
-_SHARED_OPS_LOCK = threading.Lock()
-
-
-def shared_operators(g: Hypergraph, variant: VariantKind) -> PropagationOperators:
-    """``build_operators(g, variant)``, built once and shared while the key holds.
-
-    Each graph keeps the operators of its last build, keyed by the variant
-    tag and the planning settings the build reads: whether the graph meets
-    ``model.REORDER_MIN_NODES`` and ``model.CHAIN_MIN_RATIO``.  Trials, sweep
-    cells and checkpoint replays on one graph so share one set, which stays
-    alive with the graph; ``build_operators`` makes their arrays read-only.
-    Concurrent callers (``sweep --threads`` cells) wait on one lock for one
-    build rather than each run their own.
-    """
-    key = (variant.tag, g.num_nodes >= model.REORDER_MIN_NODES, model.CHAIN_MIN_RATIO)
-    with _SHARED_OPS_LOCK:
-        entry = _SHARED_OPS.get(g)
-        if entry is None or entry[0] != key:
-            entry = _SHARED_OPS[g] = (key, build_operators(g, variant))
-        return entry[1]
-
-
 def train(
     g: Hypergraph,
     cfg: TrainConfig,
@@ -629,9 +595,8 @@ def train(
 
     dims = default_dims(z0.shape[1], cfg.layers, cfg.width)
     params = init_params(dims, variant, rng=rng, n_classes=n_classes)
-    ops = shared_operators(g, variant)
+    ops = build_operators(g, variant)
     inputs = ForwardInputs(ops, z0, y0)  # layer 0's products, shared by every forward below
-    del z0  # inputs hold Z(0), in the operators' storage order: keep no second copy
     opt = init_optimizer(cfg.optimizer, params)
     state = TrainState(params)
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from hyperemb import build_hypergraph, model
+from hyperemb import HypergraphWarning, build_hypergraph, model
 
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 1, 2)]
+# five nodes under one hyperedge that spans them all, two singletons and one pair listed twice
+RAGGED_EDGES = [(0, 1, 2, 3, 4), (3,), (1, 3), (1, 3), (2,), (0, 4)]
 
 
 @pytest.fixture
@@ -24,29 +27,19 @@ def rng():
 
 
 @pytest.fixture
-def pool_calls(monkeypatch):
-    """One entry per column block ``model.spmm`` hands to its pool."""
-    calls = []
-    submit = model._POOL.submit
-    monkeypatch.setattr(model._POOL, "submit", lambda *a, **kw: calls.append(1) or submit(*a, **kw))
-    return calls
+def row_blocks_forced(monkeypatch):
+    """Run every activation in row blocks of four elements, so each array spans several."""
+    monkeypatch.setattr(model, "ROW_BLOCK", 4)
 
 
-@pytest.fixture
-def chains_forced(monkeypatch):
-    """Plan every operator product as a chain of its factors, however small."""
-    monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
-
-
-@pytest.fixture
-def reorder_forced(monkeypatch):
-    """Propagate every graph in reverse Cuthill-McKee node order, however small."""
-    monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
-
-
-def stored(ops, a):
-    """Rows of the node-order array ``a`` in the storage order of ``ops``."""
-    return a if ops.order is None else a[ops.order]
+def graph_of(edges, n):
+    """``build_hypergraph(edges, n)`` with its pack derived, expecting the
+    isolated-node warning when some node is in no hyperedge."""
+    g = build_hypergraph(edges, n)
+    isolated = len({i for e in edges for i in e}) < n
+    with pytest.warns(HypergraphWarning, match="isolated") if isolated else contextlib.nullcontext():
+        g.pack
+    return g
 
 
 def dataset_root() -> Path | None:

@@ -159,7 +159,7 @@ def dense_forward(edges, n, w_list, we_list, z0, y0, tag, sigma_v, sigma_e, full
 _GELU_ROOT2, _GELU_PDF_NORM = np.sqrt(2.0), np.sqrt(2.0 * np.pi)
 
 
-def whole_activation(tag, x, rng=None, training=False, order=None):
+def whole_activation(tag, x, rng=None, training=False):
     """(value, derivative) of the tagged activation as whole-array expressions, one
     fresh array per operation; rrelu's training slopes come from ``rng`` the way
     ``model.activate`` draws them.  The package must give these floats
@@ -183,8 +183,6 @@ def whole_activation(tag, x, rng=None, training=False, order=None):
         lo, hi = 1.0 / 8.0, 1.0 / 3.0
         if training:
             slope = rng.uniform(lo, hi, size=x.shape)
-            if order is not None:
-                slope = slope[order]
         else:
             slope = (lo + hi) / 2.0
         pos = x >= 0
@@ -195,7 +193,7 @@ def whole_activation(tag, x, rng=None, training=False, order=None):
 def whole_forward(ops, params, inputs, variant, rng=None, training=False):
     """The layer loop of ``model.forward`` with each layer's ``agg @ W``, activation
     and derivative as whole-array expressions (``whole_activation``): a dict of
-    the state's lists, Z(L) put back in node order."""
+    the state's lists."""
     _held_we(ops.tag, params.layers, len(params.w_e))
     st = {"z": [inputs.z0], "y": [inputs.y0] if variant.coupled else [],
           "agg_z": [], "agg_y": [], "deriv_z": [], "deriv_y": []}
@@ -203,7 +201,7 @@ def whole_forward(ops, params, inputs, variant, rng=None, training=False):
         agg_z = inputs.agg_z0 if k == 0 else ops.s_v @ st["z"][k]
         if k and ops.b_v is not None:
             agg_z = agg_z + ops.b_v @ st["y"][k]
-        z_next, dz = whole_activation(variant.sigma_v, agg_z @ w, rng, training, ops.order)
+        z_next, dz = whole_activation(variant.sigma_v, agg_z @ w, rng, training)
         st["z"].append(z_next)
         st["agg_z"].append(agg_z)
         st["deriv_z"].append(dz)
@@ -213,10 +211,6 @@ def whole_forward(ops, params, inputs, variant, rng=None, training=False):
             st["y"].append(y_next)
             st["agg_y"].append(agg_y)
             st["deriv_y"].append(dy)
-    if ops.order is not None:
-        z_final = np.empty_like(st["z"][-1])
-        z_final[ops.order] = st["z"][-1]
-        st["z"][-1] = z_final
     return st
 
 
@@ -232,8 +226,6 @@ def full_backward(state, ops, params, d_z_final):
     grads_w = [np.zeros_like(a) for a in params.w]
     grads_we = [np.zeros_like(a) for a in params.w_e]
     dz = np.asarray(d_z_final, dtype=np.float64)
-    if ops.order is not None:  # the state's node rows are in the operators' storage order
-        dz = dz[ops.order]
     dy = np.zeros_like(state.y[-1]) if state.y else None
     for k in reversed(range(params.layers)):
         if k < len(state.agg_y):
@@ -424,7 +416,7 @@ def random_hypergraph(rng, max_nodes=10, max_edges=6, min_size=2, connected_degr
 
 def ringed_hypergraph(seed, n=40, m=30):
     """(edges, n): ``m`` random hyperedges of 2-5 members plus a ring of pairs, so
-    every node is covered and a bandwidth-reducing order is far from the identity."""
+    every node is covered."""
     rng = np.random.default_rng(seed)
     edges = [tuple(rng.choice(n, size=int(rng.integers(2, 6)), replace=False)) for _ in range(m)]
     return edges + [(i, (i + 7) % n) for i in range(n)], n
@@ -433,8 +425,8 @@ def ringed_hypergraph(seed, n=40, m=30):
 # --- one-call forms of package internals that no library code calls ---
 # Unlike the references above, these run the package's own code: the library
 # applies its scorers to whole batches of sets (``training._score_rows``) and
-# its walk steps inside ``model.build_operators``, and the tests check these
-# forms against the brute references.
+# its walk steps as two factors each inside ``model.build_operators``, and the
+# tests check these forms against the brute references.
 
 
 def transition_matrices(g):

@@ -3,9 +3,8 @@
 ``perfbench/`` wraps package functions from outside and its count hooks read
 what they are handed, such as the operators' ``nnz``, ``shape`` and stored
 arrays.  A hook that no longer fits marks its metrics missing, and the run
-still exits 0 without them.  These tests install the benchmark's own tracer
-around small runs of both tasks, with the operator plan as it is and with
-every product kept as a chain, and check that no listed metric went missing.
+still exits 0 without them.  This test installs the benchmark's own tracer
+around small runs of both tasks and checks that no listed metric went missing.
 """
 
 import json
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperemb import TrainConfig, VariantKind, build_hypergraph, cli, data, model
+from hyperemb import TrainConfig, VariantKind, build_hypergraph, cli, data
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,11 +53,8 @@ def _small_dataset(path: Path):
     return data.load_dataset(path)
 
 
-@pytest.mark.parametrize("chain_min_ratio", [None, 0], ids=["planned", "chains-forced"])
-def test_traced_runs_report_every_listed_metric(perfbench, monkeypatch, tmp_path, chain_min_ratio):
+def test_traced_runs_report_every_listed_metric(perfbench, tmp_path):
     layers, tracing = perfbench
-    if chain_min_ratio is not None:
-        monkeypatch.setattr(model, "CHAIN_MIN_RATIO", chain_min_ratio)
     tracer = tracing.Tracer()
     tracer.install(layers.WRAPS)
     try:

@@ -228,10 +228,7 @@ class TestSweepCommand:
         assert rows[0][2] == "ok"
         assert rows[1][2] == "failed" and "layers" in rows[1][5]
 
-    def test_two_threads_write_the_one_thread_table(self, tmp_path, monkeypatch):
-        # every product split over the shared pool, so both cells use it at once
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+    def test_two_threads_write_the_one_thread_table(self, tmp_path):
         data = make_dataset(tmp_path / "ds")
         tables = []
         for threads in ("1", "2"):
@@ -541,12 +538,6 @@ def test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, scorer
     printed = json.loads(capsys.readouterr().out)
     report = json.loads((run / "report.json").read_text())
     assert printed == {"task": task, "auc": report["metrics"]["auc"]["values"][-1]}
-
-
-@pytest.mark.usefixtures("reorder_forced")
-@pytest.mark.parametrize("task", ["hyperedge-pred", "node-class"])
-def test_eval_replays_a_reordered_trials_heldout_auc(tmp_path, capsys, task):
-    test_eval_prints_the_saved_trials_heldout_auc(tmp_path, capsys, task, [])
 
 
 def test_heldout_auc_reads_scipys_softmax_bits():

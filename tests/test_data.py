@@ -250,7 +250,7 @@ class TestConvert:
         from scipy import sparse
 
         src = tmp_path / "raw"
-        feats = sparse.random_array((5, 3), density=0.5, rng=np.random.default_rng(1))
+        feats = sparse.random_array((5, 3), density=0.5, random_state=np.random.default_rng(1))
         write_pickle_dataset(src, {"e": [0, 1], "f": [2, 3, 4]}, features=feats)
         convert_hypergcn(src, tmp_path / "out")
         ds = load_dataset(tmp_path / "out")

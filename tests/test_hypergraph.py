@@ -22,7 +22,7 @@ from hyperemb import (
     replace_edges,
     train,
 )
-from hyperemb import hypergraph, model
+from hyperemb import hypergraph
 from conftest import TRIANGLE_EDGES
 from oracles import (
     brute_build_hypergraph,
@@ -158,8 +158,8 @@ class TestMatrices:
 
     def test_canonical_sum_owns_exactly_its_nonzeros(self, rng):
         # scipy's sum keeps its arrays as views into a buffer sized for both operands
-        a = sparse.random_array((40, 40), density=0.3, format="csr", rng=rng)
-        b = 2.0 * a + sparse.random_array((40, 40), density=0.02, format="csr", rng=rng)
+        a = sparse.random_array((40, 40), density=0.3, format="csr", random_state=rng)
+        b = 2.0 * a + sparse.random_array((40, 40), density=0.02, format="csr", random_state=rng)
         raw = a + b
         assert raw.data.base is not None and raw.data.base.size > raw.nnz
         raw.eliminate_zeros()
@@ -284,19 +284,18 @@ class TestGraphPack:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
-    def test_reordered_svd_training_derives_the_adjacency_once(self, monkeypatch):
+    def test_svd_training_derives_the_adjacency_once(self, monkeypatch):
         built = []
         derive = hypergraph.GraphPack.adjacency.func
         counted = functools.cached_property(lambda pack: built.append(pack) or derive(pack))
         counted.__set_name__(hypergraph.GraphPack, "adjacency")
         monkeypatch.setattr(hypergraph.GraphPack, "adjacency", counted)
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
         g = build_hypergraph([(0, 1, 2), (2, 3), (3, 4, 5), (0, 5)], 6)
         labels = np.array([0, 0, 0, 1, 1, 1])
         for epochs in (1, 2):
             train(g, TrainConfig(variant=VariantKind(tag="p2"), epochs=epochs, feature_rank=3),
                   "node-class", data=(labels, np.ones(6, dtype=bool)))
-        # the SVD features and the node order of both trials read one copy
+        # the SVD features of both trials read one copy
         assert built == [g.pack]
 
     def test_isolated_node_warns_once_per_graph(self):

@@ -1,16 +1,8 @@
 import dataclasses
-import os
-import signal
-import sys
-import threading
-import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import sparse
 
 from hyperemb import (
     ConfigError,
@@ -28,9 +20,10 @@ from hyperemb import (
 )
 from hyperemb import model
 from hyperemb.hypergraph import FlatSets
-from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, row_blocks, spmm
+from hyperemb.model import ACTIVATION_TAGS, VARIANT_TAGS, activate, row_blocks
 from hyperemb.training import backward, dependent_embeddings
-from conftest import TRIANGLE_EDGES, stored
+from conftest import RAGGED_EDGES, TRIANGLE_EDGES, graph_of
+from test_digests import _graph_edges
 from oracles import (
     dense_forward,
     dense_operators,
@@ -86,14 +79,6 @@ class TestActivations:
         slopes = v1[neg] / x[neg]
         assert np.all((slopes > lo) & (slopes < hi))
 
-    def test_rrelu_slopes_follow_their_nodes(self, rng):
-        x = rng.standard_normal((6, 3))
-        order = np.array([4, 0, 5, 2, 1, 3])
-        want = activate("rrelu", x, rng=np.random.default_rng(7), training=True)
-        got = activate("rrelu", x[order], rng=np.random.default_rng(7), training=True, order=order)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b[order])
-
     def test_rrelu_eval_uses_midpoint(self):
         x = np.array([-2.0, -1.0, 3.0])
         value, deriv = activate("rrelu", x)
@@ -104,6 +89,16 @@ class TestActivations:
     def test_rrelu_training_needs_rng(self):
         with pytest.raises(ConfigError, match="generator"):
             activate("rrelu", np.zeros(3), training=True)
+
+
+# edge lists and node counts of the operator tests' graphs; "isolated" is the
+# triangle with two more nodes that are in no hyperedge
+NAMED_GRAPHS = {
+    "digest": (_graph_edges(5, 16, 12), 16),
+    "triangle": (TRIANGLE_EDGES, 3),
+    "ragged": (RAGGED_EDGES, 5),
+    "isolated": (TRIANGLE_EDGES, 5),
+}
 
 
 class TestBuildOperators:
@@ -132,6 +127,16 @@ class TestBuildOperators:
                 else:
                     assert ops.s_e is None
 
+    @pytest.mark.parametrize("graph", ["ragged", "isolated"])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_matches_dense_oracle_on_degenerate_graphs(self, tag, graph):
+        edges, n = NAMED_GRAPHS[graph]
+        ops = build_operators(graph_of(edges, n), tag)
+        for name, dense in zip(("s_v", "s_e", "b_v", "b_e"), dense_operators(edges, n, tag)):
+            op = getattr(ops, name)
+            if op is not None:
+                assert_allclose(op.toarray(), dense, atol=1e-12, err_msg=f"{tag} {name}")
+
     def test_single_full_hyperedge_symmetry(self):
         g = build_hypergraph([(0, 1, 2, 3)], 4)
         ops = build_operators(g, "base")
@@ -145,18 +150,7 @@ class TestBuildOperators:
         assert ops.s_e is None
 
 
-@pytest.mark.usefixtures("chains_forced")
-class TestBuildOperatorsChained(TestBuildOperators):
-    """The dense oracles again, with every product applied as a chain."""
-
-
-def _star(n):
-    """One hyperedge over ``n`` nodes."""
-    return build_hypergraph([tuple(range(n))], n)
-
-
 class TestOperator:
-    @pytest.mark.usefixtures("chains_forced")
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     def test_chains_apply_like_their_product(self, rng, tag):
         for _ in range(5):
@@ -174,7 +168,7 @@ class TestOperator:
                 assert_allclose(op.T @ xt, dense.T @ xt, atol=1e-10, err_msg=f"{tag} {name}")
                 assert_allclose(op.T.toarray(), dense.T, atol=1e-10)
 
-    def test_stored_arrays_cover_every_factor(self, rng, chains_forced):
+    def test_stored_arrays_cover_every_factor(self, rng):
         edges, n = random_hypergraph(rng)
         g = build_hypergraph(edges, n)
         for op in (build_operators(g, "plusplus").s_v, build_operators(g, "base").s_e):
@@ -183,200 +177,22 @@ class TestOperator:
                 arrays = [getattr(f, name) for term in op.terms for f in term]
                 assert getattr(op, name).nbytes == sum(a.nbytes for a in arrays)
 
-    def test_materialized_operator_is_its_csr(self, triangle):
-        ops = build_operators(triangle, "p2")
-        [[csr]] = ops.s_v.terms
-        assert isinstance(csr, sparse.csr_array) and ops.s_v.nnz == csr.nnz
-        assert ops.s_v.shape == csr.shape
-        for name in ("data", "indices", "indptr"):
-            assert getattr(ops.s_v, name) is getattr(csr, name)
-        x = np.random.default_rng(0).standard_normal((3, 2))
-        assert np.array_equal(ops.s_v @ x, csr @ x)
-        assert np.array_equal(ops.s_v.T @ x, csr.T @ x)
-
-    def test_plan_counts_on_a_star(self):
-        # one hyperedge of n nodes: every two-hop product is n x n and full
-        for n in (3, 10, 96, 97):
-            g = _star(n)
-            h = g.pack.h
-            assert model._plan_counts((h, h.T)) == (n * n, (n + n) + (n + 1))
-            assert model._plan_counts((h.T, h)) == (1, (n + 1) + (n + n))
-            assert model._plan_counts((h,)) == (n, 2 * n)
-
-    def test_plan_counts_bound_the_product(self, rng):
-        for _ in range(10):
-            edges, n = random_hypergraph(rng)
-            h = build_hypergraph(edges, n).pack.h
-            for chain in ((h, h.T), (h.T, h), (h, h.T, h, h.T), (h.T, h, h.T)):
-                product = chain[0]
-                for f in chain[1:]:
-                    product = product @ f
-                bound, work = model._plan_counts(chain)
-                assert product.nnz <= bound <= product.shape[0] * product.shape[1]
-                assert work == sum(f.nnz + f.shape[0] for f in chain)
-
-    @pytest.mark.parametrize("n, chained", [(96, False), (97, True)])
-    def test_base_chains_from_ratio_16(self, n, chained):
-        # base's S_v = (D^-1 H)(D^-1 H)^T (H De^-1)(D^-1 H De^-1)^T on the star:
-        # bound n^2 against work 6n + 2 (4n nonzeros, 2n + 2 rows), so it chains
-        # from n = 97 on
-        assert model.CHAIN_MIN_RATIO == 16
-        ops = build_operators(_star(n), "base")
-        assert [len(term) for term in ops.s_v.terms] == ([4] if chained else [1])
-        assert [len(term) for term in ops.b_v.terms] == [1]
-        assert ops.s_v.nnz == (4 * n if chained else n * n)
-        assert_allclose(ops.s_v.toarray(), 1.0 / n, atol=1e-12)
-
-    def test_mixed_sum_puts_the_summed_csr_first(self, monkeypatch):
-        # plusplus S_v = (D^-1 H) P_e (D^-1 H De^-1)^T + P on the star: the first
-        # term's ratio is n^2 / (6n + 2) = 6.6 and P's n^2 / (3n + 1) = 13.2
-        monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 10)
-        ops = build_operators(_star(40), "plusplus")
-        assert [len(term) for term in ops.s_v.terms] == [1, 2]
-        assert_allclose(ops.s_v.toarray(), 2.0 / 40, atol=1e-12)
-
-
-def _csr(rng, rows, cols, nnz):
-    a = sparse.random_array((rows, cols), density=nnz / (rows * cols), format="csr", rng=rng)
-    a.data = rng.standard_normal(a.nnz)  # rows and columns of mixed sign
-    return a
-
-
-class TestSpmm:
-    @pytest.mark.parametrize("width", [1, 7, 32])
-    @pytest.mark.parametrize("above", [False, True])
-    def test_equals_plain_product_for_csr_and_csc(self, rng, monkeypatch, pool_calls, width, above):
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        nnz = model.SPMM_SPLIT_MIN // width + 1000 if above else 2000
-        a = _csr(rng, 3000, 2000, nnz)
-        assert (a.nnz * width >= model.SPMM_SPLIT_MIN) == above
-        for op in (a, a.T):
-            x = rng.standard_normal((op.shape[1], width))
-            got = spmm(op, x)
-            assert got.shape == (op.shape[0], width) and got.dtype == np.float64
-            assert np.array_equal(got, op @ x)
-        # two products of two blocks each; a single column cannot be split
-        assert len(pool_calls) == (4 if above and width > 1 else 0)
-
-    @pytest.mark.parametrize("parts", [3, 5])
-    def test_uneven_column_blocks(self, rng, monkeypatch, pool_calls, parts):
-        monkeypatch.setattr(model, "SPMM_PARTS", parts)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        a = _csr(rng, 300, 200, 4000)
-        for width in (2, 7, 32):
-            for op in (a, a.T):
-                x = rng.standard_normal((op.shape[1], width))
-                assert np.array_equal(spmm(op, x), op @ x)
-        assert len(pool_calls) == sum(2 * min(parts, width) for width in (2, 7, 32))
-
-    def test_operands_released_on_return(self, rng, monkeypatch):
-        # a worker runs a future's callbacks after the caller's result() has returned and
-        # before it drops the work item, so holding it there shows what the item keeps
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        release, items = threading.Event(), []
-        pool = ThreadPoolExecutor(max_workers=2)  # a worker per part, however many CPUs
-        submit = pool.submit
-
-        def held_submit(fn, *args):
-            attached = threading.Event()  # the part waits until its callback is in place
-            future = submit(lambda *a: attached.wait(10) and fn(*a), *args)
-            future.add_done_callback(lambda _: release.wait(10))
-            attached.set()
-            items.append(future)
-            return future
-
-        monkeypatch.setattr(pool, "submit", held_submit)
-        monkeypatch.setattr(model, "_POOL", pool)
-        a = _csr(rng, 300, 200, 4000)
-        x = rng.standard_normal((200, 8))
-        x_ref = weakref.ref(x)
-        try:
-            out = spmm(a, x)
-            assert len(items) == 2 and np.array_equal(out, a @ x)
-            del x
-            assert x_ref() is None
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_fill_bound_products_stay_whole(self, rng, monkeypatch, pool_calls):
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        # 7 nonzeros per output row, nnz x width above SPMM_SPLIT_MIN
-        a = _csr(rng, 10_000, 2000, 70_000)
-        x = rng.standard_normal((2000, 32))
-        assert a.nnz * 32 >= model.SPMM_SPLIT_MIN
-        assert np.array_equal(spmm(a, x), a @ x) and not pool_calls
-
-    def test_dblp_shaped_products(self, monkeypatch):
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        # p2's S_v and S_e at dblp size, and their transposes, split
-        assert model._split_parts(1_603_395, 43_413, 32) == 2
-        assert model._split_parts(680_209, 22_535, 32) == 2
-        # base's B_v = D^-1 H and B_e = (H De^-1)^T there, and their transposes, do not
-        assert model._split_parts(71_564, 43_413, 32) == 1
-        assert model._split_parts(71_564, 22_535, 32) == 1
-        # nor does a product under SPMM_SPLIT_MIN, however dense its rows
-        assert model._split_parts(10_787, 100, 32) == 1
-
-    def test_one_cpu_never_uses_the_pool(self, rng, monkeypatch, pool_calls):
-        monkeypatch.setattr(model, "SPMM_PARTS", 1)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        a = _csr(rng, 300, 200, 4000)
-        x = rng.standard_normal((200, 32))
-        assert np.array_equal(spmm(a, x), a @ x) and not pool_calls
-
-    def test_concurrent_callers_share_the_pool(self, rng, monkeypatch):
-        # more callers and parts than cores, with frequent thread switches
-        monkeypatch.setattr(model, "SPMM_PARTS", 4)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        a = _csr(rng, 500, 400, 20000)
-        xs = [rng.standard_normal((400, 16)) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as callers:
-                futures = [callers.submit(lambda x: [spmm(a, x) for _ in range(20)], x) for x in xs]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for x, outs in zip(xs, results):
-            want = a @ x
-            assert all(np.array_equal(out, want) for out in outs)
-
-
-    def test_parts_follow_a_one_thread_blas(self):
-        assert model._spmm_parts(2, {}) == 1
-        assert model._spmm_parts(2, {"OMP_NUM_THREADS": "1"}) == 2
-        assert model._spmm_parts(2, {"OPENBLAS_NUM_THREADS": " ", "OMP_NUM_THREADS": "1"}) == 2
-        # OpenBLAS reads its own variable first
-        assert model._spmm_parts(2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}) == 1
-        assert model._spmm_parts(4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}) == 4
-        assert model._spmm_parts(1, {"OPENBLAS_NUM_THREADS": "1"}) == 1
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_splits_after_the_parent_did(self, rng, monkeypatch):
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        a = _csr(rng, 300, 200, 4000)
-        x = rng.standard_normal((200, 8))
-        want = a @ x
-        assert np.array_equal(spmm(a, x), want)  # the parent's pool now has threads
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if np.array_equal(spmm(a, x), want) else 1
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("spmm in a forked child hung")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
+    @pytest.mark.parametrize("graph", ["digest", "triangle", "ragged", "isolated"])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_nothing_is_multiplied_out(self, rng, tag, graph):
+        # every factor is a scaled incidence factor, or its transpose, never a product of them
+        edges, n = NAMED_GRAPHS[graph]
+        g = graph_of(edges, n)
+        ops = build_operators(g, tag)
+        for name, dense in zip(("s_v", "s_e", "b_v", "b_e"), dense_operators(edges, n, tag)):
+            op = getattr(ops, name)
+            if op is None:
+                continue
+            assert [f.nnz for f in op.factors] == [g.num_incidences] * len(op.factors), name
+            x = rng.standard_normal((op.shape[1], 3))
+            xt = rng.standard_normal((op.shape[0], 3))
+            assert_allclose(op @ x, dense @ x, atol=1e-10, err_msg=f"{tag} {name}")
+            assert_allclose(op.T @ xt, dense.T @ xt, atol=1e-10, err_msg=f"{tag} {name}")
 
 
 def seeded_params(dims, variant, seed=0, **kw):
@@ -394,8 +210,8 @@ class TestForward:
         )
         z0 = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
         state = forward(ops, params, ForwardInputs(ops, z0), v)
-        want = np.asarray(ops.s_v.toarray()) @ stored(ops, z0)
-        assert_allclose(stored(ops, state.z_final), want, atol=1e-12)
+        want = np.asarray(ops.s_v.toarray()) @ z0
+        assert_allclose(state.z_final, want, atol=1e-12)
         assert state.y == []
 
     def test_zero_weights_give_zero_outputs(self, triangle):
@@ -521,23 +337,20 @@ class TestForward:
             init_params([2, 3, 3], VariantKind())
 
 
-@pytest.mark.usefixtures("chains_forced")
-class TestForwardChained(TestForward):
-    """The forward checks again, with every product applied as a chain."""
-
-
-@pytest.mark.usefixtures("reorder_forced")
-class TestForwardReordered(TestForward):
-    """The forward checks again, with nodes in reverse Cuthill-McKee order."""
+@pytest.mark.usefixtures("row_blocks_forced")
+class TestForwardRowBlocked(TestForward):
+    """The forward checks again, with every activation cut into several row blocks."""
 
 
 class TestForwardInputs:
     """Z(0), Y(0) and the layer-0 products that every forward on them shares."""
 
-    @staticmethod
-    def built(tag, seed=3):
-        edges, n = random_hypergraph(np.random.default_rng(seed))
-        g = build_hypergraph(edges, n)
+    GRAPH = None  # a random graph
+
+    @classmethod
+    def built(cls, tag, seed=3):
+        edges, n = random_hypergraph(np.random.default_rng(seed)) if cls.GRAPH is None else NAMED_GRAPHS[cls.GRAPH]
+        g = graph_of(edges, n)
         v = VariantKind(tag=tag)
         ops = build_operators(g, v)
         feat_rng = np.random.default_rng(seed + 1)
@@ -549,7 +362,6 @@ class TestForwardInputs:
     def test_products_equal_the_layer_zero_expressions(self, tag):
         v, ops, z0, y0 = self.built(tag)
         inputs = ForwardInputs(ops, z0, y0)
-        z0 = stored(ops, z0)
         if v.coupled:
             assert np.array_equal(inputs.agg_z0, ops.s_v @ z0 + ops.b_v @ y0)
             assert np.array_equal(inputs.s_e_y0, ops.s_e @ y0)
@@ -609,121 +421,16 @@ class TestForwardInputs:
                 assert ForwardInputs(ops, z0, y).y0 is None
 
 
-@pytest.mark.usefixtures("chains_forced")
-class TestForwardInputsChained(TestForwardInputs):
-    """The inputs checks again, with every product applied as a chain."""
+class TestForwardInputsOnRaggedGraph(TestForwardInputs):
+    """The same through singleton, repeated and all-node hyperedges."""
+
+    GRAPH = "ragged"
 
 
-@pytest.mark.usefixtures("reorder_forced")
-class TestForwardInputsReordered(TestForwardInputs):
-    """The inputs checks again, with nodes in reverse Cuthill-McKee order."""
+class TestForwardInputsWithIsolatedNodes(TestForwardInputs):
+    """The same with nodes whose operator rows and columns are zero."""
 
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_z0_is_a_gathered_copy(self, tag):
-        v, ops, z0, y0 = self.built(tag)
-        inputs = ForwardInputs(ops, z0, y0)
-        assert not np.shares_memory(inputs.z0, z0)
-        assert np.array_equal(inputs.z0, z0[ops.order])
-
-
-class TestNodeOrder:
-    """Graphs from ``REORDER_MIN_NODES`` nodes on run in reverse Cuthill-McKee order."""
-
-    def test_gate_counts_nodes(self, monkeypatch):
-        # a width-32 float64 operand of 16,384 rows is 4 MiB; citeseer size stays below
-        assert model.REORDER_MIN_NODES == 16_384 > 3327
-        edges, n = ringed_hypergraph(0)
-        g = build_hypergraph(edges, n)
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", n + 1)
-        assert all(build_operators(g, tag).order is None for tag in VARIANT_TAGS)
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", n)
-        for tag in VARIANT_TAGS:
-            order = build_operators(g, tag).order
-            assert np.array_equal(np.sort(order), np.arange(n))
-            assert not np.array_equal(order, np.arange(n))
-
-    @pytest.mark.parametrize("chained", [False, True])
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_below_the_gate_the_operators_are_the_node_order_ones(self, monkeypatch, tag, chained):
-        if chained:
-            monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
-        g = build_hypergraph(*ringed_hypergraph(1))
-        ops, natural = build_operators(g, tag), model._operators(g, tag)
-        assert ops.order is None
-        for name in ("s_v", "s_e", "b_v", "b_e"):
-            got, want = getattr(ops, name), getattr(natural, name)
-            if want is None:
-                assert got is None
-                continue
-            assert [len(t) for t in got.terms] == [len(t) for t in want.terms]
-            for a, b in zip(got.factors, want.factors):
-                assert a.format == b.format and a.shape == b.shape
-                for arr in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(a, arr), getattr(b, arr)), (name, arr)
-
-    @pytest.mark.usefixtures("reorder_forced")
-    @pytest.mark.parametrize("chained", [False, True])
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_relabelled_operators_are_p_s_pt(self, monkeypatch, tag, chained):
-        if chained:
-            monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
-        for seed in range(3):
-            edges, n = ringed_hypergraph(seed)
-            ops = build_operators(build_hypergraph(edges, n), tag)
-            o = ops.order
-            s_v, s_e, b_v, b_e = dense_operators(edges, n, tag)
-            assert_allclose(ops.s_v.toarray(), s_v[np.ix_(o, o)], atol=1e-10)
-            assert_allclose(ops.s_v.T.toarray(), s_v[np.ix_(o, o)].T, atol=1e-10)
-            if tag == "base":
-                assert_allclose(ops.s_e.toarray(), s_e, atol=1e-10)
-                assert_allclose(ops.b_v.toarray(), b_v[o], atol=1e-10)
-                assert_allclose(ops.b_e.toarray(), b_e[:, o], atol=1e-10)
-
-    @pytest.mark.usefixtures("reorder_forced")
-    def test_rows_move_whole_and_columns_are_not_resorted(self):
-        edges, n = ringed_hypergraph(2)
-        g = build_hypergraph(edges, n)
-        ops, natural = build_operators(g, "p2"), model._operators(g, "p2")
-        [[got]], [[want]] = ops.s_v.terms, natural.s_v.terms
-        want = want[ops.order]
-        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.data, want.data)
-        assert np.array_equal(ops.order[got.indices], want.indices)
-        assert not got.has_sorted_indices  # each row keeps its node-order summation order
-
-    @pytest.mark.parametrize("chained", [False, True])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_forward_is_bit_identical_to_node_order(self, monkeypatch, tag, layers, chained):
-        if chained:
-            monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
-        edges, n = ringed_hypergraph(layers)
-        g = build_hypergraph(edges, n)
-        feat = np.random.default_rng(layers + 10)
-        z0, y0 = feat.standard_normal((n, 4)), feat.standard_normal((len(edges), 4))
-        for act in ACTIVATION_TAGS:
-            v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
-            params = seeded_params(default_dims(4, layers), v, seed=layers)
-            runs = []
-            for gate in (n + 1, 0):
-                monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
-                ops = build_operators(g, v)
-                inputs = ForwardInputs(ops, z0, y0)
-                train_rng = np.random.default_rng(5)
-                runs.append((ops, [forward(ops, params, inputs, v),
-                                   forward(ops, params, inputs, v, rng=train_rng, training=True)]))
-            (natural_ops, natural), (ops, reordered) = runs
-            assert natural_ops.order is None and ops.order is not None
-            for want, got in zip(natural, reordered):
-                assert np.array_equal(got.z_final, want.z_final), act
-                # every cached node-indexed array is the node-order one in storage order
-                for name in ("agg_z", "deriv_z"):
-                    for a, b in zip(getattr(got, name), getattr(want, name)):
-                        assert np.array_equal(a, b[ops.order]), (act, name)
-                for a, b in zip(got.z[:-1], want.z[:-1]):
-                    assert np.array_equal(a, b[ops.order]), act
-                for name in ("y", "agg_y", "deriv_y"):
-                    for a, b in zip(getattr(got, name), getattr(want, name)):
-                        assert np.array_equal(a, b), (act, name)
+    GRAPH = "isolated"
 
 
 def _block_rows(width):
@@ -778,9 +485,8 @@ class TestRowBlocks:
             x = _spiky(rng, (rows, width))
             for training in (False, True):
                 got_rng, want_rng = np.random.default_rng(rows), np.random.default_rng(rows)
-                order = rng.permutation(rows)
-                got = activate(tag, x, got_rng, training, order)
-                want = whole_activation(tag, x, want_rng, training, order)
+                got = activate(tag, x, got_rng, training)
+                want = whole_activation(tag, x, want_rng, training)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (rows, training)
                 # rrelu draws its slopes whole, so the generator moves on the same stream
                 assert got_rng.random() == want_rng.random()
@@ -792,61 +498,43 @@ class TestRowBlocks:
             activate(tag, x)
             assert np.array_equal(x, kept), tag
 
-    def test_blocks_run_on_the_calling_thread(self, monkeypatch, pool_calls):
-        # two threads gained nothing on this dense work, so only spmm's split uses the pool
-        monkeypatch.setattr(model, "SPMM_PARTS", 2)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 10**18)
-        rows = 3 * _block_rows(8) + 5
-        g = _laced_graph(rows)
-        v = VariantKind(tag="base", sigma_v="gelu", sigma_e="rrelu")
-        ops = build_operators(g, v)
-        feat = np.random.default_rng(0)
-        inputs = ForwardInputs(ops, feat.standard_normal((rows, 8)), feat.standard_normal((rows, 8)))
-        st = forward(ops, seeded_params(default_dims(8, 2), v), inputs, v, rng=feat, training=True)
-        assert len(row_blocks(rows, 8)) == 4 and st.z_final.shape == (rows, 8) and not pool_calls
-
-    @pytest.mark.parametrize("gate", [10**9, 0], ids=["node-order", "reordered"])
-    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("act", ACTIVATION_TAGS)
-    def test_forward_and_backward_equal_the_whole_array_expressions(self, monkeypatch, act, parts, gate):
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
-        monkeypatch.setattr(model, "SPMM_PARTS", parts)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
+    def test_forward_and_backward_equal_the_whole_array_expressions(self, act, tag):
         width = 32
         for rows in _row_counts(width):
             g = _laced_graph(rows)
             feat = np.random.default_rng(rows)
             z0, y0 = feat.standard_normal((rows, width)), feat.standard_normal((rows, width))
             d_z = feat.standard_normal((rows, width))
-            for tag in ("base", "p2"):
-                v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
-                params = seeded_params(default_dims(width, 3), v, seed=rows)
-                ops = build_operators(g, v)
-                inputs = ForwardInputs(ops, z0, y0)
-                for training in (False, True):
-                    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
-                    got = forward(ops, params, inputs, v, rng=got_rng, training=training)
-                    want = whole_forward(ops, params, inputs, v, rng=want_rng, training=training)
-                    for name, arrays in want.items():
-                        held = getattr(got, name)
-                        assert len(held) == len(arrays), (rows, tag, name)
-                        for k, (a, b) in enumerate(zip(held, arrays)):
-                            assert np.array_equal(a, b), (rows, tag, training, name, k)
-                    assert got_rng.random() == want_rng.random()
-                grads = backward(got, ops, params, d_z)
-                want_w, want_we = full_backward(got, ops, params, d_z)
-                for a, b in zip(grads.w + grads.w_e, want_w + want_we):
-                    assert np.array_equal(a, b), (rows, tag)
+            v = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
+            params = seeded_params(default_dims(width, 3), v, seed=rows)
+            ops = build_operators(g, v)
+            inputs = ForwardInputs(ops, z0, y0)
+            for training in (False, True):
+                got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+                got = forward(ops, params, inputs, v, rng=got_rng, training=training)
+                want = whole_forward(ops, params, inputs, v, rng=want_rng, training=training)
+                for name, arrays in want.items():
+                    held = getattr(got, name)
+                    assert len(held) == len(arrays), (rows, name)
+                    for k, (a, b) in enumerate(zip(held, arrays)):
+                        assert np.array_equal(a, b), (rows, training, name, k)
+                assert got_rng.random() == want_rng.random()
+            grads = backward(got, ops, params, d_z)
+            want_w, want_we = full_backward(got, ops, params, d_z)
+            for a, b in zip(grads.w + grads.w_e, want_w + want_we):
+                assert np.array_equal(a, b), rows
 
 
 class TestCompactFactors:
-    """Every stored factor's arrays own exactly its nonzeros, summed ones included."""
+    """Every stored factor's arrays own exactly its nonzeros."""
 
-    @pytest.mark.parametrize("gate", [10**9, 0], ids=["node-order", "reordered"])
+    @pytest.mark.parametrize("graph", ["ringed", "ragged", "isolated"])
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_every_factor_owns_exactly_nnz_slots(self, monkeypatch, tag, gate):
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
-        ops = build_operators(build_hypergraph(*ringed_hypergraph(1)), tag)
+    def test_every_factor_owns_exactly_nnz_slots(self, tag, graph):
+        edges, n = ringed_hypergraph(1) if graph == "ringed" else NAMED_GRAPHS[graph]
+        ops = build_operators(graph_of(edges, n), tag)
         for name in ("s_v", "s_e", "b_v", "b_e"):
             op = getattr(ops, name)
             for f in [] if op is None else op.factors:

@@ -7,12 +7,10 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +40,6 @@ from hyperemb import (
 )
 from hyperemb import cli, model, training
 from hyperemb.data import Dataset
-from hyperemb.evaluation import split_hyperedges
 from hyperemb.model import ACTIVATION_TAGS, RRELU_RANGE, VARIANT_TAGS
 from hyperemb.training import (
     TASKS,
@@ -55,6 +52,7 @@ from hyperemb.training import (
     optimizer_step,
     row_softmax,
 )
+from conftest import RAGGED_EDGES, graph_of
 from oracles import (
     brute_maxmin,
     brute_mean_pairwise,
@@ -516,14 +514,27 @@ BCE_EXAMPLES = [(0, 1, 2), (1, 3), (0, 3, 4), (2, 4)]
 BCE_LABELS = np.array([1.0, 0.0, 1.0, 0.0])
 
 
-def _grad_setup(tag, act, seed=202, n_classes=None, layers=2):
-    g = build_hypergraph(GRAD_EDGES, GRAD_NODES)
+# the gradient checks' graph, the ragged one on the same five nodes, and the
+# gradient graph's edges with two more nodes that are in no hyperedge
+GRAD_GRAPHS = {
+    "grad": (GRAD_EDGES, GRAD_NODES),
+    "ragged": (RAGGED_EDGES, GRAD_NODES),
+    "isolated": (GRAD_EDGES, GRAD_NODES + 2),
+}
+# node-class labels and loss mask of the first five nodes, repeated over any others
+CE_LABELS = np.array([0, 1, 2, 1, 0])
+CE_MASK = np.array([True, True, False, True, True])
+
+
+def _grad_setup(tag, act, seed=202, n_classes=None, layers=2, graph="grad"):
+    edges, n = GRAD_GRAPHS[graph]
+    g = graph_of(edges, n)
     variant = VariantKind(tag=tag, sigma_v=act, sigma_e=act)
     ops = build_operators(g, variant)
     params = init_params(default_dims(3, layers), variant, rng=np.random.default_rng(seed), n_classes=n_classes)
     feat_rng = np.random.default_rng(seed + 1)
-    z0 = feat_rng.standard_normal((GRAD_NODES, 3))
-    y0 = feat_rng.standard_normal((len(GRAD_EDGES), 3))
+    z0 = feat_rng.standard_normal((n, 3))
+    y0 = feat_rng.standard_normal((len(edges), 3))
     return variant, ops, params, z0, y0
 
 
@@ -537,10 +548,12 @@ def _training_forward(ops, params, z0, y0, variant):
 class TestBackwardAgainstFiniteDifferences:
     """Analytic gradients of the whole parameter set vs central differences."""
 
+    GRAPH = "grad"
+
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("act", ACTIVATION_TAGS)
     def test_bce_loss_all_weights(self, tag, act):
-        variant, ops, params, z0, y0 = _grad_setup(tag, act)
+        variant, ops, params, z0, y0 = _grad_setup(tag, act, graph=self.GRAPH)
         cfg = TrainConfig(variant=variant)
 
         def loss_value():
@@ -568,9 +581,8 @@ class TestBackwardAgainstFiniteDifferences:
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("act", ACTIVATION_TAGS)
     def test_ce_loss_all_weights(self, tag, act):
-        variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3)
-        labels = np.array([0, 1, 2, 1, 0])
-        mask = np.array([True, True, False, True, True])
+        variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3, graph=self.GRAPH)
+        labels, mask = np.resize(CE_LABELS, len(z0)), np.resize(CE_MASK, len(z0))
 
         def loss_value():
             st = _training_forward(ops, params, z0, y0, variant)
@@ -593,7 +605,7 @@ class TestBackwardAgainstFiniteDifferences:
 
     @pytest.mark.parametrize("score_fn", ["mean-pairwise", "max-min"])
     def test_dependent_scoring_trains_psi(self, score_fn):
-        variant, ops, params, z0, y0 = _grad_setup("base", "tanh", seed=11)
+        variant, ops, params, z0, y0 = _grad_setup("base", "tanh", seed=11, graph=self.GRAPH)
         cfg = TrainConfig(variant=variant, score_fn=score_fn, score_mode="dependent")
 
         def loss_value():
@@ -622,7 +634,7 @@ class TestBackwardAgainstFiniteDifferences:
     @pytest.mark.parametrize("act", ["tanh", "gelu", "rrelu"])
     def test_base_y_stream_gradients_at_three_layers(self, act):
         # Y(k) reaches Z(L) through B_v Y(k) for k < L, so W_e(k) matters for k < L-1 alone
-        variant, ops, params, z0, y0 = _grad_setup("base", act, seed=5, layers=3)
+        variant, ops, params, z0, y0 = _grad_setup("base", act, seed=5, layers=3, graph=self.GRAPH)
         c_z = np.random.default_rng(30).standard_normal(z0.shape)
 
         def loss_value():
@@ -639,12 +651,31 @@ class TestBackwardAgainstFiniteDifferences:
             assert rel_err(grads.w[k], finite_diff(loss_value, arr)) < 1e-4, k
 
     def test_zero_upstream_gives_zero_grads(self):
-        variant, ops, params, z0, y0 = _grad_setup("base", "tanh")
+        variant, ops, params, z0, y0 = _grad_setup("base", "tanh", graph=self.GRAPH)
         st = forward(ops, params, ForwardInputs(ops, z0, y0), variant)
         grads = backward(st, ops, params, np.zeros_like(z0))
         for _, arr in grads.named_arrays():
             assert_allclose(arr, 0.0)
 
+
+@pytest.mark.usefixtures("row_blocks_forced")
+class TestBackwardRowBlocked(TestBackwardAgainstFiniteDifferences):
+    """The gradient checks again, with every activation cut into several row blocks."""
+
+
+class TestBackwardOnRaggedGraph(TestBackwardAgainstFiniteDifferences):
+    """The gradient checks again, through singleton, repeated and all-node hyperedges."""
+
+    GRAPH = "ragged"
+
+
+class TestBackwardWithIsolatedNodes(TestBackwardAgainstFiniteDifferences):
+    """The gradient checks again, with nodes whose operator rows and columns are zero."""
+
+    GRAPH = "isolated"
+
+
+class TestBackwardScalarChain:
     def test_scalar_chain_closed_form(self):
         # one node, one hyperedge, one-dimensional weights, decoupled variant
         g = build_hypergraph([(0,)], 1)
@@ -662,16 +693,6 @@ class TestBackwardAgainstFiniteDifferences:
         grads = backward(st, ops, params, np.ones((1, 1)))
         assert_allclose(grads.w[0], [[(1 - math.tanh(pre) ** 2) * s_v * 0.9]], atol=1e-12)
         assert grads.w_e == []  # decoupled: no Y stream, so no W_e
-
-
-@pytest.mark.usefixtures("chains_forced")
-class TestBackwardChained(TestBackwardAgainstFiniteDifferences):
-    """The gradient checks again, with every product applied as a chain."""
-
-
-@pytest.mark.usefixtures("reorder_forced")
-class TestBackwardReordered(TestBackwardAgainstFiniteDifferences):
-    """The gradient checks again, with nodes in reverse Cuthill-McKee order."""
 
 
 class _Counted:
@@ -713,11 +734,13 @@ class TestBackwardPrunesUnreadAdjoints:
     """``backward`` forms only adjoints that reach a weight; ``full_backward``, which
     forms them all, pins every gradient float."""
 
+    GRAPH = "grad"
+
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("act", ["tanh", "rrelu"])
     def test_grads_equal_the_full_reverse_pass(self, tag, layers, act):
-        variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3, layers=layers)
+        variant, ops, params, z0, y0 = _grad_setup(tag, act, n_classes=3, layers=layers, graph=self.GRAPH)
         st = _training_forward(ops, params, z0, y0, variant)
         up = np.random.default_rng(layers)
         d_z = up.standard_normal(z0.shape)
@@ -734,10 +757,10 @@ class TestBackwardPrunesUnreadAdjoints:
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_spmm_calls_per_backward(self, monkeypatch, tag, layers):
-        variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
+    def test_spmm_calls_per_backward(self, tag, layers):
+        variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers, graph=self.GRAPH)
         st = _training_forward(ops, params, z0, y0, variant)
-        counted, tally = _counting(monkeypatch, ops)
+        counted, tally = _counting(ops)
         pruned = PRUNED_APPLICATIONS["base" if variant.coupled else "decoupled"][layers - 1]
         assert tally(lambda: backward(st, counted, params, np.ones_like(z0))) == pruned
         # the full pass undoes every update of all L layers, layer 0's products included
@@ -746,9 +769,9 @@ class TestBackwardPrunesUnreadAdjoints:
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_spmm_calls_per_forward(self, monkeypatch, tag, layers):
-        variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers)
-        counted, tally = _counting(monkeypatch, ops)
+    def test_spmm_calls_per_forward(self, tag, layers):
+        variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers, graph=self.GRAPH)
+        counted, tally = _counting(ops)
         inputs = ForwardInputs(counted, z0, y0)
         # the first forward on the inputs forms layer 0's products, once
         assert tally(lambda: forward(counted, params, inputs, variant)) == _layer_applications(variant, layers)
@@ -763,6 +786,23 @@ class TestBackwardPrunesUnreadAdjoints:
             assert len(st.z) == layers + 1 and len(st.agg_z) == len(st.deriv_z) == layers
             n_y = layers if variant.coupled else 0
             assert len(st.y) == n_y and len(st.agg_y) == len(st.deriv_y) == max(n_y - 1, 0)
+
+
+@pytest.mark.usefixtures("row_blocks_forced")
+class TestBackwardPrunesUnreadAdjointsRowBlocked(TestBackwardPrunesUnreadAdjoints):
+    """The same with every activation cut into several row blocks."""
+
+
+class TestBackwardPrunesUnreadAdjointsOnRaggedGraph(TestBackwardPrunesUnreadAdjoints):
+    """The same through singleton, repeated and all-node hyperedges."""
+
+    GRAPH = "ragged"
+
+
+class TestBackwardPrunesUnreadAdjointsWithIsolatedNodes(TestBackwardPrunesUnreadAdjoints):
+    """The same with nodes whose operator rows and columns are zero."""
+
+    GRAPH = "isolated"
 
 
 def _input_applications(variant, layers):
@@ -797,33 +837,44 @@ def _logged(ops, log, counted=_Counted):
     })
 
 
-def _counting(monkeypatch, ops):
-    """``ops`` with every operator logged, and a tally of what a call applies."""
-    applied, spmm_calls = [], []
-    spmm = model.spmm
-    monkeypatch.setattr(model, "spmm", lambda a, x: spmm_calls.append(1) or spmm(a, x))
-    counted = _logged(ops, applied)
+class _CountedFactor:
+    """A sparse factor that logs each product it, or its transpose, forms."""
+
+    def __init__(self, f, log):
+        self.f, self.log = f, log
+
+    @property
+    def T(self):
+        return _CountedFactor(self.f.T, self.log)
+
+    @property
+    def shape(self):
+        return self.f.shape
+
+    def __matmul__(self, x):
+        self.log.append(1)
+        return self.f @ x
+
+
+def _counting(ops):
+    """``ops`` with every operator and every factor logged, and a tally of what a call applies."""
+    applied, products = [], []
+    factored = dataclasses.replace(ops, **{
+        name: model.Operator(tuple(tuple(_CountedFactor(f, products) for f in term) for term in op.terms))
+        for name in OPERATOR_NAMES if (op := getattr(ops, name)) is not None
+    })
+    counted = _logged(factored, applied)
 
     def tally(run):
         applied.clear()
-        spmm_calls.clear()
+        products.clear()
         run()
         counts = {name: applied.count(name) for name in set(applied)}
-        # one spmm per factor of every term of each operator applied
-        assert len(spmm_calls) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
+        # one product per factor of every term of each operator applied
+        assert len(products) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
         return counts
 
     return counted, tally
-
-
-@pytest.mark.usefixtures("chains_forced")
-class TestBackwardPrunesUnreadAdjointsChained(TestBackwardPrunesUnreadAdjoints):
-    """The same with every product applied as a chain, so one operator is several spmm calls."""
-
-
-@pytest.mark.usefixtures("reorder_forced")
-class TestBackwardPrunesUnreadAdjointsReordered(TestBackwardPrunesUnreadAdjoints):
-    """The same with nodes in reverse Cuthill-McKee order."""
 
 
 class TestOptimizers:
@@ -1007,26 +1058,6 @@ class TestTrain:
         with pytest.raises(DataError, match="labels"):
             train(toy_clustered_graph(), TrainConfig(epochs=1), task="node-class")
 
-    @pytest.mark.parametrize("task", ["hyperedge-pred", "node-class"])
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_split_products_change_no_float(self, monkeypatch, pool_calls, tag, task):
-        rng = np.random.default_rng(11)
-        edges = [tuple(rng.choice(40, size=int(rng.integers(2, 6)), replace=False)) for _ in range(60)]
-        g = build_hypergraph(edges, 40)
-        data = (np.arange(40) % 3, np.arange(40) % 2 == 0) if task == "node-class" else None
-        cfg = TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e="gelu"),
-                          epochs=6, feature_rank=7, seed=4)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        runs, splits = [], []
-        for parts in (1, 2):
-            monkeypatch.setattr(model, "SPMM_PARTS", parts)
-            runs.append(train(g, cfg, task=task, data=data))
-            splits.append(len(pool_calls))
-        assert splits[0] == 0 and splits[1] > 0
-        one, two = runs
-        assert one.log == two.log
-        for got, want in zip(two.final.z + two.final.y, one.final.z + one.final.y):
-            assert np.array_equal(got, want)
 
 
 def _toy_data(task):
@@ -1080,61 +1111,8 @@ class TestTrainSharesLayerZero:
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
 
 
-class TestSharedOperators:
-    """``train`` and checkpoint replays take a graph's operators from one per-graph memo."""
-
-    @staticmethod
-    def _counted_builds(monkeypatch):
-        built = []
-        build = training.build_operators
-        monkeypatch.setattr(training, "build_operators",
-                            lambda g, variant: built.append(variant.tag) or build(g, variant))
-        return built
-
-    def test_one_build_per_graph_and_key(self, monkeypatch):
-        built = self._counted_builds(monkeypatch)
-        g = toy_clustered_graph()
-        data = _toy_data("node-class")
-        p2 = TrainConfig(variant=VariantKind(tag="p2"), epochs=1, feature_rank=4)
-        for seed in (1, 2):
-            train(g, dataclasses.replace(p2, seed=seed), task="node-class", data=data)
-        assert built == ["p2"]
-        ops = training.shared_operators(g, p2.variant)
-        assert training.shared_operators(g, VariantKind(tag="p2", sigma_v="gelu")) is ops
-        train(g, dataclasses.replace(p2, variant=VariantKind(tag="base")), task="node-class", data=data)
-        assert built == ["p2", "base"]
-        # a gate the graph stays below either way changes nothing; one it crosses rebuilds
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", g.num_nodes + 1)
-        base = training.shared_operators(g, VariantKind(tag="base"))
-        assert built == ["p2", "base"]
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", g.num_nodes)
-        reordered = training.shared_operators(g, VariantKind(tag="base"))
-        assert built == ["p2", "base", "base"] and reordered.order is not None and base.order is None
-        monkeypatch.setattr(model, "CHAIN_MIN_RATIO", 0)
-        chained = training.shared_operators(g, VariantKind(tag="base"))
-        assert built == ["p2", "base", "base", "base"]
-        assert len(chained.s_v.terms[0]) > 1 and len(reordered.s_v.terms[0]) == 1
-
-    def test_node_class_trials_share_one_build(self, monkeypatch):
-        built = self._counted_builds(monkeypatch)
-        g = toy_clustered_graph()
-        labels = np.arange(8) // 4
-        cfg = TrainConfig(variant=VariantKind(tag="p2"), epochs=1, feature_rank=4, seed=3)
-        cli.run_trials(Dataset(graph=g, labels=labels), cfg, "node-class", 3)
-        assert built == ["p2"]
-
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_entry_dies_with_its_graph(self, monkeypatch, tag):
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)  # the entry holds a node order too
-        g = build_hypergraph(*ringed_hypergraph(2))
-        train_g, _ = split_hyperedges(g, 0.8, np.random.default_rng(0))
-        train(train_g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4))
-        graph_ref = weakref.ref(train_g)
-        ops_ref = weakref.ref(training.shared_operators(train_g, VariantKind(tag=tag)))
-        assert train_g in training._SHARED_OPS
-        del train_g
-        gc.collect()
-        assert graph_ref() is None and ops_ref() is None
+class TestOperatorLifetime:
+    """A trial's operators are built by ``train`` and go with its graph."""
 
     def test_hedge_trial_frees_its_split_graph_before_the_next(self, monkeypatch):
         # the next trial splits and samples its negatives with the last one's graph gone
@@ -1155,60 +1133,24 @@ class TestSharedOperators:
         assert len(graphs) == 3 and all(ref() is None for ref in graphs)
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_shared_arrays_refuse_writes(self, monkeypatch, tag):
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
-        ops = training.shared_operators(toy_clustered_graph(), VariantKind(tag=tag))
-        arrays = [ops.order] + [a for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e) if op is not None
-                                for f in op.factors + op.T.factors for a in (f.data, f.indices, f.indptr)]
+    def test_operator_arrays_refuse_writes(self, tag):
+        ops = build_operators(toy_clustered_graph(), VariantKind(tag=tag))
+        arrays = [a for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e) if op is not None
+                  for f in op.factors + op.T.factors for a in (f.data, f.indices, f.indptr)]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
 
-    def test_concurrent_trials_share_one_build(self, monkeypatch):
-        built = []
-        build = training.build_operators
-        both_waiting = threading.Barrier(2)
-
-        def slow_build(g, variant):
-            built.append(variant.tag)
-            time.sleep(0.2)  # the other thread asks for the operators meanwhile
-            return build(g, variant)
-
-        monkeypatch.setattr(training, "build_operators", slow_build)
-        g = toy_clustered_graph()
-        cfg = TrainConfig(variant=VariantKind(tag="p2"), epochs=2, feature_rank=4)
-        logs = [None, None]
-
-        def run(i):
-            both_waiting.wait()
-            logs[i] = train(g, cfg, task="node-class", data=_toy_data("node-class")).log
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert built == ["p2"] and logs[0] == logs[1] is not None
-
     @pytest.mark.parametrize("task", TASKS)
-    def test_warm_trial_equals_a_cold_one(self, monkeypatch, tmp_path, task):
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
+    def test_training_starts_no_thread(self, task):
         g = build_hypergraph(*ringed_hypergraph(3))
-        data = (np.arange(g.num_nodes) % 3, np.arange(g.num_nodes) % 2 == 0) if task == "node-class" else None
-        cfg = TrainConfig(variant=VariantKind(tag="base", sigma_v="rrelu", sigma_e="rrelu"),
-                          epochs=3, feature_rank=4, seed=5)
-        cold = train(g, cfg, task=task, data=data)
-        assert g in training._SHARED_OPS
-        warm = train(g, cfg, task=task, data=data)
-        assert cold.log == warm.log
-        for name in ("z", "y", "agg_z", "agg_y", "deriv_z", "deriv_y"):
-            assert all(np.array_equal(a, b) for a, b in zip(getattr(cold.final, name), getattr(warm.final, name)))
-        for state, side in ((cold, "cold"), (warm, "warm")):
-            model.save_checkpoint(tmp_path / f"{side}.npz", state.params)
-        cold_params, _ = model.load_checkpoint(tmp_path / "cold.npz")
-        warm_params, _ = model.load_checkpoint(tmp_path / "warm.npz")
-        for (name, a), (_, b) in zip(cold_params.named_arrays(), warm_params.named_arrays()):
-            assert np.array_equal(a, b), name
+        data = (np.arange(g.num_nodes) % 3, np.arange(g.num_nodes) % 2 == 0)
+        cfg = TrainConfig(variant=VariantKind(tag="p2"), epochs=2, feature_rank=4, seed=5)
+        before = threading.active_count()
+        train(g, cfg, task=task, data=data if task == "node-class" else None)
+        assert threading.active_count() == before
+        cli.run_trials(Dataset(graph=g, labels=data[0]), cfg, task, 2)
+        assert threading.active_count() == before
 
 
 DECOUPLED_TAGS = [tag for tag in VARIANT_TAGS if not VariantKind(tag=tag).coupled]
@@ -1307,125 +1249,44 @@ class TestWeightInventory:
         assert [name for name, _ in loaded.named_arrays()] == names
 
 
-class TestReorderedTraining:
-    """``train`` on a graph propagated in reverse Cuthill-McKee order."""
+class TestTrainFootprint:
+    """What ``train`` loads and holds."""
 
-    @pytest.mark.parametrize("task", TASKS)
-    @pytest.mark.parametrize("tag", VARIANT_TAGS)
-    def test_first_epoch_is_bit_identical(self, monkeypatch, tag, task):
-        g = toy_clustered_graph()
-        cfg = TrainConfig(variant=VariantKind(tag=tag, sigma_v="rrelu", sigma_e="rrelu"),
-                          epochs=3, feature_rank=4, seed=6)
-        runs = []
-        for gate in (g.num_nodes + 1, 0):
-            monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
-            runs.append(train(g, cfg, task=task, data=_toy_data(task)))
-        natural, reordered = runs
-        # the first forward reads the same weights; later ones read weights whose
-        # gradients summed over nodes in another order
-        assert reordered.log[0] == natural.log[0]
-        assert_allclose(reordered.log, natural.log, rtol=1e-9, atol=1e-12)
-        assert_allclose(reordered.final.z_final, natural.final.z_final, rtol=1e-9, atol=1e-12)
-
-    def test_below_the_gate_train_never_imports_csgraph(self):
-        # the module costs about 7 MB of RSS, so only graphs above the gate load it; nor may
-        # the SVD bootstrap or the CLI load scipy.linalg, whose second OpenBLAS costs about 8 MB
+    def test_train_never_imports_csgraph(self):
+        # scipy.sparse.csgraph costs about 7 MB of RSS, and no graph size may load it; nor
+        # may the SVD bootstrap or the CLI load scipy.linalg, whose second OpenBLAS costs
+        # about 8 MB.  The large graph runs node classification only, to keep the test short
         script = textwrap.dedent("""
             import sys
             import numpy as np
             import hyperemb.cli
             from hyperemb import TrainConfig, VariantKind, build_hypergraph, model, train
-            model.REORDER_MIN_NODES = int(sys.argv[1])
+            n = int(sys.argv[1])
             rng = np.random.default_rng(0)
-            g = build_hypergraph([tuple(rng.choice(60, size=3, replace=False)) for _ in range(80)], 60)
-            labels = (np.arange(60) % 3, np.arange(60) % 2 == 0)
+            g = build_hypergraph([tuple(rng.choice(n, size=3, replace=False)) for _ in range(n)], n)
+            labels = (np.arange(n) % 3, np.arange(n) % 2 == 0)
             for tag in model.VARIANT_TAGS:
-                train(g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4))
                 train(g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4),
                       task="node-class", data=labels)
+            if n < 100:
+                for tag in model.VARIANT_TAGS:
+                    train(g, TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=4))
             print("scipy.sparse.csgraph" in sys.modules, "scipy.linalg" in sys.modules)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(training.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        imported = {}
-        for gate in (model.REORDER_MIN_NODES, 0):
-            run = subprocess.run([sys.executable, "-c", script, str(gate)], env=env,
+        for n in (60, 16_384):
+            run = subprocess.run([sys.executable, "-c", script, str(n)], env=env,
                                  capture_output=True, text=True, timeout=120)
             assert run.returncode == 0, run.stderr
-            imported[gate] = run.stdout.split()[-2:]
-        assert imported[model.REORDER_MIN_NODES] == ["False", "False"]
-        assert imported[0][0] == "True"
+            assert run.stdout.split()[-2:] == ["False", "False"], n
 
-    @pytest.mark.parametrize("gate, held", [(10**9, True), (0, False)])
-    def test_no_node_order_z0_outlives_the_inputs(self, monkeypatch, gate, held):
-        # reordered inputs hold a gathered Z(0), so train must drop the node-order one
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
-        refs, alive = [], []
-        features, run_forward = training.input_features, training.forward
-
-        def tracked_features(*args, **kw):
-            z0, y0 = features(*args, **kw)
-            refs.append(weakref.ref(z0))
-            return z0, y0
-
-        def forward_checking_z0(*args, **kw):
-            alive.append(refs[0]() is not None)
-            return run_forward(*args, **kw)
-
-        monkeypatch.setattr(training, "input_features", tracked_features)
-        monkeypatch.setattr(training, "forward", forward_checking_z0)
-        train(toy_clustered_graph(), TrainConfig(epochs=2, feature_rank=4), task="node-class",
-              data=_toy_data("node-class"))
-        # in node order the inputs' Z(0) is a view of it, so it lives on
-        assert alive == [held] * 3
-
-    @pytest.mark.parametrize("task", TASKS)
-    @pytest.mark.parametrize("tag", ["base", "p2"])
-    def test_epoch_peak_within_one_node_array(self, monkeypatch, tag, task):
-        # the reordered epoch may hold one more N x width array than the node-order
-        # one (d Z(L) in storage order, or Z(L) while it is put back in node order)
-        import scipy.sparse.csgraph  # noqa: F401  its import is not the epoch's
-        n, width = 3000, 16
-        g = build_hypergraph(*ringed_hypergraph(0, n=n, m=n))
-        g.pack  # derived once, outside both traced runs
-        data = (np.arange(n) % 3, np.arange(n) % 2 == 0) if task == "node-class" else None
-        cfg = TrainConfig(variant=VariantKind(tag=tag), epochs=1, feature_rank=width, seed=1)
-        run_forward = training.forward
-        peaks = []
-
-        def forward_marking_the_epoch(*args, **kw):
-            if kw.get("training"):
-                tracemalloc.reset_peak()  # the training epoch starts here
-            else:
-                peaks.append(tracemalloc.get_traced_memory()[1])  # and ended before the eval pass
-            return run_forward(*args, **kw)
-
-        monkeypatch.setattr(training, "forward", forward_marking_the_epoch)
-        for gate in (n + 1, 0):
-            monkeypatch.setattr(model, "REORDER_MIN_NODES", gate)
-            gc.collect()
-            gc.disable()  # cyclic garbage is then freed at the same points in both runs
-            tracemalloc.start()
-            try:
-                train(g, cfg, task=task, data=data)
-            finally:
-                tracemalloc.stop()
-                gc.enable()
-        natural, reordered = peaks
-        assert reordered <= natural + n * width * 8, (natural, reordered)
-
-    @pytest.mark.parametrize("task, act, parts", [
-        pytest.param(task, act, parts, id=f"{task}-{act}" + ("-split" if parts > 1 else ""))
-        for parts in (1, 2) for task, act in [("node-class", "tanh"), ("node-class", "gelu"),
-                                               ("hyperedge-pred", "tanh")]])
-    def test_row_blocks_hold_no_more_than_whole_arrays(self, monkeypatch, task, act, parts):
+    @pytest.mark.parametrize("task, act", [("node-class", "tanh"), ("node-class", "gelu"),
+                                           ("hyperedge-pred", "tanh")],
+                             ids=["node-class-tanh", "node-class-gelu", "hyperedge-pred-tanh"])
+    def test_row_blocks_hold_no_more_than_whole_arrays(self, monkeypatch, task, act):
         # an activation in row blocks keeps only block-sized temporaries, so the epoch
-        # peaks no higher than one that runs each row-wise pass on the whole array.  With
-        # the SpMMs split, every product must also let go of its operands on return: a
-        # pool thread that still held one would move the peak by a node array.  One
-        # worker runs the parts in turn, since two parts' temporaries held at once also
-        # add a node array, or not, as the threads happen to overlap
-        import scipy.sparse.csgraph  # noqa: F401  its import is not the epoch's
+        # peaks no higher than one that runs each row-wise pass on the whole array
         n, width = 3000, 16
         g = build_hypergraph(*ringed_hypergraph(0, n=n, m=n))
         g.pack.adjacency  # derived once, outside the traced runs
@@ -1442,12 +1303,6 @@ class TestReorderedTraining:
             return run_forward(*args, **kw)
 
         monkeypatch.setattr(training, "forward", forward_marking_the_epoch)
-        monkeypatch.setattr(model, "REORDER_MIN_NODES", 0)
-        monkeypatch.setattr(model, "SPMM_PARTS", parts)
-        monkeypatch.setattr(model, "SPMM_SPLIT_MIN", 0)
-        pool, parts_run = ThreadPoolExecutor(max_workers=1), []
-        monkeypatch.setattr(model, "_POOL", pool)
-        monkeypatch.setattr(pool, "submit", lambda *a, submit=pool.submit: parts_run.append(1) or submit(*a))
         # a warm-up run, then one block per array, then blocks of 100 rows
         for block in (n * width, n * width, 100 * width):
             monkeypatch.setattr(model, "ROW_BLOCK", block)
@@ -1459,26 +1314,21 @@ class TestReorderedTraining:
             finally:
                 tracemalloc.stop()
                 gc.enable()
-        pool.shutdown()
         _, whole, blocked = peaks
-        assert bool(parts_run) == (parts > 1)
         # the interpreter's own allocations move the peak by a few hundred bytes between
         # runs; one more node array would be n * width * 8 = 384,000
         assert blocked <= whole + 4096, (whole, blocked)
 
 
 class TestOneCpuRun:
-    """A process pinned to one CPU splits nothing; its training floats are the split run's."""
+    """A process pinned to one CPU gives the training floats of one free to use them all."""
 
     SCRIPT = textwrap.dedent("""
         import os, sys
         if sys.argv[2] == "pinned":
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         import numpy as np
-        from hyperemb import TrainConfig, VariantKind, build_hypergraph, model, train
-        submits = []
-        submit = model._POOL.submit
-        model._POOL.submit = lambda *a, **kw: submits.append(1) or submit(*a, **kw)
+        from hyperemb import TrainConfig, VariantKind, build_hypergraph, train
         n = 6000
         rng = np.random.default_rng(3)
         edges = [tuple(rng.choice(n, size=int(rng.integers(2, 9)), replace=False)) for _ in range(n)]
@@ -1487,7 +1337,7 @@ class TestOneCpuRun:
         state = train(g, TrainConfig(variant=VariantKind(tag="p2"), epochs=3, seed=2),
                       task="node-class", data=(labels, mask), eval_data=~mask)
         arrays = dict(state.params.named_arrays(), log=np.asarray(state.log), z=state.final.z_final)
-        np.savez(sys.argv[1], cpus=model.CPUS, parts=model.SPMM_PARTS, submits=len(submits), **arrays)
+        np.savez(sys.argv[1], cpus=len(os.sched_getaffinity(0)), **arrays)
     """)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -1504,8 +1354,7 @@ class TestOneCpuRun:
             with np.load(path) as blob:
                 runs[mode] = {name: blob[name] for name in blob.files}
         pinned, free = runs["pinned"], runs["free"]
-        assert (pinned["cpus"], pinned["parts"], pinned["submits"]) == (1, 1, 0)
-        assert free["parts"] >= 2 and free["submits"] > 0  # the products did split
+        assert pinned["cpus"] == 1 and free["cpus"] >= 2
         for name in pinned:
-            if name not in ("cpus", "parts", "submits"):
+            if name != "cpus":
                 assert np.array_equal(pinned[name], free[name]), name
