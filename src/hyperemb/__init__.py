@@ -12,8 +12,6 @@ from .hypergraph import (
     Hypergraph,
     build_hypergraph,
     incidence_matrix,
-    node_adjacency,
-    replace_edges,
 )
 from .features import (
     init_hyperedge_features,
@@ -63,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "HypergraphWarning", "NumericError",
     "FlatSets", "GraphPack", "Hypergraph", "build_hypergraph",
-    "incidence_matrix", "node_adjacency", "replace_edges",
+    "incidence_matrix",
     "init_hyperedge_features", "init_node_features", "randomized_svd",
     "svd_features",
     "EmbeddingState", "ForwardInputs", "ModelParams", "PropagationOperators", "VariantKind",

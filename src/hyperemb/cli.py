@@ -12,7 +12,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -305,7 +304,7 @@ def run_trials(
                 meta = _checkpoint_meta(cfg, task, t, trials, feat_meta)
                 save_checkpoint(unique_path(out_dir / "model.npz"), state.params, meta)
         # the final embeddings hold Z(0) and every layer, and a split train graph holds its
-        # shared operators: free both before the next trial
+        # pack and adjacency: free both before the next trial
         del state, train_g
     return EvalReport(task=task, seeds=seeds, per_trial={"auc": values})
 
@@ -547,11 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperemb", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("HYPEREMB_THREADS", "2")),
-        help="worker pool size for sweeps (env HYPEREMB_THREADS)",
-    )
+    parser.add_argument("--threads", type=int, default=1, help="worker pool size for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert a pickle-layout dataset to the text layout")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, HypergraphWarning
 from .features import RngLike, as_rng
-from .hypergraph import FlatSets, Hypergraph, replace_edges
+from .hypergraph import FlatSets, Hypergraph, build_hypergraph
 from .model import EmbeddingState
 
 RANKING_KS = (1, 10, 25, 50)
@@ -103,7 +103,7 @@ def split_hyperedges(
     """Uniform hyperedge partition: train graph from round(p*M) edges, rest held out.
 
     Nodes appearing only in held-out hyperedges stay in the train graph
-    as isolated nodes.
+    as isolated nodes, and building it warns about them.
     """
     if not 0 < p < 1:
         raise ConfigError(f"split fraction must be in (0, 1), got {p}")
@@ -118,7 +118,7 @@ def split_hyperedges(
     perm = as_rng(rng).permutation(m)
     rows = g.edges.tuples()
     held = [rows[j] for j in np.sort(perm[n_train:])]
-    return replace_edges(g, [rows[j] for j in np.sort(perm[:n_train])]), held
+    return build_hypergraph([rows[j] for j in np.sort(perm[:n_train])], g.num_nodes, g.node_type), held
 
 
 def split_links(
@@ -169,7 +169,7 @@ def split_links(
         raise DataError("no usable query pairs after link holdout")
     kept = np.bincount(edges.owner[~gone], minlength=len(edges))
     train_edges = FlatSets(idx=edges.idx[~gone], indptr=np.concatenate([[0], np.cumsum(kept[kept > 0])]))
-    return replace_edges(g, train_edges), pairs
+    return build_hypergraph(train_edges, g.num_nodes, g.node_type), pairs
 
 
 def truth_ranks(

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DataError, HypergraphWarning
-from .hypergraph import Hypergraph, node_adjacency
+from .hypergraph import Hypergraph
 
 RngLike = Union[np.random.Generator, int, None]
 # the sketch of randomized_svd and svd_features: columns beyond the rank and power
@@ -151,7 +151,7 @@ def init_node_features(
     """Provided node features, checked and as float64, else the rank-``f`` map of H H^T - D."""
     if given is not None:
         return _check_given(given, g.num_nodes)
-    return svd_features(node_adjacency(g), f, rng=rng)
+    return svd_features(g.pack.adjacency, f, rng=rng)
 
 
 def init_hyperedge_features(g: Hypergraph, z1: np.ndarray) -> np.ndarray:

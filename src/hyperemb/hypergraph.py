@@ -3,16 +3,15 @@
 A hypergraph stores its incidence relation once, as the flat rows ``edges``:
 row ``j`` lists the nodes of hyperedge ``j`` in ascending order.  Row ``i``
 of ``node_edges`` lists the hyperedges of node ``i`` in ascending order; it
-is a read-only view of the incidence pack H, which each graph derives on
-first use.  Instances are immutable, safe to share across threads, and
-compare by identity.
+is a read-only view of the incidence matrix H in the graph's pack, which
+each graph derives on first use.  ``build_hypergraph`` validates the rows
+and warns, once per graph, about nodes in no hyperedge.  Instances are
+immutable, safe to share across threads, and compare by identity.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,18 +21,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError, HypergraphWarning
-
-
-def _reader_stacklevel() -> int:
-    """``warnings`` stacklevel of the first frame outside this module and ``functools``.
-
-    A warning raised while a cached property derives its value then names the
-    code that read the property, also when one property reads another.
-    """
-    frame, level = sys._getframe(1), 1
-    while frame.f_code.co_filename in (__file__, functools.__file__):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -74,13 +61,6 @@ class Hypergraph:
         h = incidence_matrix(self)
         d = np.asarray(h.sum(axis=1)).reshape(-1)
         d_e = np.asarray(h.sum(axis=0)).reshape(-1)
-        isolated = int(np.count_nonzero(d == 0))
-        if isolated:
-            warnings.warn(
-                f"{isolated} isolated node(s): inverse degree taken as 0",
-                HypergraphWarning,
-                stacklevel=_reader_stacklevel(),
-            )
         d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
         return GraphPack(h, *(_readonly(a) for a in (d, d_e, d_inv, 1.0 / d_e)))
 
@@ -93,10 +73,10 @@ class GraphPack:
     ``adjacency``, H H^T - D, is derived on first read and kept, so every SVD
     feature bootstrap on one graph reads one copy.
 
-    A node in no hyperedge gets ``d_inv`` 0 (its rows and columns of the walk
-    operators stay zero) and one warning per graph; hyperedges are nonempty by
-    construction, so ``de_inv`` needs no guard.  The pack is shared by every
-    reader of the graph, so H must not be modified in place.
+    A node in no hyperedge gets ``d_inv`` 0, so its rows and columns of the walk
+    operators stay zero (``build_hypergraph`` warned about it); hyperedges are
+    nonempty by construction, so ``de_inv`` needs no guard.  The pack is shared
+    by every reader of the graph, so H must not be modified in place.
     """
 
     h: sparse.csr_array
@@ -187,7 +167,8 @@ def build_hypergraph(
     Members are stored sorted.  An empty hyperedge, a node index outside
     [0, num_nodes) and a node listed twice in one hyperedge are rejected;
     the error names the lowest offending hyperedge, and within it a bad
-    index is reported before a repeat.
+    index is reported before a repeat.  Nodes in no hyperedge get one
+    ``HypergraphWarning`` that names the caller.
     """
     if num_nodes < 0:
         raise DataError(f"num_nodes must be >= 0, got {num_nodes}")
@@ -213,13 +194,13 @@ def build_hypergraph(
                 f"node_type has {len(node_type)} entries for {num_nodes} nodes"
             )
         node_type = tuple(str(t) for t in node_type)
+    isolated = int(np.count_nonzero(np.bincount(idx, minlength=num_nodes) == 0))
+    if isolated:
+        warnings.warn(
+            f"{isolated} isolated node(s): inverse degree taken as 0", HypergraphWarning, stacklevel=2
+        )
     edges = FlatSets(_readonly(idx), _readonly(raw.indptr.copy()))  # a caller's FlatSets stays writable
     return Hypergraph(num_nodes=num_nodes, edges=edges, node_type=node_type)
-
-
-def replace_edges(g: Hypergraph, new_edges: Sequence[Iterable[int]]) -> Hypergraph:
-    """New Hypergraph over the same node set (and types) with a different edge list."""
-    return build_hypergraph(new_edges, g.num_nodes, node_type=g.node_type)
 
 
 def canonical(m: sparse.sparray) -> sparse.csr_array:
@@ -236,14 +217,11 @@ def canonical(m: sparse.sparray) -> sparse.csr_array:
 
 
 def incidence_matrix(g: Hypergraph) -> sparse.csr_array:
-    """N x M binary matrix: entry (i, k) is 1 iff node i belongs to hyperedge k."""
-    h = sparse.csr_array(
-        (np.ones(g.num_incidences), (g.edges.idx, g.edges.owner)), shape=(g.num_nodes, g.num_hyperedges)
+    """N x M binary matrix: entry (i, k) is 1 iff node i belongs to hyperedge k.
+
+    The rows ``edges`` already are H^T in compressed-row form, so H is their
+    compressed-column reading, converted to CSR."""
+    e = g.edges
+    return sparse.csr_array(
+        sparse.csc_array((np.ones(g.num_incidences), e.idx, e.indptr), shape=(g.num_nodes, g.num_hyperedges))
     )
-    return canonical(h)
-
-
-def node_adjacency(g: Hypergraph) -> sparse.csr_array:
-    """N x N co-membership counts: H H^T minus its diagonal (which equals d).
-    The graph's one read-only copy, ``GraphPack.adjacency``."""
-    return g.pack.adjacency

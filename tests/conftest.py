@@ -35,10 +35,10 @@ def row_blocks_forced(monkeypatch):
 def graph_of(edges, n):
     """``build_hypergraph(edges, n)`` with its pack derived, expecting the
     isolated-node warning when some node is in no hyperedge."""
-    g = build_hypergraph(edges, n)
     isolated = len({i for e in edges for i in e}) < n
     with pytest.warns(HypergraphWarning, match="isolated") if isolated else contextlib.nullcontext():
-        g.pack
+        g = build_hypergraph(edges, n)
+    g.pack
     return g
 
 

@@ -27,7 +27,6 @@ from hyperemb import (
     hyperedge_bce_loss,
     init_params,
     load_dataset,
-    node_adjacency,
     node_ce_loss,
     rank_positions,
     sample_negatives,
@@ -235,7 +234,7 @@ def test_c5_property_battery():
 
         # 2. incidence algebra against dense brute force
         assert_allclose(
-            node_adjacency(g).toarray(), brute_node_adjacency(edges, n), atol=1e-10
+            g.pack.adjacency.toarray(), brute_node_adjacency(edges, n), atol=1e-10
         )
         p, p_e = transition_matrices(g)
         dense_p, dense_pe = dense_transitions(edges, n)

@@ -238,6 +238,11 @@ class TestSweepCommand:
             tables.append((out / "sweep.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    def test_threads_default_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("HYPEREMB_THREADS", "7")
+        args = build_parser().parse_args(["sweep", "--data", "d", "--out", "o", "--vary", "lr=0.1"])
+        assert args.threads == 1
+
     def test_missing_vary_exits_one(self, tmp_path, capsys):
         data = make_dataset(tmp_path / "ds")
         code = main(["sweep", "--data", str(data), "--out", str(tmp_path / "x")])

@@ -196,7 +196,7 @@ class TestRankingMetrics:
 class TestSplitHyperedges:
     def ten_edge_graph(self):
         edges = [tuple(range(i, i + 3)) for i in range(10)]
-        return build_hypergraph(edges, 12)
+        return build_hypergraph(edges, 12, node_type=list("ab") * 6)
 
     def test_eighty_twenty_counts(self):
         g = self.ten_edge_graph()
@@ -220,8 +220,22 @@ class TestSplitHyperedges:
         # node 11 appears only in the last hyperedge; held out, it must stay
         g = self.ten_edge_graph()
         for seed in range(10):
-            train_g, _ = split_hyperedges(g, 0.8, rng=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HypergraphWarning)
+                train_g, _ = split_hyperedges(g, 0.8, rng=seed)
             assert train_g.num_nodes == g.num_nodes
+            assert train_g.node_type == g.node_type
+
+    def test_uncovered_node_warns_once_during_the_split(self):
+        g = build_hypergraph([(0, 1), (1, 2), (2, 3)], 4)
+        with pytest.warns(HypergraphWarning, match="isolated") as caught:
+            train_g, held = split_hyperedges(g, 0.5, rng=1)
+        assert held == [(2, 3)]  # node 3 is in no train hyperedge
+        assert [str(w.message) for w in caught] == ["1 isolated node(s): inverse degree taken as 0"]
+        with warnings.catch_warnings(record=True) as later:
+            warnings.simplefilter("always")
+            train_g.pack
+        assert later == []
 
     def test_deterministic_per_seed(self):
         g = self.ten_edge_graph()
@@ -268,6 +282,7 @@ class TestSplitLinks:
             assert g.node_type[query] == "frag"
             assert g.node_type[truth] == "style"
         assert train_g.num_incidences == g.num_incidences - 3
+        assert train_g.num_nodes == g.num_nodes and train_g.node_type == g.node_type
 
     def test_query_is_lowest_index_member(self):
         types = ["frag", "frag", "style"]
@@ -286,8 +301,13 @@ class TestSplitLinks:
         # hyperedge empties out and its links have no query node
         types = ["frag", "style", "style"]
         g = build_hypergraph([(1, 2), (0, 1)], 3, node_type=types)
-        with pytest.warns(HypergraphWarning, match="no query"):
+        with pytest.warns(HypergraphWarning) as caught:
             train_g, pairs = split_links(g, 0.9, "style", rng=0)
+        assert [str(w.message) for w in caught] == [
+            "held-out link (0, 1) has no query node; skipped",
+            "held-out link (0, 2) has no query node; skipped",
+            "2 isolated node(s): inverse degree taken as 0",
+        ]
         assert pairs == [(0, 1)]
         assert train_g.edges.tuples() == [(0,)]
 

@@ -12,7 +12,6 @@ from hyperemb import (
     build_hypergraph,
     init_hyperedge_features,
     init_node_features,
-    node_adjacency,
     randomized_svd,
     svd_features,
 )
@@ -124,7 +123,7 @@ def cliques(sizes, isolated=0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HypergraphWarning)
         g = build_hypergraph(edges, start + isolated)
-        return node_adjacency(g)
+        return g.pack.adjacency
 
 
 class TestSymmetricBootstrap:
@@ -137,7 +136,7 @@ class TestSymmetricBootstrap:
         edges, n = random_hypergraph(rng, max_nodes=14, max_edges=8, connected_degrees=seed % 2 == 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypergraphWarning)
-            a = node_adjacency(build_hypergraph(edges, n))
+            a = build_hypergraph(edges, n).pack.adjacency
             lam, v = dense_top(a.toarray(), n)
             tol = n * np.finfo(np.float64).eps * lam[0]
             for f in range(1, n + 1):
@@ -260,8 +259,8 @@ class TestInitNodeFeatures:
         assert_allclose(init_node_features(triangle, 2, given=given), given)
 
     def test_triangle_matches_dense_oracle(self, triangle):
-        x = svd_features(node_adjacency(triangle), 2, rng=5)
-        a = np.asarray(node_adjacency(triangle).toarray())
+        x = svd_features(triangle.pack.adjacency, 2, rng=5)
+        a = np.asarray(triangle.pack.adjacency.toarray())
         w, v = np.linalg.eigh(a)
         order = np.argsort(-np.abs(w))[:2]
         expected = v[:, order] * np.sqrt(np.abs(w[order]))

@@ -18,8 +18,6 @@ from hyperemb import (
     incidence_matrix,
     init_hyperedge_features,
     init_node_features,
-    node_adjacency,
-    replace_edges,
     train,
 )
 from hyperemb import hypergraph
@@ -69,15 +67,6 @@ class TestBuild:
         assert g.nodes_of_type("a") == [0, 2]
         assert g.nodes_of_type("missing") == []
 
-    def test_replace_edges_keeps_nodes_and_types(self):
-        g = build_hypergraph([(0, 1), (1, 2)], 4, node_type=list("abcd"))
-        g2 = replace_edges(g, [(2, 3)])
-        assert g2.num_nodes == 4
-        assert g2.node_type == g.node_type
-        assert g2.edges.tuples() == [(2, 3)]
-        with pytest.warns(HypergraphWarning, match="2 isolated"):
-            assert g2.node_edges[0].tolist() == []
-
     def test_structure_matches_loop_oracle(self, rng):
         for _ in range(30):
             edges, n = random_hypergraph(rng)
@@ -125,8 +114,8 @@ class TestMatrices:
         assert triangle.pack.d_e.tolist() == [2, 2, 3]
         assert_allclose(triangle.pack.d_inv, [1 / 2, 1 / 3, 1 / 2])
         assert_allclose(triangle.pack.de_inv, [1 / 2, 1 / 2, 1 / 3])
-        assert node_adjacency(triangle).sum(axis=1).tolist() == [3, 4, 3]
-        assert_allclose(node_adjacency(triangle).toarray(), [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+        assert triangle.pack.adjacency.sum(axis=1).tolist() == [3, 4, 3]
+        assert_allclose(triangle.pack.adjacency.toarray(), [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
 
     def test_degree_vectors_read_only(self, triangle):
         pack = triangle.pack
@@ -146,7 +135,7 @@ class TestMatrices:
             edges, n = random_hypergraph(rng)
             g = build_hypergraph(edges, n)
             assert_allclose(
-                node_adjacency(g).toarray(), brute_node_adjacency(edges, n), atol=1e-10
+                g.pack.adjacency.toarray(), brute_node_adjacency(edges, n), atol=1e-10
             )
 
     def test_incidence_matches_oracle(self, rng):
@@ -235,9 +224,9 @@ class TestTransitions:
             assert_allclose(p_e.toarray(), op_e, atol=1e-10)
 
     def test_isolated_node_warns_and_zeroes(self):
-        g = build_hypergraph([(0, 1)], 3)  # node 2 isolated
         with pytest.warns(HypergraphWarning, match="isolated"):
-            p, p_e = transition_matrices(g)
+            g = build_hypergraph([(0, 1)], 3)  # node 2 isolated
+        p, p_e = transition_matrices(g)
         dense = np.asarray(p.toarray())
         assert_allclose(dense[:, 2], 0.0)
         assert_allclose(dense[2, :], 0.0)
@@ -262,7 +251,7 @@ class TestGraphPack:
 
     def test_pack_kept_with_the_graph(self, triangle, calls):
         assert triangle.pack is triangle.pack
-        node_adjacency(triangle)
+        triangle.pack.adjacency
         transition_matrices(triangle)
         assert calls == [triangle]
         assert_allclose(triangle.pack.h.toarray(), incidence_matrix(triangle).toarray())
@@ -278,8 +267,8 @@ class TestGraphPack:
         assert calls == [g]
 
     def test_adjacency_is_one_read_only_copy(self, triangle):
-        a = node_adjacency(triangle)
-        assert a is triangle.pack.adjacency is node_adjacency(triangle)
+        a = triangle.pack.adjacency
+        assert a is triangle.pack.adjacency
         for arr in (a.data, a.indices, a.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
@@ -299,9 +288,9 @@ class TestGraphPack:
         assert built == [g.pack]
 
     def test_isolated_node_warns_once_per_graph(self):
-        g = build_hypergraph([(0, 1, 2), (1, 3)], 5)  # node 4 isolated
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            g = build_hypergraph([(0, 1, 2), (1, 3)], 5)  # node 4 isolated
             z1 = init_node_features(g, 2, rng=0)
             init_hyperedge_features(g, z1)
             for tag in ("base", "p2"):
@@ -313,9 +302,13 @@ class TestGraphPack:
             "1 isolated node(s): inverse degree taken as 0"
         ]
 
-    @pytest.mark.parametrize("attr", ["pack", "node_edges"])
-    def test_isolated_node_warning_names_the_reader(self, attr):
-        g = build_hypergraph([(0, 1)], 3)  # node 2 isolated
+    def test_isolated_node_warning_names_the_builder(self):
         with pytest.warns(HypergraphWarning, match="isolated") as caught:
-            getattr(g, attr)
+            g = build_hypergraph([(0, 1)], 3)  # node 2 isolated
         assert [w.filename for w in caught] == [__file__]
+        with warnings.catch_warnings(record=True) as later:
+            warnings.simplefilter("always")
+            g.pack
+            g.node_edges
+            init_node_features(g, 2)
+        assert later == []
