@@ -15,12 +15,16 @@ stream at all: no S_e, Y(0), Y update or W_e.  The hyperedge-dependent
 embedding of node i in hyperedge e, act([z_i ; mean of e's rows of Z(L)] @
 psi), is computed from Z(L) alone (``training.dependent_embeddings``).
 
-Every operator is an ``Operator``: a sum of products of the scaled incidence
-factors D^-1 H, H De^-1, D^-1 H De^-1 and their transposes, as the paper
-writes them, applied factor by factor.  No product is multiplied out, so
-every stored factor has one nonzero per incidence, and a build is three
-scalings of H and one transpose.  ``build_operators`` returns read-only
-arrays; ``train`` and each checkpoint replay build their own.
+Every operator is a product of the scaled incidence factors D^-1 H, H De^-1
+and their transposes, as the paper writes them, applied factor by factor:
+no product is multiplied out.  Each variant applies its aggregates, S_v Z
++ B_v Y and base's S_e Y + B_e Z, and their adjoints through one method per
+stream and direction (``PropagationOperators.node_aggregate`` and the
+rest), and every intermediate two terms share is formed once.  D^-1 H De^-1
+is never stored: D^-1 H De^-1 w = D^-1 * (H De^-1 w).  A build is at most
+two scalings of H, with every transpose a CSC view; ``build_operators``
+returns read-only arrays, and ``train`` and each checkpoint replay build
+their own.
 
 Before W(0), layer 0 only aggregates fixed inputs through fixed operators.
 So a ``ForwardInputs`` holds Z(0), Y(0) and their layer-0 products,
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -172,26 +175,44 @@ def activate(
     return value, deriv
 
 
+# the factor each sparse product of one application reads, per variant and operator.  An
+# adjoint reads the same factors, transposed.  B_v and B_e share their one product with
+# S_v and S_e, so an aggregate S_v Z + B_v Y makes as many products as S_v Z alone
+_PRODUCTS = {
+    "base": {"s_v": ("hd", "hde", "hd", "hd"), "s_e": ("hde", "hd", "hde", "hde"),
+             "b_v": ("hd",), "b_e": ("hde",)},
+    "p2": {"s_v": ("hd", "hde") * 2},
+    "plusplus": {"s_v": ("hd", "hde", "hde", "hd", "hd")},
+    "wt": {"s_v": ("hd", "hde", "hd", "hd")},
+    "h2": {"s_v": ("h",) * 3},
+}
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A sum of sparse products, applied without multiplying them out.
+    """S_v, S_e, B_v or B_e of one ``PropagationOperators``, or its transpose.
 
-    Each term is a tuple of sparse factors (CSR, or the CSC view ``.T`` of
-    one) applied right to left, one ``f @ y`` per factor; the terms' results
-    are summed in order.  ``data``, ``indices`` and ``indptr`` are the
-    factors' arrays, concatenated when there are several, so their
-    ``nbytes`` count what the operator reads per application.
+    ``op @ x`` runs the aggregate the operator belongs to (``op.T @ x`` the
+    adjoint) with the other operand left out, so it makes the products that
+    ``forward`` and ``training.backward`` make.  ``factors`` are the sparse
+    factors one application multiplies by, one per product; ``nnz`` and the
+    ``nbytes`` of ``data``, ``indices`` and ``indptr`` count what an
+    application reads.
     """
 
-    terms: tuple[tuple[sparse.sparray, ...], ...]
+    ops: "PropagationOperators"
+    name: str
+    transposed: bool = False
 
     @property
     def factors(self) -> list[sparse.sparray]:
-        return [f for term in self.terms for f in term]
+        return [getattr(self.ops, f) for f in _PRODUCTS[self.ops.tag][self.name]]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.terms[0][0].shape[0], self.terms[0][-1].shape[1]
+        n, m = self.ops.h.shape
+        rows, cols = {"s_v": (n, n), "s_e": (m, m), "b_v": (n, m), "b_e": (m, n)}[self.name]
+        return (cols, rows) if self.transposed else (rows, cols)
 
     @property
     def nnz(self) -> int:
@@ -200,22 +221,18 @@ class Operator:
 
     @property
     def T(self) -> "Operator":
-        return Operator(tuple(tuple(f.T for f in reversed(term)) for term in self.terms))
+        return Operator(self.ops, self.name, not self.transposed)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = None
-        for term in self.terms:
-            y = x
-            for f in reversed(term):
-                y = f @ y
-            if out is None:
-                out = y
-            else:  # the first term's result is a fresh product, so it takes the sum
-                out += y
-        return out
+        b, node = self.name.startswith("b"), self.name.endswith("v")
+        if self.transposed:
+            adjoint = self.ops.node_adjoint if node else self.ops.edge_adjoint
+            return adjoint(x, with_s=not b)[int(b)]
+        aggregate = self.ops.node_aggregate if node else self.ops.edge_aggregate
+        return aggregate(None, x) if b else aggregate(x)
 
     def toarray(self) -> np.ndarray:
-        return sum(functools.reduce(operator.matmul, term).toarray() for term in self.terms)
+        return self @ np.eye(self.shape[1])
 
     def _stored(self, name: str) -> np.ndarray:
         arrays = [getattr(f, name) for f in self.factors]
@@ -228,61 +245,145 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class PropagationOperators:
-    """The propagation operators for one (graph, variant) pair.
+    """The propagation operators for one (graph, variant) pair, as the factors they read.
 
-    s_e, b_v and b_e are None for the decoupled variants, which have no Y stream.
+    ``h`` is the graph's H, and ``hd`` = D^-1 H and ``hde`` = H De^-1 are its
+    scalings, None for h2, which reads H alone.  With P = H De^-1 (D^-1 H)^T,
+    each method applies one aggregate or adjoint of every variant, and forms
+    each intermediate that two terms share once.  The in-place scalings write
+    only those intermediates, never an operand.  s_e, b_v and b_e are None
+    for the decoupled variants, which have no Y stream.
     """
 
     tag: str
-    s_v: Operator
-    s_e: Optional[Operator]
-    b_v: Optional[Operator] = None
-    b_e: Optional[Operator] = None
+    h: sparse.csr_array
+    d_inv: np.ndarray
+    de_inv: np.ndarray
+    hd: Optional[sparse.csr_array] = None
+    hde: Optional[sparse.csr_array] = None
+
+    def _view(self, name: str) -> Optional[Operator]:
+        return Operator(self, name) if name in _PRODUCTS[self.tag] else None
+
+    s_v = property(lambda self: self._view("s_v"))
+    s_e = property(lambda self: self._view("s_e"))
+    b_v = property(lambda self: self._view("b_v"))
+    b_e = property(lambda self: self._view("b_e"))
 
     @property
     def num_nodes(self) -> int:
-        return self.s_v.shape[0]
+        return self.h.shape[0]
+
+    def node_aggregate(self, z: Optional[np.ndarray], y: Optional[np.ndarray] = None) -> np.ndarray:
+        """S_v Z + B_v Y, leaving out a term whose operand is None; only base has B_v."""
+        hd, hde, d_inv, de_inv = self.hd, self.hde, self.d_inv[:, None], self.de_inv[:, None]
+        if self.tag == "base":  # D^-1H ((D^-1H)^T H De^-1 (De^-1 * (D^-1H)^T Z) + Y)
+            if z is None:
+                return hd @ y
+            a = hd.T @ z
+            a *= de_inv
+            a = hd.T @ (hde @ a)
+            if y is not None:
+                a += y
+            return hd @ a
+        if self.tag == "p2":  # (1 + D^-1) * c + P c with c = P Z
+            c = hde @ (hd.T @ z)
+            out = hde @ (hd.T @ c)
+            c *= 1.0 + d_inv
+            out += c
+            return out
+        if self.tag == "plusplus":  # D^-1H (D^-1H)^T H De^-1 (De^-1 * a) + H De^-1 a
+            # with a = (D^-1H)^T Z
+            a = hd.T @ z
+            pz = hde @ a
+            a *= de_inv
+            out = hd @ (hd.T @ (hde @ a))
+            out += pz
+            return out
+        if self.tag == "wt":
+            return hd @ (hd.T @ (hde @ (hd.T @ z)))
+        e = self.h.T @ (d_inv * z)  # h2: H (De^-1 * H^T (D^-1 Z) + H^T Z)
+        e *= de_inv
+        e += self.h.T @ z
+        return self.h @ e
+
+    def edge_aggregate(self, y: Optional[np.ndarray], z: Optional[np.ndarray] = None) -> np.ndarray:
+        """base's S_e Y + B_e Z, leaving out a term whose operand is None:
+        (H De^-1)^T (H De^-1 (D^-1H)^T (D^-1 * H De^-1 Y) + Z)."""
+        if y is None:
+            return self.hde.T @ z
+        c = self.hde @ y
+        c *= self.d_inv[:, None]
+        c = self.hde @ (self.hd.T @ c)
+        if z is not None:
+            c += z
+        return self.hde.T @ c
+
+    def node_adjoint(
+        self, du: np.ndarray, with_s: bool = True
+    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """(S_v^T du, B_v^T du); the first is None without ``with_s``, the second
+        for a decoupled variant."""
+        hd, hde, d_inv, de_inv = self.hd, self.hde, self.d_inv[:, None], self.de_inv[:, None]
+        if self.tag == "base":  # B_v^T du = (D^-1H)^T du is S_v^T du's first product
+            a = hd.T @ du
+            if not with_s:
+                return None, a
+            c = hde.T @ (hd @ a)
+            c *= de_inv
+            return hd @ c, a
+        if self.tag == "p2":  # P^T ((1 + D^-1) * du + P^T du)
+            c = hd @ (hde.T @ du)
+            c += (1.0 + d_inv) * du
+            return hd @ (hde.T @ c), None
+        if self.tag == "plusplus":  # D^-1H (De^-1 * (H De^-1)^T D^-1H (D^-1H)^T du + (H De^-1)^T du)
+            c = hde.T @ (hd @ (hd.T @ du))
+            c *= de_inv
+            c += hde.T @ du
+            return hd @ c, None
+        if self.tag == "wt":
+            return hd @ (hde.T @ (hd @ (hd.T @ du))), None
+        e = self.h.T @ du  # h2: H H^T du + D^-1 * H (De^-1 * H^T du)
+        out = self.h @ e
+        e *= de_inv
+        c = self.h @ e
+        c *= d_inv
+        out += c
+        return out, None
+
+    def edge_adjoint(
+        self, dv: np.ndarray, with_s: bool = True
+    ) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """base's (S_e^T dv, B_e^T dv), the first None without ``with_s``;
+        B_e^T dv = H De^-1 dv is S_e^T dv's first product."""
+        b = self.hde @ dv
+        if not with_s:
+            return None, b
+        c = self.hd @ (self.hde.T @ b)
+        c *= self.d_inv[:, None]
+        return self.hde.T @ c, b
 
 
 def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
     """Assemble the propagation operators for the given variant.
 
-    Each operator is a sum of products of the scaled incidence factors, kept
-    as chains of those factors; P = H De^-1 (D^-1 H)^T and
-    P_e = (D^-1 H)^T H De^-1 are written as their two factors.  The factors'
-    arrays are read-only.
+    Only the scalings of H the variant reads are built: D^-1 H and H De^-1,
+    each one CSR of one nonzero per incidence, or none for h2.  Every
+    transpose is a CSC view.  The arrays of every factor the variant reads
+    are read-only.
     """
     if isinstance(variant, str):
         variant = VariantKind(tag=variant)
     h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
-
-    hd = canonical(h.multiply(d_inv[:, np.newaxis]))  # D^-1 H
-    hde = canonical(h.multiply(de_inv[np.newaxis, :]))  # H De^-1
-    hdd = canonical(hd.multiply(de_inv[np.newaxis, :]))  # D^-1 H De^-1
-    dt = canonical(hd.T)  # (D^-1 H)^T, stored row-wise
-    p, p_e = (hde, dt), (dt, hde)
-
-    tag = variant.tag
-    if tag == "base":
-        ops = PropagationOperators(
-            tag,
-            Operator(((hd, *p_e, hdd.T),)),
-            Operator(((hde.T, *p, hdd),)),
-            b_v=Operator(((hd,),)),
-            b_e=Operator(((hde.T,),)),
-        )
-    else:
-        s_v = {
-            "p2": ((hdd, hd.T), p, (*p, *p)),
-            "plusplus": ((hd, *p_e, hdd.T), p),
-            "wt": ((hd, *p_e, hd.T),),
-            "h2": ((h, h.T), p),
-        }[tag]
-        ops = PropagationOperators(tag, Operator(s_v), None)
-    for op in (ops.s_v, ops.s_e, ops.b_v, ops.b_e):
-        for f in op.factors if op is not None else ():
-            for a in (f.data, f.indices, f.indptr):
-                a.setflags(write=False)
+    scaled = {}
+    if variant.tag != "h2":
+        scaled = {"hd": canonical(h.multiply(d_inv[:, np.newaxis])),
+                  "hde": canonical(h.multiply(de_inv[np.newaxis, :]))}
+    ops = PropagationOperators(variant.tag, h, d_inv, de_inv, **scaled)
+    for name in {f for reads in _PRODUCTS[variant.tag].values() for f in reads}:
+        f = getattr(ops, name)
+        for a in (f.data, f.indices, f.indptr):
+            a.setflags(write=False)
     return ops
 
 
@@ -447,15 +548,12 @@ class ForwardInputs:
     @functools.cached_property
     def agg_z0(self) -> np.ndarray:
         """agg_z[0], the aggregate W(0) reads: S_v Z(0), plus B_v Y(0) for base."""
-        agg = self.ops.s_v @ self.z0
-        if self.ops.b_v is not None:
-            agg = agg + self.ops.b_v @ self.y0
-        return _read_only(agg)
+        return _read_only(self.ops.node_aggregate(self.z0, self.y0))
 
     @functools.cached_property
     def s_e_y0(self) -> np.ndarray:
         """S_e Y(0), the first term of base's agg_y[0]."""
-        return _read_only(self.ops.s_e @ self.y0)
+        return _read_only(self.ops.edge_aggregate(self.y0))
 
 
 def forward(
@@ -469,8 +567,9 @@ def forward(
     """Run all layers, caching everything the backward pass needs.
 
     ``inputs`` must have been built on ``ops``.  Layer 0 reads its
-    aggregates from ``inputs``, so a forward applies S_v (and base's B_v and
-    B_e) L-1 times and base's S_e L-2 times, never at L = 1.  Only the
+    aggregates from ``inputs``, so a forward forms S_v Z(k) (+ B_v Y(k)) for
+    k = 1..L-1 and base's S_e Y(k) + B_e Z(k+1) for k = 1..L-2; layer 0's Y
+    update adds B_e Z(1) to the held S_e Y(0).  Only the
     coupled ``base`` variant runs the Y update, for k < L-1; a decoupled
     variant runs the Z stream alone, in training and eval mode alike.
     """
@@ -491,9 +590,7 @@ def forward(
     state = EmbeddingState(z=[z0], y=ys, agg_z=[], agg_y=[], deriv_z=[], deriv_y=[])
     for k in range(params.layers):
         if k:
-            agg_z = ops.s_v @ state.z[k]
-            if ops.b_v is not None:
-                agg_z = agg_z + ops.b_v @ state.y[k]
+            agg_z = ops.node_aggregate(state.z[k], state.y[k] if variant.coupled else None)
         else:
             agg_z = inputs.agg_z0
         z_next, dz = activate(variant.sigma_v, agg_z @ params.w[k], rng, training)
@@ -502,7 +599,7 @@ def forward(
         state.deriv_z.append(dz)
         if not variant.coupled or k == params.layers - 1:
             continue
-        agg_y = (ops.s_e @ state.y[k] if k else inputs.s_e_y0) + ops.b_e @ z_next
+        agg_y = ops.edge_aggregate(state.y[k], z_next) if k else inputs.s_e_y0 + ops.b_e @ z_next
         y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
         state.y.append(y_next)
         state.agg_y.append(agg_y)

@@ -378,7 +378,9 @@ def backward(
     Only adjoints that reach a weight are formed.  The Y adjoint starts at
     the top layer's B_v^T term, and the loop ends at W(0)'s gradient, so
     Z(0) and Y(0), the fixed inputs, get none: layer 0 applies no S_v^T,
-    B_v^T or S_e^T, only the B_e^T that feeds W(0).
+    B_v^T or S_e^T, only the B_e^T that feeds W(0).  Each layer's S_v^T du
+    and B_v^T du come from one ``node_adjoint``, and S_e^T dv and B_e^T dv
+    from one ``edge_adjoint``, which share their intermediates.
     """
     if state.layers != params.layers or not state.agg_z:
         raise DataError("forward caches missing or layer counts disagree")
@@ -399,18 +401,15 @@ def backward(
         if dy is not None:
             gy = np.multiply(dy, state.deriv_y[k], out=dy)
             grads.w_e[k] = state.agg_y[k].T @ gy
-            dv = gy @ params.w_e[k].T
-            dy = ops.s_e.T @ dv if k else None
-            dz = dz + ops.b_e.T @ dv
+            dy, dz_e = ops.edge_adjoint(gy @ params.w_e[k].T, with_s=k > 0)
+            dz = dz + dz_e
         gz = np.multiply(dz, state.deriv_z[k], out=dz if owned else None)
         owned = True  # every later dz is a fresh product
         grads.w[k] = state.agg_z[k].T @ gz
         if not k:
             break
-        du = gz @ params.w[k].T
-        dz = ops.s_v.T @ du
-        if ops.b_v is not None:
-            dy_v = ops.b_v.T @ du
+        dz, dy_v = ops.node_adjoint(gz @ params.w[k].T)
+        if dy_v is not None:
             dy = dy_v if dy is None else dy + dy_v
     return grads
 

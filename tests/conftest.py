@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
@@ -30,6 +31,18 @@ def rng():
 def row_blocks_forced(monkeypatch):
     """Run every activation in row blocks of four elements, so each array spans several."""
     monkeypatch.setattr(model, "ROW_BLOCK", 4)
+
+
+@pytest.fixture
+def sparse_products(monkeypatch):
+    """A list that gains the factor's shape for every sparse product ``f @ x`` run in the test."""
+    log = []
+    for cls in (sparse.csr_array, sparse.csc_array):
+        def counted(f, x, run=cls.__matmul__):
+            log.append(f.shape)
+            return run(f, x)
+        monkeypatch.setattr(cls, "__matmul__", counted)
+    return log
 
 
 def graph_of(edges, n):

@@ -191,22 +191,20 @@ def whole_activation(tag, x, rng=None, training=False):
 
 
 def whole_forward(ops, params, inputs, variant, rng=None, training=False):
-    """The layer loop of ``model.forward`` with each layer's ``agg @ W``, activation
-    and derivative as whole-array expressions (``whole_activation``): a dict of
-    the state's lists."""
+    """The layer loop of ``model.forward``, through the same aggregates, with each
+    layer's ``agg @ W``, activation and derivative as whole-array expressions
+    (``whole_activation``): a dict of the state's lists."""
     _held_we(ops.tag, params.layers, len(params.w_e))
     st = {"z": [inputs.z0], "y": [inputs.y0] if variant.coupled else [],
           "agg_z": [], "agg_y": [], "deriv_z": [], "deriv_y": []}
     for k, w in enumerate(params.w):
-        agg_z = inputs.agg_z0 if k == 0 else ops.s_v @ st["z"][k]
-        if k and ops.b_v is not None:
-            agg_z = agg_z + ops.b_v @ st["y"][k]
+        agg_z = inputs.agg_z0 if k == 0 else ops.node_aggregate(st["z"][k], st["y"][k] if st["y"] else None)
         z_next, dz = whole_activation(variant.sigma_v, agg_z @ w, rng, training)
         st["z"].append(z_next)
         st["agg_z"].append(agg_z)
         st["deriv_z"].append(dz)
         if k < len(params.w_e):
-            agg_y = (ops.s_e @ st["y"][k] if k else inputs.s_e_y0) + ops.b_e @ z_next
+            agg_y = ops.edge_aggregate(st["y"][k], z_next) if k else inputs.s_e_y0 + ops.b_e @ z_next
             y_next, dy = whole_activation(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
             st["y"].append(y_next)
             st["agg_y"].append(agg_y)
@@ -218,9 +216,10 @@ def full_backward(state, ops, params, d_z_final):
     """Reverse mode through every adjoint, pruning nothing: the W and W_e gradients.
 
     ``params`` hold W_e(0..L-2) for base and none otherwise.  The Y adjoint
-    starts at zeros, every Y update the state cached is undone, and layer 0
-    still propagates into Z(0) and Y(0).  ``training.backward`` must give the
-    same floats while skipping what no weight reads.
+    starts at zeros, every Y update the state cached is undone through both
+    of its adjoints, and layer 0 still propagates into Z(0) and Y(0).
+    ``training.backward`` must give the same floats while skipping what no
+    weight reads.
     """
     _held_we(ops.tag, params.layers, len(params.w_e))
     grads_w = [np.zeros_like(a) for a in params.w]
@@ -231,15 +230,13 @@ def full_backward(state, ops, params, d_z_final):
         if k < len(state.agg_y):
             gy = dy * state.deriv_y[k]
             grads_we[k] = state.agg_y[k].T @ gy
-            dv = gy @ params.w_e[k].T
-            dy = ops.s_e.T @ dv
-            dz = dz + ops.b_e.T @ dv
+            dy, dz_e = ops.edge_adjoint(gy @ params.w_e[k].T)
+            dz = dz + dz_e
         gz = dz * state.deriv_z[k]
         grads_w[k] = state.agg_z[k].T @ gz
-        du = gz @ params.w[k].T
-        dz = ops.s_v.T @ du
-        if ops.b_v is not None:
-            dy = dy + ops.b_v.T @ du
+        dz, dy_v = ops.node_adjoint(gz @ params.w[k].T)
+        if dy_v is not None:
+            dy = dy + dy_v
     return grads_w, grads_we
 
 

@@ -92,12 +92,14 @@ class TestActivations:
 
 
 # edge lists and node counts of the operator tests' graphs; "isolated" is the
-# triangle with two more nodes that are in no hyperedge
+# triangle with two more nodes that are in no hyperedge, and "lonely" the ragged
+# graph's singleton hyperedges with two such nodes
 NAMED_GRAPHS = {
     "digest": (_graph_edges(5, 16, 12), 16),
     "triangle": (TRIANGLE_EDGES, 3),
     "ragged": (RAGGED_EDGES, 5),
     "isolated": (TRIANGLE_EDGES, 5),
+    "lonely": (RAGGED_EDGES, 7),
 }
 
 
@@ -160,7 +162,7 @@ class TestOperator:
                 op = getattr(ops, name)
                 if op is None:
                     continue
-                assert all(len(term) > 1 for term in op.terms) or name.startswith("b_")
+                assert len(op.factors) > 1 or name.startswith("b_")
                 dense = op.toarray()
                 x = rng.standard_normal((op.shape[1], 3))
                 xt = rng.standard_normal((op.shape[0], 3))
@@ -172,9 +174,9 @@ class TestOperator:
         edges, n = random_hypergraph(rng)
         g = build_hypergraph(edges, n)
         for op in (build_operators(g, "plusplus").s_v, build_operators(g, "base").s_e):
-            assert op.nnz == sum(f.nnz for term in op.terms for f in term)
+            assert op.nnz == sum(f.nnz for f in op.factors)
             for name in ("data", "indices", "indptr"):
-                arrays = [getattr(f, name) for term in op.terms for f in term]
+                arrays = [getattr(f, name) for f in op.factors]
                 assert getattr(op, name).nbytes == sum(a.nbytes for a in arrays)
 
     @pytest.mark.parametrize("graph", ["digest", "triangle", "ragged", "isolated"])
@@ -193,6 +195,63 @@ class TestOperator:
             xt = rng.standard_normal((op.shape[0], 3))
             assert_allclose(op @ x, dense @ x, atol=1e-10, err_msg=f"{tag} {name}")
             assert_allclose(op.T @ xt, dense.T @ xt, atol=1e-10, err_msg=f"{tag} {name}")
+
+
+class TestAggregates:
+    """Each variant's aggregates and adjoints, which share their intermediates, against
+    the dense operators, and what they may write."""
+
+    @staticmethod
+    def operands(n, m, seed=0):
+        """z and du over nodes, y and dv over hyperedges, all read-only."""
+        draw = np.random.default_rng(seed)
+        arrays = [draw.standard_normal(shape) for shape in ((n, 3), (m, 3), (n, 3), (m, 3))]
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    @pytest.mark.parametrize("graph", ["lonely", "ragged", "isolated", "digest"])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_match_the_dense_operators(self, tag, graph):
+        edges, n = NAMED_GRAPHS[graph]
+        ops = build_operators(graph_of(edges, n), tag)
+        s_v, s_e, b_v, b_e = dense_operators(edges, n, tag)
+        z, y, du, dv = self.operands(n, len(edges))
+        if tag != "base":
+            assert_allclose(ops.node_aggregate(z), s_v @ z, atol=1e-12)
+            got, none = ops.node_adjoint(du)
+            assert_allclose(got, s_v.T @ du, atol=1e-12)
+            assert none is None
+            return
+        assert_allclose(ops.node_aggregate(z, y), s_v @ z + b_v @ y, atol=1e-12)
+        assert_allclose(ops.edge_aggregate(y, z), s_e @ y + b_e @ z, atol=1e-12)
+        for adjoint, d, s, b in ((ops.node_adjoint, du, s_v, b_v), (ops.edge_adjoint, dv, s_e, b_e)):
+            got_s, got_b = adjoint(d)
+            assert_allclose(got_s, s.T @ d, atol=1e-12)
+            assert_allclose(got_b, b.T @ d, atol=1e-12)
+            skipped, alone = adjoint(d, with_s=False)
+            assert skipped is None and np.array_equal(alone, got_b)
+
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_inputs_are_left_bitwise_unchanged(self, tag):
+        edges, n = NAMED_GRAPHS["lonely"]
+        ops = build_operators(graph_of(edges, n), tag)
+        operands = self.operands(n, len(edges), seed=1)
+        kept = [a.copy() for a in operands]
+        z, y, du, dv = operands  # read-only, so a write into one raises
+        ops.node_aggregate(z, y if tag == "base" else None)
+        ops.node_adjoint(du)
+        for name in ("s_v", "s_e", "b_v", "b_e"):
+            op = getattr(ops, name)
+            if op is not None:
+                op @ (z if op.shape[1] == n else y)
+                op.T @ (du if op.shape[0] == n else dv)
+        if tag == "base":
+            ops.edge_aggregate(y, z)
+            ops.edge_adjoint(dv)
+            ops.edge_adjoint(dv, with_s=False)
+        for a, b in zip(operands, kept):
+            assert np.array_equal(a, b) and not a.flags.writeable
 
 
 def seeded_params(dims, variant, seed=0, **kw):
@@ -363,7 +422,8 @@ class TestForwardInputs:
         v, ops, z0, y0 = self.built(tag)
         inputs = ForwardInputs(ops, z0, y0)
         if v.coupled:
-            assert np.array_equal(inputs.agg_z0, ops.s_v @ z0 + ops.b_v @ y0)
+            assert np.array_equal(inputs.agg_z0, ops.node_aggregate(z0, y0))
+            assert_allclose(inputs.agg_z0, ops.s_v @ z0 + ops.b_v @ y0, atol=1e-12)
             assert np.array_equal(inputs.s_e_y0, ops.s_e @ y0)
             assert np.array_equal(inputs.y0, y0)
         else:

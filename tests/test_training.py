@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import math
 import os
@@ -695,34 +694,6 @@ class TestBackwardScalarChain:
         assert grads.w_e == []  # decoupled: no Y stream, so no W_e
 
 
-class _Counted:
-    """An operator that logs its name each time it, or its transpose, is applied."""
-
-    def __init__(self, op, name, log):
-        self.op, self.name, self.log = op, name, log
-
-    @property
-    def T(self):
-        return _Counted(self.op.T, self.name, self.log)
-
-    @property
-    def shape(self):
-        return self.op.shape
-
-    def __matmul__(self, x):
-        self.log.append(self.name)
-        return self.op @ x
-
-
-class _CountedForward(_Counted):
-    """An operator that logs its own applications but not its transpose's."""
-
-    @property
-    def T(self):
-        return self.op.T
-
-
-OPERATOR_NAMES = ("s_v", "s_e", "b_v", "b_e")
 # the pruned backward's operator applications for 1, 2 and 3 layers
 PRUNED_APPLICATIONS = {
     "decoupled": [{}, {"s_v": 1}, {"s_v": 2}],
@@ -757,35 +728,57 @@ class TestBackwardPrunesUnreadAdjoints:
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_spmm_calls_per_backward(self, tag, layers):
+    def test_spmm_calls_per_backward(self, monkeypatch, sparse_products, tag, layers):
         variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers, graph=self.GRAPH)
         st = _training_forward(ops, params, z0, y0, variant)
-        counted, tally = _counting(ops)
+        tally = _counting(monkeypatch, sparse_products)
         pruned = PRUNED_APPLICATIONS["base" if variant.coupled else "decoupled"][layers - 1]
-        assert tally(lambda: backward(st, counted, params, np.ones_like(z0))) == pruned
+        assert tally(lambda: backward(st, ops, params, np.ones_like(z0))) == pruned
         # the full pass undoes every update of all L layers, layer 0's products included
-        assert tally(lambda: full_backward(st, counted, params, np.ones_like(z0))) == _layer_applications(
+        assert tally(lambda: full_backward(st, ops, params, np.ones_like(z0))) == _layer_applications(
             variant, layers)
 
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_spmm_calls_per_forward(self, tag, layers):
+    def test_spmm_calls_per_forward(self, monkeypatch, sparse_products, tag, layers):
         variant, ops, params, z0, y0 = _grad_setup(tag, "tanh", layers=layers, graph=self.GRAPH)
-        counted, tally = _counting(ops)
-        inputs = ForwardInputs(counted, z0, y0)
+        tally = _counting(monkeypatch, sparse_products)
+        inputs = ForwardInputs(ops, z0, y0)
         # the first forward on the inputs forms layer 0's products, once
-        assert tally(lambda: forward(counted, params, inputs, variant)) == _layer_applications(variant, layers)
+        assert tally(lambda: forward(ops, params, inputs, variant)) == _layer_applications(variant, layers)
         # base at L = 1 runs no Y update, so it never forms S_e Y(0)
         assert ("s_e_y0" in vars(inputs)) == (variant.coupled and layers > 1)
         for training in (False, True):
             states = []
             counts = tally(lambda: states.append(
-                forward(counted, params, inputs, variant, rng=np.random.default_rng(0), training=training)))
+                forward(ops, params, inputs, variant, rng=np.random.default_rng(0), training=training)))
             assert counts == _forward_applications(variant, layers), training
             st = states[0]
             assert len(st.z) == layers + 1 and len(st.agg_z) == len(st.deriv_z) == layers
             n_y = layers if variant.coupled else 0
             assert len(st.y) == n_y and len(st.agg_y) == len(st.deriv_y) == max(n_y - 1, 0)
+
+
+class TestSharedIntermediates:
+    """Each aggregate and adjoint forms an intermediate that two terms share once."""
+
+    def test_p2_training_step_makes_eight_sparse_products(self, sparse_products):
+        variant, ops, params, z0, y0 = _grad_setup("p2", "tanh", layers=2)
+        inputs = ForwardInputs(ops, z0, y0)
+        inputs.agg_z0  # layer 0's products, formed once per trial
+        sparse_products.clear()
+        st = forward(ops, params, inputs, variant, rng=np.random.default_rng(0), training=True)
+        backward(st, ops, params, np.ones_like(z0))
+        # S_v Z(1) and S_v^T du in 4 products each; summed term by term they took 8 each
+        assert len(sparse_products) == 8
+
+    def test_each_base_aggregate_makes_four_sparse_products(self, sparse_products):
+        _, ops, _, z0, y0 = _grad_setup("base", "tanh")
+        for run in (lambda: ops.node_aggregate(z0, y0), lambda: ops.edge_aggregate(y0, z0),
+                    lambda: ops.node_adjoint(z0), lambda: ops.edge_adjoint(y0)):
+            sparse_products.clear()
+            run()
+            assert len(sparse_products) == 4
 
 
 @pytest.mark.usefixtures("row_blocks_forced")
@@ -829,52 +822,47 @@ def _layer_applications(variant, layers):
     return _input_applications(variant, layers) + _forward_applications(variant, layers)
 
 
-def _logged(ops, log, counted=_Counted):
-    """``ops`` with every operator wrapped in ``counted``, logging to ``log``."""
-    return dataclasses.replace(ops, **{
-        name: counted(getattr(ops, name), name, log)
-        for name in OPERATOR_NAMES if getattr(ops, name) is not None
-    })
+def _counting(monkeypatch, products, adjoints=True):
+    """A tally of the operators that the aggregate (and, with ``adjoints``, the
+    adjoint) calls of a run apply, by name.  Each call must make as many sparse
+    products as its operators' ``factors`` list: S's alone when B shares them."""
+    applied = []
 
+    def log(ops, names, run):
+        before = len(products)
+        out = run()
+        assert len(products) - before == len(getattr(ops, names[0]).factors), names
+        applied.extend(names)
+        return out
 
-class _CountedFactor:
-    """A sparse factor that logs each product it, or its transpose, forms."""
+    def aggregate(method, s, b):
+        run = getattr(model.PropagationOperators, method)
 
-    def __init__(self, f, log):
-        self.f, self.log = f, log
+        def counted(ops, x, other=None):
+            names = [name for name, operand in ((s, x), (b, other)) if operand is not None]
+            return log(ops, names, lambda: run(ops, x, other))
+        monkeypatch.setattr(model.PropagationOperators, method, counted)
 
-    @property
-    def T(self):
-        return _CountedFactor(self.f.T, self.log)
+    def adjoint(method, s, b):
+        run = getattr(model.PropagationOperators, method)
 
-    @property
-    def shape(self):
-        return self.f.shape
+        def counted(ops, x, with_s=True):
+            names = [s] * with_s + [b] * (getattr(ops, b) is not None)
+            return log(ops, names, lambda: run(ops, x, with_s=with_s))
+        monkeypatch.setattr(model.PropagationOperators, method, counted)
 
-    def __matmul__(self, x):
-        self.log.append(1)
-        return self.f @ x
-
-
-def _counting(ops):
-    """``ops`` with every operator and every factor logged, and a tally of what a call applies."""
-    applied, products = [], []
-    factored = dataclasses.replace(ops, **{
-        name: model.Operator(tuple(tuple(_CountedFactor(f, products) for f in term) for term in op.terms))
-        for name in OPERATOR_NAMES if (op := getattr(ops, name)) is not None
-    })
-    counted = _logged(factored, applied)
+    aggregate("node_aggregate", "s_v", "b_v")
+    aggregate("edge_aggregate", "s_e", "b_e")
+    if adjoints:
+        adjoint("node_adjoint", "s_v", "b_v")
+        adjoint("edge_adjoint", "s_e", "b_e")
 
     def tally(run):
         applied.clear()
-        products.clear()
         run()
-        counts = {name: applied.count(name) for name in set(applied)}
-        # one product per factor of every term of each operator applied
-        assert len(products) == sum(n * len(getattr(ops, name).factors) for name, n in counts.items())
-        return counts
+        return Counter(applied)
 
-    return counted, tally
+    return tally
 
 
 class TestOptimizers:
@@ -1071,14 +1059,11 @@ class TestTrainSharesLayerZero:
     @pytest.mark.parametrize("task", TASKS)
     @pytest.mark.parametrize("tag", VARIANT_TAGS)
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_operator_applications_per_trial(self, monkeypatch, layers, tag, task):
-        applied, epochs = [], 3
-        build = training.build_operators
-        monkeypatch.setattr(training, "build_operators",
-                            lambda g, variant: _logged(build(g, variant), applied, _CountedForward))
+    def test_operator_applications_per_trial(self, monkeypatch, sparse_products, layers, tag, task):
+        epochs = 3
+        tally = _counting(monkeypatch, sparse_products, adjoints=False)
         cfg = TrainConfig(variant=VariantKind(tag=tag), layers=layers, epochs=epochs, feature_rank=4, seed=1)
-        train(toy_clustered_graph(), cfg, task=task, data=_toy_data(task))
-        counts = Counter(applied)
+        counts = tally(lambda: train(toy_clustered_graph(), cfg, task=task, data=_toy_data(task)))
         # E training forwards and the final eval forward share one inputs object
         assert counts["s_v"] == 1 + (epochs + 1) * (layers - 1)
         per_forward = _forward_applications(cfg.variant, layers)
