@@ -2,7 +2,7 @@
 
 The supported upstream layout is a directory of pickles:
 
-    hypergraph.pickle   dict: hyperedge name -> iterable of node ids
+    hypergraph.pickle   dict: hyperedge name -> iterable of integer node ids
     features.pickle     scipy sparse or dense N x F matrix
     labels.pickle       length-N class ids
     splits/*.pickle     optional dicts with 'train'/'test' node id lists
@@ -13,6 +13,7 @@ anything fails after writing began.
 
 from __future__ import annotations
 
+import numbers
 import pickle
 import shutil
 import warnings
@@ -101,9 +102,13 @@ def convert_hypergcn(
     src_dir = Path(src_dir)
     out_dir = Path(out_dir)
 
-    raw_edges = _load_pickle(src_dir / "hypergraph.pickle")
+    edge_path = src_dir / "hypergraph.pickle"
+    raw_edges = _load_pickle(edge_path)
     if not isinstance(raw_edges, dict) or not raw_edges:
-        raise DataError(f"{src_dir / 'hypergraph.pickle'}: expected a non-empty dict")
+        raise DataError(f"{edge_path}: expected a non-empty dict")
+    for key in sorted(raw_edges, key=str):
+        if bad := [i for i in raw_edges[key] if not isinstance(i, numbers.Integral)]:
+            raise DataError(f"{edge_path}: hyperedge {key!r} lists node id {bad[0]!r}, not an integer")
 
     features = None
     feat_path = src_dir / "features.pickle"
@@ -120,7 +125,7 @@ def convert_hypergcn(
     elif labels is not None:
         num_nodes = labels.shape[0]
     else:
-        num_nodes = max(max(m) for m in raw_edges.values() if len(m)) + 1
+        num_nodes = max((max(m) for m in raw_edges.values() if len(m)), default=-1) + 1
     if labels is not None and labels.shape[0] != num_nodes:
         raise DataError(
             f"{label_path}: {labels.shape[0]} labels for {num_nodes} nodes"
@@ -132,13 +137,10 @@ def convert_hypergcn(
         members = sorted(set(int(i) for i in raw_edges[key]))
         dropped_dups += len(raw_edges[key]) - len(members)
         if not members:
-            raise DataError(f"{src_dir / 'hypergraph.pickle'}: hyperedge {key!r} is empty")
+            raise DataError(f"{edge_path}: hyperedge {key!r} is empty")
         bad = [i for i in members if not 0 <= i < num_nodes]
         if bad:
-            raise DataError(
-                f"{src_dir / 'hypergraph.pickle'}: hyperedge {key!r} node {bad[0]} "
-                f"outside [0, {num_nodes})"
-            )
+            raise DataError(f"{edge_path}: hyperedge {key!r} node {bad[0]} outside [0, {num_nodes})")
         edges.append(tuple(members))
     if dropped_dups:
         warnings.warn(

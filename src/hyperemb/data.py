@@ -156,8 +156,9 @@ def write_splits(dir_path, splits) -> None:
         (dir_path / f"split_{k:02d}.json").write_text(json.dumps(payload))
 
 
-def read_splits(dir_path, num_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every split file's (train, test) node indices, each checked against [0, num_nodes)."""
+def read_splits(dir_path, num_nodes: int, labels=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every split file's (train, test) node indices, each checked against [0, num_nodes)
+    and, given ``labels``, against the nodes labelled -1 (unlabeled)."""
     dir_path = Path(dir_path)
     out = []
     for p in sorted(dir_path.glob("split_*.json")):
@@ -171,6 +172,8 @@ def read_splits(dir_path, num_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]
             bad = idx[(idx < 0) | (idx >= num_nodes)]
             if bad.size:
                 raise DataError(f"{p}: {side} index {bad[0]} outside [0, {num_nodes})")
+            if labels is not None and (unlabeled := idx[labels[idx] < 0]).size:
+                raise DataError(f"{p}: {side} lists node {unlabeled[0]}, which is unlabeled")
         out.append((train, test))
     return out
 
@@ -292,7 +295,7 @@ def load_dataset(dir_path) -> Dataset:
 
     splits = []
     if (dir_path / SPLITS_DIR).is_dir():
-        splits = read_splits(dir_path / SPLITS_DIR, g.num_nodes)
+        splits = read_splits(dir_path / SPLITS_DIR, g.num_nodes, labels)
 
     for key, actual in (
         ("num_nodes", g.num_nodes),

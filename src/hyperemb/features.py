@@ -162,4 +162,4 @@ def init_hyperedge_features(g: Hypergraph, z1: np.ndarray) -> np.ndarray:
         raise DataError(
             f"node features must be 2-d with {g.num_nodes} rows, got shape {z1.shape}"
         )
-    return g.pack.h.T @ (g.pack.d_inv[:, np.newaxis] * z1)
+    return g.pack.hd.T @ z1

@@ -3,10 +3,11 @@
 A hypergraph stores its incidence relation once, as the flat rows ``edges``:
 row ``j`` lists the nodes of hyperedge ``j`` in ascending order.  Row ``i``
 of ``node_edges`` lists the hyperedges of node ``i`` in ascending order; it
-is a read-only view of the incidence matrix H in the graph's pack, which
-each graph derives on first use.  ``build_hypergraph`` validates the rows
-and warns, once per graph, about nodes in no hyperedge.  Instances are
-immutable, safe to share across threads, and compare by identity.
+reads the index arrays of the incidence matrix H in the graph's pack, which
+each graph derives on first use and which also holds D^-1 H and H De^-1 on
+those same index arrays.  ``build_hypergraph`` validates the rows and warns,
+once per graph, about nodes in no hyperedge.  Instances are immutable, safe
+to share across threads, and compare by identity.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ class Hypergraph:
 
     @cached_property
     def node_edges(self) -> "FlatSets":
-        """Hyperedges of each node, ascending: a read-only view of H's CSR arrays."""
-        h = self.pack.h
-        return FlatSets(idx=_readonly(h.indices.view()), indptr=_readonly(h.indptr.view()))
+        """Hyperedges of each node, ascending: H's read-only CSR index arrays."""
+        return FlatSets(idx=self.pack.h.indices, indptr=self.pack.h.indptr)
 
     def nodes_of_type(self, tag: str) -> list[int]:
         if self.node_type is None:
@@ -57,26 +57,35 @@ class Hypergraph:
 
     @cached_property
     def pack(self) -> "GraphPack":
-        """H and its degree diagonals, derived on first use and kept with the graph."""
+        """H, its degree diagonals, D^-1 H and H De^-1, derived on first use and kept."""
         h = incidence_matrix(self)
         d = np.asarray(h.sum(axis=1)).reshape(-1)
         d_e = np.asarray(h.sum(axis=0)).reshape(-1)
         d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-        return GraphPack(h, *(_readonly(a) for a in (d, d_e, d_inv, 1.0 / d_e)))
+        de_inv = 1.0 / d_e
+        for a in (h.data, h.indices, h.indptr, d, d_e, d_inv, de_inv):
+            _readonly(a)
+        # H is binary, so D^-1 H holds d_inv of each entry's row and H De^-1 de_inv of its column
+        hd, hde = (sparse.csr_array((_readonly(v), h.indices, h.indptr), shape=h.shape)
+                   for v in (np.repeat(d_inv, np.diff(h.indptr)), de_inv[h.indices]))
+        return GraphPack(h, d, d_e, d_inv, de_inv, hd, hde)
 
 
 @dataclass(frozen=True, eq=False)
 class GraphPack:
     """Incidence matrix H (CSR, N x M), node degrees ``d`` = H 1, hyperedge sizes
-    ``d_e`` = H^T 1, and their inverses.  Every adjacency, walk operator, variant
-    operator and hyperedge feature map reads these instead of rebuilding H.
-    ``adjacency``, H H^T - D, is derived on first read and kept, so every SVD
-    feature bootstrap on one graph reads one copy.
+    ``d_e`` = H^T 1, their inverses, and the scaled incidence factors ``hd`` =
+    D^-1 H and ``hde`` = H De^-1.  The two factors are CSR arrays on H's own
+    ``indices`` and ``indptr``: one index structure, three value arrays.  Every
+    adjacency, walk operator, propagation operator and hyperedge feature map
+    reads these instead of rebuilding H.  ``adjacency``, H H^T - D, is derived
+    on first read and kept, so every SVD feature bootstrap on one graph reads
+    one copy.
 
     A node in no hyperedge gets ``d_inv`` 0, so its rows and columns of the walk
     operators stay zero (``build_hypergraph`` warned about it); hyperedges are
     nonempty by construction, so ``de_inv`` needs no guard.  The pack is shared
-    by every reader of the graph, so H must not be modified in place.
+    by every reader of the graph, so every array in it is read-only.
     """
 
     h: sparse.csr_array
@@ -84,6 +93,8 @@ class GraphPack:
     d_e: np.ndarray
     d_inv: np.ndarray
     de_inv: np.ndarray
+    hd: sparse.csr_array
+    hde: sparse.csr_array
 
     @cached_property
     def adjacency(self) -> sparse.csr_array:

@@ -21,10 +21,9 @@ no product is multiplied out.  Each variant applies its aggregates, S_v Z
 + B_v Y and base's S_e Y + B_e Z, and their adjoints through one method per
 stream and direction (``PropagationOperators.node_aggregate`` and the
 rest), and every intermediate two terms share is formed once.  D^-1 H De^-1
-is never stored: D^-1 H De^-1 w = D^-1 * (H De^-1 w).  A build is at most
-two scalings of H, with every transpose a CSC view; ``build_operators``
-returns read-only arrays, and ``train`` and each checkpoint replay build
-their own.
+is never stored: D^-1 H De^-1 w = D^-1 * (H De^-1 w).  The graph's pack
+holds H and both factors, read-only, and every transpose is a CSC view, so
+``build_operators`` computes nothing: its operators are a view of the pack.
 
 Before W(0), layer 0 only aggregates fixed inputs through fixed operators.
 So a ``ForwardInputs`` holds Z(0), Y(0) and their layer-0 products,
@@ -56,7 +55,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, DataError
 from .features import RngLike, as_rng
-from .hypergraph import Hypergraph, canonical
+from .hypergraph import GraphPack, Hypergraph
 
 VARIANT_TAGS = ("base", "p2", "plusplus", "wt", "h2")
 ACTIVATION_TAGS = ("tanh", "leaky-relu", "gelu", "selu", "rrelu")
@@ -194,9 +193,9 @@ class Operator:
 
     ``op @ x`` runs the aggregate the operator belongs to (``op.T @ x`` the
     adjoint) with the other operand left out, so it makes the products that
-    ``forward`` and ``training.backward`` make.  ``factors`` are the sparse
-    factors one application multiplies by, one per product; ``nnz`` and the
-    ``nbytes`` of ``data``, ``indices`` and ``indptr`` count what an
+    ``forward`` and ``training.backward`` make.  ``factors`` are the pack's
+    sparse factors one application multiplies by, one per product; ``nnz``
+    and the ``nbytes`` of ``data``, ``indices`` and ``indptr`` count what an
     application reads.
     """
 
@@ -206,11 +205,11 @@ class Operator:
 
     @property
     def factors(self) -> list[sparse.sparray]:
-        return [getattr(self.ops, f) for f in _PRODUCTS[self.ops.tag][self.name]]
+        return [getattr(self.ops.pack, f) for f in _PRODUCTS[self.ops.tag][self.name]]
 
     @property
     def shape(self) -> tuple[int, int]:
-        n, m = self.ops.h.shape
+        n, m = self.ops.pack.h.shape
         rows, cols = {"s_v": (n, n), "s_e": (m, m), "b_v": (n, m), "b_e": (m, n)}[self.name]
         return (cols, rows) if self.transposed else (rows, cols)
 
@@ -245,10 +244,10 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class PropagationOperators:
-    """The propagation operators for one (graph, variant) pair, as the factors they read.
+    """The propagation operators of one variant on one graph: a view of the graph's pack.
 
-    ``h`` is the graph's H, and ``hd`` = D^-1 H and ``hde`` = H De^-1 are its
-    scalings, None for h2, which reads H alone.  With P = H De^-1 (D^-1 H)^T,
+    Every method reads the pack's H, ``hd`` = D^-1 H, ``hde`` = H De^-1 and
+    the inverse degrees; h2 reads H alone.  With P = H De^-1 (D^-1 H)^T,
     each method applies one aggregate or adjoint of every variant, and forms
     each intermediate that two terms share once.  The in-place scalings write
     only those intermediates, never an operand.  s_e, b_v and b_e are None
@@ -256,11 +255,7 @@ class PropagationOperators:
     """
 
     tag: str
-    h: sparse.csr_array
-    d_inv: np.ndarray
-    de_inv: np.ndarray
-    hd: Optional[sparse.csr_array] = None
-    hde: Optional[sparse.csr_array] = None
+    pack: GraphPack
 
     def _view(self, name: str) -> Optional[Operator]:
         return Operator(self, name) if name in _PRODUCTS[self.tag] else None
@@ -270,13 +265,10 @@ class PropagationOperators:
     b_v = property(lambda self: self._view("b_v"))
     b_e = property(lambda self: self._view("b_e"))
 
-    @property
-    def num_nodes(self) -> int:
-        return self.h.shape[0]
-
     def node_aggregate(self, z: Optional[np.ndarray], y: Optional[np.ndarray] = None) -> np.ndarray:
         """S_v Z + B_v Y, leaving out a term whose operand is None; only base has B_v."""
-        hd, hde, d_inv, de_inv = self.hd, self.hde, self.d_inv[:, None], self.de_inv[:, None]
+        p = self.pack
+        hd, hde, d_inv, de_inv = p.hd, p.hde, p.d_inv[:, None], p.de_inv[:, None]
         if self.tag == "base":  # D^-1H ((D^-1H)^T H De^-1 (De^-1 * (D^-1H)^T Z) + Y)
             if z is None:
                 return hd @ y
@@ -302,29 +294,31 @@ class PropagationOperators:
             return out
         if self.tag == "wt":
             return hd @ (hd.T @ (hde @ (hd.T @ z)))
-        e = self.h.T @ (d_inv * z)  # h2: H (De^-1 * H^T (D^-1 Z) + H^T Z)
+        e = p.h.T @ (d_inv * z)  # h2: H (De^-1 * H^T (D^-1 Z) + H^T Z)
         e *= de_inv
-        e += self.h.T @ z
-        return self.h @ e
+        e += p.h.T @ z
+        return p.h @ e
 
     def edge_aggregate(self, y: Optional[np.ndarray], z: Optional[np.ndarray] = None) -> np.ndarray:
         """base's S_e Y + B_e Z, leaving out a term whose operand is None:
         (H De^-1)^T (H De^-1 (D^-1H)^T (D^-1 * H De^-1 Y) + Z)."""
+        p = self.pack
         if y is None:
-            return self.hde.T @ z
-        c = self.hde @ y
-        c *= self.d_inv[:, None]
-        c = self.hde @ (self.hd.T @ c)
+            return p.hde.T @ z
+        c = p.hde @ y
+        c *= p.d_inv[:, None]
+        c = p.hde @ (p.hd.T @ c)
         if z is not None:
             c += z
-        return self.hde.T @ c
+        return p.hde.T @ c
 
     def node_adjoint(
         self, du: np.ndarray, with_s: bool = True
     ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """(S_v^T du, B_v^T du); the first is None without ``with_s``, the second
         for a decoupled variant."""
-        hd, hde, d_inv, de_inv = self.hd, self.hde, self.d_inv[:, None], self.de_inv[:, None]
+        p = self.pack
+        hd, hde, d_inv, de_inv = p.hd, p.hde, p.d_inv[:, None], p.de_inv[:, None]
         if self.tag == "base":  # B_v^T du = (D^-1H)^T du is S_v^T du's first product
             a = hd.T @ du
             if not with_s:
@@ -343,10 +337,10 @@ class PropagationOperators:
             return hd @ c, None
         if self.tag == "wt":
             return hd @ (hde.T @ (hd @ (hd.T @ du))), None
-        e = self.h.T @ du  # h2: H H^T du + D^-1 * H (De^-1 * H^T du)
-        out = self.h @ e
+        e = p.h.T @ du  # h2: H H^T du + D^-1 * H (De^-1 * H^T du)
+        out = p.h @ e
         e *= de_inv
-        c = self.h @ e
+        c = p.h @ e
         c *= d_inv
         out += c
         return out, None
@@ -356,35 +350,22 @@ class PropagationOperators:
     ) -> tuple[Optional[np.ndarray], np.ndarray]:
         """base's (S_e^T dv, B_e^T dv), the first None without ``with_s``;
         B_e^T dv = H De^-1 dv is S_e^T dv's first product."""
-        b = self.hde @ dv
+        p = self.pack
+        b = p.hde @ dv
         if not with_s:
             return None, b
-        c = self.hd @ (self.hde.T @ b)
-        c *= self.d_inv[:, None]
-        return self.hde.T @ c, b
+        c = p.hd @ (p.hde.T @ b)
+        c *= p.d_inv[:, None]
+        return p.hde.T @ c, b
 
 
 def build_operators(g: Hypergraph, variant: VariantKind | str) -> PropagationOperators:
-    """Assemble the propagation operators for the given variant.
-
-    Only the scalings of H the variant reads are built: D^-1 H and H De^-1,
-    each one CSR of one nonzero per incidence, or none for h2.  Every
-    transpose is a CSC view.  The arrays of every factor the variant reads
-    are read-only.
-    """
+    """The propagation operators of ``variant`` on ``g``: a view of ``g.pack``,
+    whose read-only factors every variant and every call share.  Nothing is
+    computed here."""
     if isinstance(variant, str):
         variant = VariantKind(tag=variant)
-    h, d_inv, de_inv = g.pack.h, g.pack.d_inv, g.pack.de_inv
-    scaled = {}
-    if variant.tag != "h2":
-        scaled = {"hd": canonical(h.multiply(d_inv[:, np.newaxis])),
-                  "hde": canonical(h.multiply(de_inv[np.newaxis, :]))}
-    ops = PropagationOperators(variant.tag, h, d_inv, de_inv, **scaled)
-    for name in {f for reads in _PRODUCTS[variant.tag].values() for f in reads}:
-        f = getattr(ops, name)
-        for a in (f.data, f.indices, f.indptr):
-            a.setflags(write=False)
-    return ops
+    return PropagationOperators(variant.tag, g.pack)
 
 
 @dataclass
@@ -532,8 +513,8 @@ class ForwardInputs:
     def __post_init__(self):
         ops = self.ops
         z0 = np.asarray(self.z0, dtype=np.float64)
-        if z0.ndim != 2 or z0.shape[0] != ops.num_nodes:
-            raise DataError(f"z0 must be ({ops.num_nodes}, *), got {z0.shape}")
+        if z0.ndim != 2 or z0.shape[0] != ops.s_v.shape[0]:
+            raise DataError(f"z0 must be ({ops.s_v.shape[0]}, *), got {z0.shape}")
         y0 = None
         if ops.s_e is not None:
             y0 = np.asarray(self.y0, dtype=np.float64)
@@ -599,7 +580,8 @@ def forward(
         state.deriv_z.append(dz)
         if not variant.coupled or k == params.layers - 1:
             continue
-        agg_y = ops.edge_aggregate(state.y[k], z_next) if k else inputs.s_e_y0 + ops.b_e @ z_next
+        agg_y = (ops.edge_aggregate(state.y[k], z_next) if k
+                 else inputs.s_e_y0 + ops.edge_aggregate(None, z_next))
         y_next, dy = activate(variant.sigma_e, agg_y @ params.w_e[k], rng, training)
         state.y.append(y_next)
         state.agg_y.append(agg_y)

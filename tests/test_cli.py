@@ -624,6 +624,16 @@ def _write_split(index):
     return write
 
 
+def _write_unlabeled_split(side):
+    def write(data):
+        (data / "labels.tsv").write_text("0\n-1\n0\n0\n1\n1\n1\n1\n")
+        split = {"train": [0, 4], "test": [2, 5]}
+        split[side].append(1)
+        (data / "splits").mkdir()
+        (data / "splits" / "split_00.json").write_text(json.dumps(split))
+    return write
+
+
 def _write_npy_as_npz(data):
     with (data / "other.npz").open("wb") as fh:
         np.save(fh, np.zeros(3))
@@ -646,6 +656,10 @@ BAD_FILES = [
                  "split_00.json: train index 9 outside [0, 8)", id="split-index-past-end"),
     pytest.param(_write_split(-1), TRAIN_NODE_CLASS,
                  "split_00.json: train index -1 outside [0, 8)", id="negative-split-index"),
+    pytest.param(_write_unlabeled_split("train"), TRAIN_NODE_CLASS,
+                 "split_00.json: train lists node 1, which is unlabeled", id="unlabeled-train-node"),
+    pytest.param(_write_unlabeled_split("test"), TRAIN_NODE_CLASS,
+                 "split_00.json: test lists node 1, which is unlabeled", id="unlabeled-test-node"),
     pytest.param(lambda data: np.savez(data / "other.npz", weights=np.zeros(3)),
                  EVAL, "other.npz is not a hyperemb checkpoint", id="foreign-npz"),
     pytest.param(_write_npy_as_npz, EVAL, "other.npz is a single array", id="npy-array"),
@@ -701,6 +715,18 @@ class TestConvertCommand:
         code = main(["convert", "--input", str(src), "--out", str(tmp_path / "ds")])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["out"] == str(tmp_path / "ds-1")
+
+    @pytest.mark.parametrize("edges, message", [
+        ({"a": [], "b": []}, "hyperedge 'a' is empty"),
+        ({"a": [0, 1], "b": [1, "2"]}, "hyperedge 'b' lists node id '2', not an integer"),
+        ({"a": [0, 1.7]}, "hyperedge 'a' lists node id 1.7, not an integer"),
+    ], ids=["all-empty", "string-id", "float-id"])
+    def test_malformed_hyperedge_exits_two_naming_it(self, tmp_path, capsys, edges, message):
+        # no features or labels, so the node count comes from the hyperedges
+        write_pickle_dataset(tmp_path / "raw", edges)
+        assert main(["convert", "--input", str(tmp_path / "raw"), "--out", str(tmp_path / "ds")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_bad_source_exits_two(self, tmp_path, capsys):
         code = main(["convert", "--input", str(tmp_path / "raw"),

@@ -123,6 +123,25 @@ class TestMatrices:
             with pytest.raises(ValueError):
                 vec[0] = 7
 
+    def test_pack_arrays_read_only(self, triangle):
+        pack = triangle.pack
+        for f in (pack.h, pack.hd, pack.hde):
+            for arr in (f.data, f.indices, f.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+
+    def test_scaled_factors_share_h_index_arrays(self, rng):
+        for _ in range(10):
+            edges, n = random_hypergraph(rng)
+            pack = build_hypergraph(edges, n).pack
+            h = dense_incidence(edges, n)
+            assert_allclose(pack.hd.toarray(), h / np.maximum(h.sum(axis=1, keepdims=True), 1))
+            assert_allclose(pack.hde.toarray(), h / h.sum(axis=0, keepdims=True))
+            for f in (pack.hd, pack.hde):
+                assert np.shares_memory(f.indices, pack.h.indices)
+                assert np.shares_memory(f.indptr, pack.h.indptr)
+                assert not np.shares_memory(f.data, pack.h.data)
+
     def test_degree_sum_identity(self, rng):
         for _ in range(20):
             edges, n = random_hypergraph(rng)

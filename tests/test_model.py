@@ -139,6 +139,14 @@ class TestBuildOperators:
             if op is not None:
                 assert_allclose(op.toarray(), dense, atol=1e-12, err_msg=f"{tag} {name}")
 
+    def test_variants_read_the_graphs_factors(self, triangle):
+        base, plusplus = build_operators(triangle, "base"), build_operators(triangle, "plusplus")
+        pack = triangle.pack
+        assert base.pack is plusplus.pack is pack
+        assert [id(f) for f in base.s_v.factors] == [id(pack.hd), id(pack.hde), id(pack.hd), id(pack.hd)]
+        assert base.b_e.factors[0] is plusplus.s_v.factors[1] is pack.hde
+        assert base.b_v.factors[0] is plusplus.s_v.factors[0] is pack.hd
+
     def test_single_full_hyperedge_symmetry(self):
         g = build_hypergraph([(0, 1, 2, 3)], 4)
         ops = build_operators(g, "base")
